@@ -22,26 +22,26 @@ same code:
   and per figure), the paper's headline comparison (PATCH-All vs.
   Directory and Token Coherence), and the trace-replay identity verdict
   (recorded traces must replay bit-identically to their live runs).
-* :func:`run_perf` (``repro bench --perf``) is the engine-throughput
+* :func:`run_perf` (``repro bench --perf``) is the simulation-throughput
   microbench: a pure kernel events/sec figure plus timed single cells
   on the default torus, merged into ``bench_results.json`` so the
   perf trajectory accumulates across commits.  With ``--check`` it
   fails if any measured cell's cycle counts drift from the committed
-  goldens in ``benchmarks/goldens/perf_cycles.json`` (the engine must
-  get faster without changing simulation results — see
+  goldens in ``benchmarks/goldens/perf_cycles.json`` (the simulator
+  must get faster without changing simulation results — see
   docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations
 
 import contextlib
-import heapq
 import json
 import os
 import sys
 import tempfile
 import time
 from dataclasses import dataclass, field, replace
+from heapq import heappop as _heappop, heappush as _heappush
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis import format_table
@@ -751,11 +751,11 @@ def run_bench(quick: bool = False,
 
 
 # ---------------------------------------------------------------------------
-# Engine-throughput microbench (`repro bench --perf`)
+# Simulation-throughput microbench (`repro bench --perf`)
 # ---------------------------------------------------------------------------
 
 #: Committed per-cell cycle counts the perf bench must reproduce: the
-#: engine is only allowed to get *faster*, never to change results.
+#: simulator is only allowed to get *faster*, never to change results.
 PERF_GOLDENS_PATH = os.path.join("benchmarks", "goldens",
                                  "perf_cycles.json")
 
@@ -768,7 +768,7 @@ PERF_CELLS = (
 
 #: Fields of a perf cell that --check compares against the goldens
 #: (events_processed is recorded but not gated: eliding no-op events is
-#: a legitimate engine optimization, changing cycle counts is not).
+#: a legitimate kernel optimization, changing cycle counts is not).
 PERF_CHECKED_FIELDS = ("runtime_cycles", "traffic_total_bytes",
                        "dropped_direct_requests")
 
@@ -794,34 +794,22 @@ def _kernel_pass(make_kernel, pending: int, events: int) -> float:
     return sim.events_processed / (time.perf_counter() - start)
 
 
-def _kernel_rate(make_kernel, pending: int, events: int,
-                 repeats: int) -> float:
-    """Best-of-``repeats`` events/sec for one kernel factory."""
-    return max(_kernel_pass(make_kernel, pending, events)
-               for _ in range(repeats))
-
-
 def kernel_events_per_second(pending: int = 2048, events: int = 100_000,
-                             repeats: int = 3,
-                             engine: Optional[str] = None) -> float:
-    """Raw kernel scheduling throughput (events/sec, best of repeats).
+                             repeats: int = 3) -> float:
+    """Raw kernel scheduling throughput (events/sec, best of repeats)."""
+    from repro.sim.kernel import Simulator
 
-    ``engine`` selects whose event kernel to time (default: the
-    reference engine's).
-    """
-    from repro.engines import DEFAULT_ENGINE, get_engine
-
-    make_kernel = get_engine(engine or DEFAULT_ENGINE).kernel
-    return _kernel_rate(make_kernel, pending, events, repeats)
+    return max(_kernel_pass(Simulator, pending, events)
+               for _ in range(repeats))
 
 
 def kernel_obs_overhead(pending: int = 2048, events: int = 60_000,
                         repeats: int = 5) -> float:
     """Fractional kernel slowdown from the *disabled* event sink.
 
-    Times the reference :class:`~repro.sim.kernel.Simulator` loop —
-    whose dispatch carries one hoisted ``sink is not None`` test per
-    event — against a copy of the same loop with the guard deleted.
+    Times the :class:`~repro.sim.kernel.Simulator` loop — whose
+    dispatch carries one hoisted ``sink is not None`` test per event —
+    against a copy of the same loop with the guard deleted.
     Passes are interleaved (real, bare, real, bare, ...) and each side
     takes its best, so clock-speed drift on shared runners hits both
     loops alike instead of whichever ran second (the PERFORMANCE.md
@@ -836,42 +824,69 @@ def kernel_obs_overhead(pending: int = 2048, events: int = 60_000,
         """Simulator with the sink guard deleted — a yardstick only.
 
         The loop body is a verbatim copy of ``Simulator.run`` minus
-        the two sink lines; keep them in lockstep.
+        the sink lines; keep them in lockstep.
         """
 
         def run(self, until=None, max_events=None):
             self._stopped = False
-            queue = self._queue
-            pop = heapq.heappop
+            buckets = self._buckets
+            times = self._times
             event_cls = Event
             processed = 0
+            limit = max_events if max_events is not None else -1
             try:
-                while queue and not self._stopped:
-                    head = queue[0]
-                    if until is not None and head[0] > until:
+                while times and not self._stopped:
+                    t = times[0]
+                    if until is not None and t > until:
                         self.now = until
                         return
-                    now, _priority, seq, payload = pop(queue)
-                    if payload.__class__ is event_cls:
-                        payload._sim = None
-                        if payload.cancelled:
-                            self._cancelled -= 1
-                            continue
-                        callback = payload.callback
-                    else:
-                        callback = payload
-                    self._live -= 1
-                    self.now = now
-                    self._current_seq = seq
-                    callback()
-                    processed += 1
-                    if max_events is not None and processed >= max_events:
+                    _heappop(times)
+                    bucket = buckets[t]
+                    if len(bucket) > 1:
+                        bucket.sort()
+                    self.now = t
+                    self._draining = t
+                    i = 0
+                    skipped = 0
+                    livelock = False
+                    try:
+                        for entry in bucket:
+                            i += 1
+                            self._drain_pos = i
+                            payload = entry[1]
+                            if payload.__class__ is event_cls:
+                                payload._sim = None
+                                if payload.cancelled:
+                                    self._cancelled -= 1
+                                    skipped += 1
+                                    continue
+                                callback = payload.callback
+                            else:
+                                callback = payload
+                            self._current_seq = entry[0]
+                            callback()
+                            processed += 1
+                            if self._stopped:
+                                break
+                            if processed == limit:
+                                livelock = True
+                                break
+                    finally:
+                        self._live -= i - skipped
+                        self._draining = -1
+                        if i < len(bucket):
+                            del bucket[:i]
+                            _heappush(times, t)
+                        else:
+                            del buckets[t]
+                    if livelock:
                         raise SimulationError(
                             f"exceeded max_events={max_events}; "
                             "possible livelock")
                 if until is not None and not self._stopped:
                     self.now = max(self.now, until)
             finally:
+                self._draining = -1
                 self._events_processed += processed
 
     real = bare = 0.0
@@ -882,31 +897,25 @@ def kernel_obs_overhead(pending: int = 2048, events: int = 60_000,
 
 
 def engine_perf_cell(protocol: str, predictor: str, num_cores: int,
-                     references_per_core: int,
-                     engine: Optional[str] = None) -> Dict[str, object]:
+                     references_per_core: int) -> Dict[str, object]:
     """Time one in-process simulation on the default torus.
 
     Runs outside the parallel runner and result cache on purpose: the
     point is to time the simulation itself, and a cache hit would time
-    nothing.  ``engine`` selects the simulation engine to time; the
-    build goes straight through the registry factory (not the parity
-    gate) because ``--check`` compares every engine's cycle counts
-    against the same committed goldens anyway.
+    nothing.
     """
-    from repro.engines import DEFAULT_ENGINE, get_engine
+    from repro.core.system import System
     from repro.workloads import make_workload
 
-    engine = engine or DEFAULT_ENGINE
     config = SystemConfig(num_cores=num_cores, protocol=protocol,
-                          predictor=predictor, engine=engine)
+                          predictor=predictor)
     workload = make_workload("microbench", num_cores=num_cores, seed=1)
-    system = get_engine(engine).factory(
-        config, workload, references_per_core=references_per_core)
+    system = System(config, workload,
+                    references_per_core=references_per_core)
     start = time.perf_counter()
     result = system.run()
     wall = time.perf_counter() - start
     return {
-        "engine": engine,
         "wall_seconds": round(wall, 6),
         "runtime_cycles": result.runtime_cycles,
         "events_processed": result.events_processed,
@@ -918,46 +927,29 @@ def engine_perf_cell(protocol: str, predictor: str, num_cores: int,
 
 
 def engine_perf_results(quick: bool = False) -> Dict[str, object]:
-    """The full engine-throughput report (kernel + workload cells).
+    """The full simulation-throughput report (kernel + workload cells).
 
-    Every registered engine is timed side by side: the kernel
-    microbench per engine, and each :data:`PERF_CELLS` cell once per
-    engine, with a per-cell ``speedup`` map (events/sec relative to the
-    reference engine — results are bit-identical across engines, so the
-    event counts being divided are the same schedule).
+    One kernel microbench rate, and one timed row per
+    :data:`PERF_CELLS` cell.
     """
-    from repro.engines import DEFAULT_ENGINE, engine_names
-
-    engines = engine_names()
     if quick:
         kernel_kwargs: Dict[str, int] = {"events": 30_000, "repeats": 2}
         cores, refs = 16, 120
     else:
         kernel_kwargs = {}
         cores, refs = 16, 400
-    kernel = {engine: round(kernel_events_per_second(engine=engine,
-                                                     **kernel_kwargs), 1)
-              for engine in engines}
+    kernel = round(kernel_events_per_second(**kernel_kwargs), 1)
     cells: Dict[str, Dict[str, object]] = {}
     for label, protocol, predictor in PERF_CELLS:
-        measured = {engine: engine_perf_cell(protocol, predictor, cores,
-                                             refs, engine=engine)
-                    for engine in engines}
-        reference = measured[DEFAULT_ENGINE]["events_per_second"]
         cells[label] = {
             "protocol": protocol,
             "predictor": predictor,
             "num_cores": cores,
             "references_per_core": refs,
-            "engines": measured,
-            "speedup": {
-                engine: round(measured[engine]["events_per_second"]
-                              / reference, 3)
-                for engine in engines if engine != DEFAULT_ENGINE},
+            **engine_perf_cell(protocol, predictor, cores, refs),
         }
     return {
         "scale": "quick" if quick else "full",
-        "engines": list(engines),
         "kernel_events_per_second": kernel,
         "cells": cells,
     }
@@ -981,19 +973,13 @@ def check_perf_goldens(perf: Dict[str, object],
         if golden is None:
             problems.append(f"{perf['scale']}/{label}: no committed golden")
             continue
-        for engine, measured in cell["engines"].items():
-            engine_golden = golden.get(engine)
-            if engine_golden is None:
-                problems.append(f"{perf['scale']}/{label}: no committed "
-                                f"golden for engine {engine!r}")
-                continue
-            for fieldname in PERF_CHECKED_FIELDS:
-                expected_value = engine_golden.get(fieldname)
-                if measured[fieldname] != expected_value:
-                    problems.append(
-                        f"{perf['scale']}/{label}/{engine}: {fieldname} "
-                        f"drifted (golden {expected_value}, "
-                        f"got {measured[fieldname]})")
+        for fieldname in PERF_CHECKED_FIELDS:
+            expected_value = golden.get(fieldname)
+            if cell[fieldname] != expected_value:
+                problems.append(
+                    f"{perf['scale']}/{label}: {fieldname} "
+                    f"drifted (golden {expected_value}, "
+                    f"got {cell[fieldname]})")
     return problems
 
 
@@ -1011,10 +997,9 @@ def update_perf_goldens(goldens_path: str = PERF_GOLDENS_PATH,
         perf = engine_perf_results(quick=quick)
         measured[perf["scale"]] = perf
         payload[perf["scale"]] = {
-            label: {engine: {fieldname: engine_cell[fieldname]
-                             for fieldname in PERF_CHECKED_FIELDS + (
-                                 "events_processed",)}
-                    for engine, engine_cell in cell["engines"].items()}
+            label: {fieldname: cell[fieldname]
+                    for fieldname in PERF_CHECKED_FIELDS + (
+                        "events_processed",)}
             for label, cell in perf["cells"].items()}
     os.makedirs(os.path.dirname(goldens_path), exist_ok=True)
     with open(goldens_path, "w", encoding="utf-8") as handle:
@@ -1028,30 +1013,23 @@ def run_perf(quick: bool = False, out_path: str = "bench_results.json",
              check: bool = False,
              goldens_path: str = PERF_GOLDENS_PATH, echo=_echo,
              perf: Optional[Dict[str, object]] = None) -> int:
-    """Run the engine-throughput microbench; merge into ``out_path``.
+    """Run the simulation-throughput microbench; merge into ``out_path``.
 
     The report lands under the ``engine_perf`` key of
     ``bench_results.json`` (created if the figure suite has not run),
-    so one artifact carries both the figure timings and the engine
+    so one artifact carries both the figure timings and the simulator
     throughput trajectory.  ``perf`` supplies an already-measured
     report instead of measuring (used after ``--update-goldens``).
     """
     if perf is None:
         perf = engine_perf_results(quick=quick)
-    for engine in perf["engines"]:
-        rate = perf["kernel_events_per_second"][engine]
-        echo(f"[kernel/{engine}] {rate:>12,.0f} events/sec "
-             f"(queue-deep scheduling microbench)")
+    echo(f"[kernel] {perf['kernel_events_per_second']:>12,.0f} events/sec "
+         f"(queue-deep scheduling microbench)")
     for label, cell in perf["cells"].items():
-        for engine in perf["engines"]:
-            measured = cell["engines"][engine]
-            echo(f"[{label}/{engine}] {measured['wall_seconds']:8.2f}s  "
-                 f"{measured['events_per_second']:>12,.0f} events/sec  "
-                 f"{measured['cycles_per_second']:>12,.0f} sim-cycles/sec  "
-                 f"(runtime {measured['runtime_cycles']} cycles)")
-        for engine, ratio in sorted(cell["speedup"].items()):
-            echo(f"[{label}] {engine}: {ratio:.2f}x events/sec "
-                 f"vs reference engine")
+        echo(f"[{label}] {cell['wall_seconds']:8.2f}s  "
+             f"{cell['events_per_second']:>12,.0f} events/sec  "
+             f"{cell['cycles_per_second']:>12,.0f} sim-cycles/sec  "
+             f"(runtime {cell['runtime_cycles']} cycles)")
     report: Dict[str, object] = {"schema": 1}
     if os.path.exists(out_path):
         try:

@@ -61,7 +61,7 @@ random and synthesized race scenarios explored under adversarial
 schedules on every protocol, with violations shrunk and saved as
 replayable cases (docs/VERIFICATION.md is the guide), ``repro bench``
 regenerates the whole figure suite with machine-readable timings, and
-``repro bench --perf`` runs the engine-throughput microbench
+``repro bench --perf`` runs the simulation-throughput microbench
 (``--check`` gates on the committed cycle-count goldens).  Experiment subcommands accept
 ``--jobs`` (worker count, default ``REPRO_JOBS`` or the CPU count),
 ``--executor`` (execution backend, default ``REPRO_EXECUTOR`` or
@@ -103,8 +103,6 @@ from repro.core.runner import (ADAPTIVITY_CONFIGS, PAPER_CONFIGS,
 from repro.core.sweeps import (bandwidth_sweep, coarseness_points,
                                encoding_sweep, scalability_sweep,
                                scenario_matrix)
-from repro.engines import (ENGINE_ENV, default_engine_name, engine_names,
-                           engine_specs)
 from repro.exec import (NO_CACHE_ENV, CellExecutionError, ParallelRunner,
                         ResultCache, code_version, executor_names,
                         set_default_runner)
@@ -208,14 +206,6 @@ def _add_obs_options(parser: argparse.ArgumentParser) -> None:
                              "(render with: repro obs top DIR)")
 
 
-def _add_engine_option(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--engine", default=None,
-                        choices=engine_names(),
-                        help="simulation engine (default: $REPRO_ENGINE "
-                             "or 'object'; see docs/PERFORMANCE.md, "
-                             "'Engine variants')")
-
-
 def _runner_from_args(args) -> Optional[ParallelRunner]:
     """Build the runner described by --jobs/--no-cache/--cache-dir."""
     if not hasattr(args, "jobs"):
@@ -254,7 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run one simulation")
     _add_common(run, refs_default=None)
     _add_exec_options(run)
-    _add_engine_option(run)
     _add_obs_options(run)
     run.add_argument("--protocol", default="patch", choices=PROTOCOLS)
     run.add_argument("--predictor", default="all", choices=PREDICTORS)
@@ -318,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser(
         "bench", help="regenerate the full figure suite with timings")
     _add_exec_options(bench)
-    _add_engine_option(bench)
     _add_obs_options(bench)
     bench.add_argument("--quick", action="store_true",
                        help="CI smoke-test scale (smaller grids, 1 seed)")
@@ -332,11 +320,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="exit non-zero if the paper's headline claim "
                             "(PATCH-All within noise of Token Coherence) "
                             "regressed; with --perf, gate instead on the "
-                            "committed engine cycle-count goldens")
+                            "committed perf cycle-count goldens")
     bench.add_argument("--perf", action="store_true",
-                       help="run the engine-throughput microbench instead "
-                            "of the figure suite (results merge into the "
-                            "--out report under 'engine_perf')")
+                       help="run the simulation-throughput microbench "
+                            "instead of the figure suite (results merge "
+                            "into the --out report under 'engine_perf')")
     bench.add_argument("--update-goldens", action="store_true",
                        help="with --perf: re-measure and rewrite the "
                             "committed perf cycle-count goldens")
@@ -518,7 +506,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "aggregates (deterministic grid order)")
     srun.add_argument("spec", metavar="SPEC.json")
     _add_exec_options(srun)
-    _add_engine_option(srun)
     _add_obs_options(srun)
     srun.add_argument("--resume", action="store_true",
                       help="continue the study's recorded manifest: cells "
@@ -608,8 +595,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="pstats sort key (default cumulative)")
 
     sub.add_parser("list", help="list workloads and configurations")
-    sub.add_parser("engines",
-                   help="list registered simulation engines")
     list_scenarios = sub.add_parser(
         "list-scenarios",
         help="list every registered workload generator and "
@@ -769,17 +754,6 @@ def cmd_list(args) -> int:
     print("\nBandwidth-adaptivity configurations:")
     for label, overrides in ADAPTIVITY_CONFIGS.items():
         print(f"  {label:24} {overrides}")
-    return 0
-
-
-def cmd_engines(args) -> int:
-    default = default_engine_name()
-    print("Simulation engines (repro run --engine NAME):")
-    for spec in engine_specs():
-        print(f"  {spec.name:20} {spec.description}")
-    print(f"\nDefault: {default} (override with --engine or "
-          f"${ENGINE_ENV}); every engine is parity-gated against "
-          f"'object' (docs/ARCHITECTURE.md, 'Engine variants')")
     return 0
 
 
@@ -1377,7 +1351,6 @@ COMMANDS = {
     "bench": cmd_bench,
     "obs": cmd_obs,
     "list": cmd_list,
-    "engines": cmd_engines,
     "list-scenarios": cmd_list_scenarios,
 }
 
@@ -1388,15 +1361,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     runner = _runner_from_args(args)
     if runner is not None:
         set_default_runner(runner)
-    # --engine and the observability flags resolve through the
-    # environment: every SystemConfig / executor worker built under
-    # this command then sees the chosen engine and obs settings, which
-    # is what carries them into subprocess-pool workers.  (Spec/config
-    # fields naming an engine explicitly still win.)
+    # The observability flags resolve through the environment: every
+    # executor worker built under this command then sees the chosen
+    # obs settings, which is what carries them into subprocess-pool
+    # workers.
     overrides = {}
-    engine = getattr(args, "engine", None)
-    if engine is not None:
-        overrides[ENGINE_ENV] = engine
     # `hasattr(args, "obs")` marks the commands wired through
     # _add_obs_options; `repro synth` has an unrelated --profile.
     if hasattr(args, "obs"):

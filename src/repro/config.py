@@ -11,10 +11,8 @@ best-effort direct requests dropped after queueing 100 cycles.  The
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
-
-from repro.engines import default_engine_name
 
 PROTOCOLS = ("directory", "patch", "tokenb")
 PREDICTORS = ("none", "owner", "broadcast-if-shared", "group", "all",
@@ -50,15 +48,6 @@ class SystemConfig:
     num_cores: int = 16
     topology: str = "torus"              # torus | mesh | fully-connected
     torus_dims: Optional[Tuple[int, int]] = None  # grid shape, derived if None
-
-    # --- simulation engine -------------------------------------------------
-    # Which registered simulation engine (repro.engines) backs the run:
-    # "object" is the per-object reference implementation, "array" the
-    # struct-of-arrays rewrite.  Results are engine-independent (the
-    # golden-parity suite pins this); the choice is purely speed.  The
-    # default resolves $REPRO_ENGINE (the CLI's --engine sets it), so
-    # the chosen engine rides explicitly in every cell and cache key.
-    engine: str = field(default_factory=default_engine_name)  # object | array
 
     # --- protocol selection ----------------------------------------------
     protocol: str = "directory"          # directory | patch | tokenb
@@ -105,10 +94,6 @@ class SystemConfig:
         # Imported here so the frozen config stays importable before the
         # interconnect package (which registers the topologies) loads.
         from repro.interconnect.topology import TOPOLOGIES
-        from repro.engines import engine_names, is_registered_engine
-        if not is_registered_engine(self.engine):
-            raise ValueError(f"unknown engine {self.engine!r}; "
-                             f"choose from {engine_names()}")
         if self.protocol not in PROTOCOLS:
             raise ValueError(f"unknown protocol {self.protocol!r}; "
                              f"choose from {PROTOCOLS}")

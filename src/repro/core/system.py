@@ -59,12 +59,17 @@ class System:
         self.config = config
         self.workload = workload
         self.references_per_core = references_per_core
-        self.sim = self._make_simulator()
+        self.sim = Simulator()
         self.integrity = IntegrityChecker() if check_integrity else None
         self.audit_tokens = audit_tokens and config.protocol != "directory"
 
         if network is None:
-            network = self._make_network()
+            topology = make_topology(config.topology, config.num_cores,
+                                     config.torus_dims)
+            network = SwitchedNetwork(
+                self.sim, topology, bandwidth=config.link_bandwidth,
+                hop_latency=config.hop_latency,
+                drop_age=config.direct_request_drop_age)
         else:
             network.sim = self.sim  # adopt our clock
         self.network = network
@@ -88,21 +93,6 @@ class System:
         ]
 
     # ------------------------------------------------------------------
-    # Engine seams: repro.engines variants (e.g. the array engine)
-    # subclass System and override these factories to swap in their own
-    # kernel, interconnect, or controllers without re-deriving assembly.
-    def _make_simulator(self) -> Simulator:
-        return Simulator()
-
-    def _make_network(self) -> NetworkInterface:
-        config = self.config
-        topology = make_topology(config.topology, config.num_cores,
-                                 config.torus_dims)
-        return SwitchedNetwork(
-            self.sim, topology, bandwidth=config.link_bandwidth,
-            hop_latency=config.hop_latency,
-            drop_age=config.direct_request_drop_age)
-
     def _make_cache(self, node: int):
         protocol = self.config.protocol
         if protocol == "directory":

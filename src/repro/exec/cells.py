@@ -112,7 +112,7 @@ def execute_cell(cell: Cell) -> RunResult:
     # Imported here (not at module top) to keep the worker-side import
     # footprint explicit and cycle-free.
     from repro import obs
-    from repro.engines import build_system
+    from repro.core.system import System
     from repro.workloads.presets import make_workload
 
     telemetry = obs.for_process()
@@ -125,12 +125,9 @@ def execute_cell(cell: Cell) -> RunResult:
                 workload = make_workload(
                     cell.workload, num_cores=cell.config.num_cores,
                     seed=cell.seed, **dict(cell.workload_kwargs))
-                # The engine rides in the config (and therefore in cache
-                # keys); build_system resolves it through the registry and
-                # applies the runtime parity gate to non-reference engines.
-                system = build_system(cell.config, workload,
-                                      cell.references_per_core,
-                                      check_integrity=cell.check_integrity)
+                system = System(cell.config, workload,
+                                cell.references_per_core,
+                                check_integrity=cell.check_integrity)
             timeline_target = obs.timeline_target()
             recorder = None
             if timeline_target is not None:

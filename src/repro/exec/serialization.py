@@ -19,7 +19,7 @@ SCHEMA_VERSION = 2
 
 #: Fields that vary run-to-run (timing, cache provenance, telemetry)
 #: without affecting simulation output.  Bit-identity comparisons —
-#: engine parity, executor parity, trace replay — go through
+#: executor parity, trace replay — go through
 #: :func:`comparable_result_dict`, which strips them.
 VOLATILE_FIELDS = ("started_at", "wall_time_seconds", "cached", "telemetry")
 
@@ -67,8 +67,8 @@ def run_result_to_dict(result: RunResult) -> Dict[str, Any]:
 def comparable_result_dict(result: RunResult) -> Dict[str, Any]:
     """The dict form with run-to-run volatile fields stripped.
 
-    Two executions of the same cell — different engines, executor
-    backends, observability settings, or live vs. trace replay — must
+    Two executions of the same cell — different executor backends,
+    observability settings, or live vs. trace replay — must
     agree on this form exactly; their wall times never will.
     """
     data = run_result_to_dict(result)

@@ -20,12 +20,19 @@ docs/PERFORMANCE.md for the full anatomy):
   :class:`~repro.interconnect.topology.RoutingTables` — forwarding is
   list indexing, never per-hop arithmetic;
 * links live in index-addressed arrays (``_first_hop[node][dest]``
-  resolves source+destination straight to the first link server, and
+  resolves source+destination straight to the first link, and
   ``_link_at[node][neighbor]`` serves multicast tree edges);
 * endpoints dispatch through a list indexed by node id;
-* link servers keep their own references to the clock and meter, memo
-  serialization durations per message size, and schedule no follow-up
-  ``_serve`` event when their queues are empty at transmit time.
+* a message in flight is a plain 7-tuple *hop* ``(inner, final_dest,
+  tree, deliver_set, priority, size_bytes, msg_class)``: no object
+  construction per hop, index loads instead of attribute loads;
+* links keep their own references to the clock and meter, share one
+  memo of serialization durations per message size (all links share
+  one bandwidth), and schedule no follow-up ``_serve`` event when
+  their queues are empty at transmit time;
+* event scheduling is inlined against the kernel's per-timestamp
+  buckets (see :mod:`repro.sim.kernel`) — two schedules per
+  transmission make it the hottest loop of a run.
 
 :class:`RandomDelayNetwork` is an adversarial model for correctness tests:
 it delivers messages with random, unordered delays and can drop best-effort
@@ -37,7 +44,9 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import insort
 from collections import deque
+from heapq import heappush as _heappush
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.interconnect.message import Message, Priority
@@ -50,6 +59,9 @@ Handler = Callable[[Message], None]
 #: Delivery latency for a node sending a message to itself (cache to its
 #: co-located home slice); charged no link traffic.
 LOCAL_DELIVERY_LATENCY = 1
+
+#: Hop tuple field indexes (see module docstring).
+_INNER, _FINAL_DEST, _TREE, _DELIVER, _PRIORITY, _SIZE, _CLASS = range(7)
 
 
 class NetworkInterface:
@@ -64,33 +76,7 @@ class NetworkInterface:
         raise NotImplementedError
 
 
-class _Hop:
-    """A message traversing the network hop-by-hop.
-
-    ``tree`` is the multicast fan-out tree (node -> children) when the
-    message has several destinations; for unicast it is None and
-    ``final_dest`` guides table-routed forwarding.  ``priority``,
-    ``size_bytes`` and ``msg_class`` are copied out of the inner message
-    once at construction — link servers read them on every enqueue and
-    transmit, and a slot load is cheaper than a property hop.
-    """
-
-    __slots__ = ("inner", "final_dest", "tree", "deliver_set",
-                 "priority", "size_bytes", "msg_class")
-
-    def __init__(self, inner: Message, final_dest: Optional[int] = None,
-                 tree: Optional[Dict[int, List[int]]] = None,
-                 deliver_set: Optional[frozenset] = None) -> None:
-        self.inner = inner
-        self.final_dest = final_dest
-        self.tree = tree
-        self.deliver_set = deliver_set
-        self.priority = inner.priority
-        self.size_bytes = inner.size_bytes
-        self.msg_class = inner.msg_class
-
-
-class _LinkServer:
+class _Link:
     """One directed link: fixed per-hop latency plus serialization at
     ``bandwidth`` bytes/cycle, two priority FIFOs, stale-drop for
     best-effort traffic.
@@ -113,8 +99,8 @@ class _LinkServer:
         self.dst = dst
         # Normal queue holds bare hops; best-effort entries carry their
         # enqueue time, which the stale-drop check needs.
-        self.normal: Deque[_Hop] = deque()
-        self.best_effort: Deque[Tuple[_Hop, int]] = deque()
+        self.normal: Deque[tuple] = deque()
+        self.best_effort: Deque[Tuple[tuple, int]] = deque()
         self.busy_until = 0
         self._scheduled = False
         self._reserved_seq = -1
@@ -123,18 +109,18 @@ class _LinkServer:
         self.hop_latency = network.hop_latency
         self.drop_age = network.drop_age
         self.bandwidth = network.bandwidth
-        self._durations: Dict[int, int] = {}  # size -> serialization cycles
+        self._durations = network._durations  # shared size -> cycles memo
         # Arrival-side rows, filled in by the network once its tables
-        # exist (SwitchedNetwork._wire_links): everything a hop landing
-        # at this link's dst needs, without a trip through the network.
-        self._forward_row: List[Optional["_LinkServer"]] = []
-        self._fanout_row: List[Optional["_LinkServer"]] = []
+        # exist: everything a hop landing at this link's dst needs,
+        # without a trip through the network.
+        self._forward_row: List[Optional["_Link"]] = []
+        self._fanout_row: List[Optional["_Link"]] = []
         self._endpoints: List[Optional[Handler]] = []
         # Hops on the wire, in transmission order.  Serialization makes
         # arrival times strictly increasing per link, so arrivals pop
         # FIFO and one bound method serves as every arrival callback (no
         # per-transmission closure).
-        self._inflight: Deque[_Hop] = deque()
+        self._inflight: Deque[tuple] = deque()
         # Bound once: scheduling a method per event would allocate a
         # fresh bound-method object each time.
         self._serve_cb = self._serve
@@ -143,17 +129,17 @@ class _LinkServer:
         # per transmission.
         self._timeline = None
 
-    def enqueue(self, hop: _Hop) -> None:
+    def enqueue(self, hop: tuple) -> None:
         sim = self.sim
+        now = sim.now
         # Priority.BEST_EFFORT == 1, NORMAL == 0: truthiness dispatch.
-        if hop.priority:
-            self.best_effort.append((hop, sim.now))
+        if hop[_PRIORITY]:
+            self.best_effort.append((hop, now))
         else:
             self.normal.append(hop)
         if self._scheduled:
             return
         self._scheduled = True
-        now = sim.now
         busy = self.busy_until
         reserved = self._reserved_seq
         if reserved >= 0:
@@ -162,14 +148,38 @@ class _LinkServer:
             # reserved the follow-up serve's tie-break slot instead of
             # scheduling a no-op.  If that slot is still "in the future"
             # of the dispatch order, materialize the serve under it —
-            # the heap then pops events in exactly the order an engine
-            # that had scheduled the no-op would have.
+            # the kernel then dispatches events in exactly the order a
+            # run that had scheduled the no-op would have.  (Inlined
+            # post_reserved; ``busy`` can equal ``now``, so the
+            # mid-drain branch stays.)
             if now < busy or (now == busy
                               and sim._current_seq < reserved):
-                sim.post_reserved(busy, reserved, self._serve_cb)
+                buckets = sim._buckets
+                bucket = buckets.get(busy)
+                if bucket is None:
+                    buckets[busy] = [(reserved, self._serve_cb)]
+                    _heappush(sim._times, busy)
+                elif busy == sim._draining:
+                    insort(bucket, (reserved, self._serve_cb),
+                           sim._drain_pos)
+                else:
+                    bucket.append((reserved, self._serve_cb))
+                sim._live += 1
                 return
-        gap = busy - now
-        sim.post(gap if gap > 0 else 0, self._serve_cb)
+        # Inlined post at max(busy, now).
+        time = busy if busy > now else now
+        seq = sim._seq
+        sim._seq = seq + 1
+        buckets = sim._buckets
+        bucket = buckets.get(time)
+        if bucket is None:
+            buckets[time] = [(seq, self._serve_cb)]
+            _heappush(sim._times, time)
+        elif time == sim._draining:
+            insort(bucket, (seq, self._serve_cb), sim._drain_pos)
+        else:
+            bucket.append((seq, self._serve_cb))
+        sim._live += 1
 
     def _serve(self) -> None:
         """Transmit the highest-priority queued hop, if any.
@@ -190,71 +200,96 @@ class _LinkServer:
                 while best_effort:
                     candidate, enqueued = best_effort.popleft()
                     if drop_age is not None and now - enqueued > drop_age:
-                        self.meter.record_drop(candidate.size_bytes)
+                        self.meter.record_drop(candidate[_SIZE])
                         continue
                     hop = candidate
                     break
             if hop is None:
                 self._scheduled = False
                 return
-        size = hop.size_bytes
+        size = hop[_SIZE]
         duration = self._durations.get(size)
         if duration is None:
             duration = max(1, math.ceil(size / self.bandwidth))
             self._durations[size] = duration
-        self.busy_until = sim.now + duration
+        now = sim.now
+        self.busy_until = now + duration
         self.busy_cycles += duration
         # Inlined meter.record_traversal (one transmission == one
         # directed-link traversal; this is the hottest meter call).
         meter = self.meter
-        msg_class = hop.msg_class
+        msg_class = hop[_CLASS]
         meter.bytes[msg_class] += size
         meter.link_traversals[msg_class] += 1
         timeline = self._timeline
         if timeline is not None:
-            timeline.link_busy(self.src, self.dst, sim.now, duration,
+            timeline.link_busy(self.src, self.dst, now, duration,
                                msg_class, size)
         self._inflight.append(hop)
-        sim.post(duration + self.hop_latency, self._arrive_cb)
+        # Inlined posts: the arrival takes ``seq``, the follow-up serve
+        # (or its reserved slot) takes ``seq + 1``.  Both times are
+        # strictly future, so neither can land in the bucket being
+        # drained and a plain append is safe.
+        seq = sim._seq
+        sim._seq = seq + 2
+        buckets = sim._buckets
+        time = now + duration + self.hop_latency
+        bucket = buckets.get(time)
+        if bucket is None:
+            buckets[time] = [(seq, self._arrive_cb)]
+            _heappush(sim._times, time)
+        else:
+            bucket.append((seq, self._arrive_cb))
         if self.normal or self.best_effort:
-            sim.post(duration, self._serve_cb)
+            sim._live += 2
+            time = now + duration
+            bucket = buckets.get(time)
+            if bucket is None:
+                buckets[time] = [(seq + 1, self._serve_cb)]
+                _heappush(sim._times, time)
+            else:
+                bucket.append((seq + 1, self._serve_cb))
         else:
             # Queues are empty: the follow-up serve would pop nothing.
             # Reserve its sequence slot (keeping future tie-breaks
             # bit-identical) but schedule no event; the next enqueue
             # re-activates the link at busy_until.
+            sim._live += 1
             self._scheduled = False
-            self._reserved_seq = sim.reserve_seq()
+            self._reserved_seq = seq + 1
 
     def _arrive_next(self) -> None:
         """Land the oldest in-flight hop at this link's dst: deliver,
         forward along the routed path, or fan out down the tree."""
         hop = self._inflight.popleft()
         node = self.dst
-        tree = hop.tree
+        tree = hop[_TREE]
         if tree is None:
-            dest = hop.final_dest
+            dest = hop[_FINAL_DEST]
             if node == dest:
                 handler = self._endpoints[node]
                 if handler is None:
                     raise RuntimeError(
                         f"no endpoint registered at node {node}")
-                handler(hop.inner)
+                handler(hop[_INNER])
             else:
                 self._forward_row[dest].enqueue(hop)
             return
-        if node in hop.deliver_set:
+        if node in hop[_DELIVER]:
             handler = self._endpoints[node]
             if handler is None:
                 raise RuntimeError(f"no endpoint registered at node {node}")
-            handler(hop.inner)
+            handler(hop[_INNER])
         children = tree.get(node)
         if children:
-            inner, deliver = hop.inner, hop.deliver_set
+            # Children share the original message but get their own hop
+            # per tree edge, so bandwidth is charged once per edge.
+            inner, deliver = hop[_INNER], hop[_DELIVER]
+            priority, size, msg_class = hop[_PRIORITY], hop[_SIZE], hop[_CLASS]
             row = self._fanout_row
             for child in children:
-                row[child].enqueue(
-                    _Hop(inner, tree=tree, deliver_set=deliver))
+                row[child].enqueue((inner, None, tree, deliver,
+                                    priority, size, msg_class))
 
 
 class SwitchedNetwork(NetworkInterface):
@@ -282,20 +317,21 @@ class SwitchedNetwork(NetworkInterface):
         self.drop_age = drop_age
         self.meter = TrafficMeter()
         self._timeline = None
+        self._durations: Dict[int, int] = {}
         self.routing = topology.build_routing()
         n = topology.num_nodes
         self._endpoints: List[Optional[Handler]] = [None] * n
-        self._links: List[_LinkServer] = [
-            _LinkServer(self, src, dst) for src, dst in topology.links()]
-        # (node, neighbor) -> link server, for multicast tree edges.
-        self._link_at: List[List[Optional[_LinkServer]]] = [
+        self._links: List[_Link] = [
+            _Link(self, src, dst) for src, dst in topology.links()]
+        # (node, neighbor) -> link, for multicast tree edges.
+        self._link_at: List[List[Optional[_Link]]] = [
             [None] * n for _ in range(n)]
         for link in self._links:
             self._link_at[link.src][link.dst] = link
-        # (node, final_dest) -> first link server on the routed path, so
+        # (node, final_dest) -> first link on the routed path, so
         # unicast forwarding is two list indexes with no arithmetic.
         next_hop = self.routing.next_hop
-        self._first_hop: List[List[Optional[_LinkServer]]] = [
+        self._first_hop: List[List[Optional[_Link]]] = [
             [self._link_at[node][next_hop[node][dest]] if dest != node
              else None for dest in range(n)]
             for node in range(n)
@@ -326,52 +362,49 @@ class SwitchedNetwork(NetworkInterface):
 
     def send(self, msg: Message) -> None:
         """Inject a message at its source node."""
-        msg.inject_time = self.sim.now
+        sim = self.sim
+        msg.inject_time = sim.now
         self.meter.record_message(msg.msg_class)
         timeline = self._timeline
         if timeline is not None:
             timeline.message(msg.msg_class, msg.src, msg.dests,
-                             self.sim.now, msg.size_bytes)
+                             sim.now, msg.size_bytes)
         dests = msg.dests
         src = msg.src
         if len(dests) == 1:
             # Unicast fast path: no dedupe list, no tree.
             dest = dests[0]
             if dest == src:
-                self.sim.post(LOCAL_DELIVERY_LATENCY,
-                              lambda m=msg: self._deliver(m, m.src))
+                sim.post(LOCAL_DELIVERY_LATENCY,
+                         lambda m=msg: self._deliver(m, m.src))
                 return
-            self._first_hop[src][dest].enqueue(_Hop(msg, final_dest=dest))
+            self._first_hop[src][dest].enqueue(
+                (msg, dest, None, None,
+                 msg.priority, msg.size_bytes, msg.msg_class))
             return
         dests = tuple(dict.fromkeys(dests))  # dedupe, keep order
         if src in dests:
-            self.sim.post(LOCAL_DELIVERY_LATENCY,
-                          lambda m=msg: self._deliver(m, m.src))
+            sim.post(LOCAL_DELIVERY_LATENCY,
+                     lambda m=msg: self._deliver(m, m.src))
         remote = [d for d in dests if d != src]
         if not remote:
             return
         if len(remote) == 1:
             dest = remote[0]
-            self._first_hop[src][dest].enqueue(_Hop(msg, final_dest=dest))
+            self._first_hop[src][dest].enqueue(
+                (msg, dest, None, None,
+                 msg.priority, msg.size_bytes, msg.msg_class))
         else:
             tree = self.routing.multicast_tree(src, tuple(remote))
-            hop = _Hop(msg, tree=tree, deliver_set=frozenset(remote))
-            self._fanout(hop, src)
-
-    # ------------------------------------------------------------------
-    def _fanout(self, hop: _Hop, node: int) -> None:
-        """Send multicast copies down each tree edge out of ``node``.
-
-        Children share the original message but get their own hop record
-        per tree edge, so bandwidth is charged once per edge.
-        """
-        children = hop.tree.get(node)
-        if children:
-            inner, tree, deliver = hop.inner, hop.tree, hop.deliver_set
-            row = self._link_at[node]
-            for child in children:
-                row[child].enqueue(
-                    _Hop(inner, tree=tree, deliver_set=deliver))
+            deliver = frozenset(remote)
+            priority, size = msg.priority, msg.size_bytes
+            msg_class = msg.msg_class
+            children = tree.get(src)
+            if children:
+                row = self._link_at[src]
+                for child in children:
+                    row[child].enqueue((msg, None, tree, deliver,
+                                        priority, size, msg_class))
 
     def _deliver(self, msg: Message, node: int) -> None:
         handler = self._endpoints[node]

@@ -1,7 +1,7 @@
 """Structured logging for the ``repro.*`` namespace.
 
 Every library logger hangs off the ``repro`` root
-(``get_logger("engines.parity")`` -> ``repro.engines.parity``), which
+(``get_logger("exec.cache")`` -> ``repro.exec.cache``), which
 carries a ``NullHandler`` so an un-configured import never prints.
 :func:`configure_logging` — called once by the CLI and by executor
 workers — reads ``REPRO_LOG`` (a level name like ``debug``/``INFO`` or

@@ -1,19 +1,35 @@
 """Discrete-event simulation kernel.
 
-The whole simulator is built on a single binary heap.  Heap entries are
-``(time, priority, sequence, payload)`` tuples; ties on time break first
-on priority (lower runs first) and then on insertion sequence, which
-makes every run fully deterministic for a given seed and configuration.
-Because the sequence number is unique, tuple comparison never reaches
-the payload — the heap never calls back into Python-level ``__lt__``,
-which is what makes the queue fast.
+Events are ordered by ``(time, seq)``: ties on time break on insertion
+sequence, which makes every run fully deterministic for a given seed
+and configuration.  Real runs dispatch several events per distinct
+timestamp (2.8 in the Directory perf cell, 6.2 in PATCH-All), so
+instead of one heap entry per event the kernel keys a dict of
+per-timestamp *buckets* by time and keeps only the distinct times in a
+heap: scheduling is a bucket append, and a whole bucket is dispatched
+with one heap pop.
 
-Two scheduling entry points share that heap:
+Bucket entries are ``(seq, payload)`` pairs.  Because the sequence
+number is unique, sorting never reaches the payload — the kernel never
+calls back into Python-level comparison.  Buckets are sorted once at
+drain start (entries arrive almost sorted: posts draw monotonically
+increasing sequence numbers).  Posts *into the bucket being drained*
+(delay-0 posts, reserved sequence numbers materializing at ``now``)
+insert in sorted position within the bucket's undrained suffix, and
+the drain loop — a plain ``for`` over the bucket list — picks them up
+because list iterators re-check the length every step.  The
+``lo=_drain_pos`` bound matters twice over: inserting *before* the
+cursor would shift the list under the iterator and re-dispatch the
+current entry, and a reserved seq smaller than the current one
+(claimed before the draining event was posted) must run *next*, not
+retroactively earlier.
+
+Two scheduling entry points share the buckets:
 
 * :meth:`Simulator.schedule` allocates an :class:`Event` handle so the
   caller can cancel it later (used by timers such as PATCH's tenure
   timeout).
-* :meth:`Simulator.post` is the fire-and-forget fast path: it pushes
+* :meth:`Simulator.post` is the fire-and-forget fast path: it queues
   the bare callback with no handle allocation.  The interconnect and
   cores schedule hundreds of thousands of uncancellable callbacks per
   run; skipping the per-event object is a measurable win.
@@ -21,8 +37,10 @@ Two scheduling entry points share that heap:
 Both assign sequence numbers from the same counter, so mixing them
 never changes the tie-break order relative to an all-``schedule`` run.
 
-The kernel knows nothing about coherence; protocol controllers, link
-servers and cores all schedule plain callbacks.
+The kernel knows nothing about coherence; protocol controllers, links
+and cores all schedule plain callbacks.  The interconnect's link model
+(:mod:`repro.interconnect.network`) inlines bucket insertion on its
+hottest path, so it relies on the representation described here.
 """
 
 from __future__ import annotations
@@ -46,32 +64,27 @@ class Event:
     such as PATCH's tenure timeout).
     """
 
-    __slots__ = ("time", "priority", "seq", "callback", "cancelled", "_sim")
+    __slots__ = ("time", "seq", "callback", "cancelled", "_sim")
 
-    def __init__(self, time: int, priority: int, seq: int,
+    def __init__(self, time: int, seq: int,
                  callback: Callable[[], None]) -> None:
         self.time = time
-        self.priority = priority
         self.seq = seq
         self.callback = callback
         self.cancelled = False
         self._sim: Optional["Simulator"] = None  # set while queued
 
     def cancel(self) -> None:
-        """Mark the event so the kernel skips it when popped."""
+        """Mark the event so the kernel skips it when dispatched."""
         if self.cancelled:
             return
         self.cancelled = True
         if self._sim is not None:
             self._sim._note_cancelled()
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.priority, self.seq) < (
-            other.time, other.priority, other.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = " cancelled" if self.cancelled else ""
-        return f"<Event t={self.time} prio={self.priority} seq={self.seq}{state}>"
+        return f"<Event t={self.time} seq={self.seq}{state}>"
 
 
 class Simulator:
@@ -86,14 +99,15 @@ class Simulator:
     ['a', 'b']
     """
 
-    #: Compact the heap once at least this many cancelled events are
+    #: Compact the buckets once at least this many cancelled events are
     #: queued *and* they outnumber the live ones; keeps tenure-timer-heavy
     #: PATCH runs (which cancel most timers they set) from growing the
-    #: heap unboundedly while amortizing the rebuild cost.
+    #: queue unboundedly while amortizing the rebuild cost.
     COMPACTION_MIN_CANCELLED = 64
 
     def __init__(self) -> None:
-        self._queue: list = []    # (time, priority, seq, Event | callback)
+        self._buckets: dict = {}  # time -> [(seq, Event | callback), ...]
+        self._times: list = []    # heap of distinct bucket times
         self._seq = 0
         self.now: int = 0
         self._events_processed = 0
@@ -101,40 +115,45 @@ class Simulator:
         self._live = 0            # non-cancelled events in the queue
         self._cancelled = 0       # cancelled events still in the queue
         self._current_seq = -1    # seq of the event being dispatched
+        self._draining = -1       # time of the bucket being drained
+        self._drain_pos = 0       # entries of it consumed by run()
         self._event_sink = None   # per-dispatch observer (timeline tracing)
 
     @property
     def events_processed(self) -> int:
         return self._events_processed
 
-    def schedule(self, delay: int, callback: Callable[[], None],
-                 priority: int = 0) -> Event:
+    def schedule(self, delay: int, callback: Callable[[], None]) -> Event:
         """Schedule ``callback`` ``delay`` cycles from now; cancellable."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
         time = self.now + int(delay)
         seq = self._seq
         self._seq = seq + 1
-        event = Event(time, priority, seq, callback)
+        event = Event(time, seq, callback)
         event._sim = self
-        _heappush(self._queue, (time, priority, seq, event))
-        self._live += 1
+        self._insert(time, seq, event)
         return event
 
-    def post(self, delay: int, callback: Callable[[], None],
-             priority: int = 0) -> None:
+    def post(self, delay: int, callback: Callable[[], None]) -> None:
         """Schedule ``callback`` with no cancellation handle (fast path).
 
         Identical ordering semantics to :meth:`schedule` — same clock,
-        same priority rules, same sequence counter — minus the
-        :class:`Event` allocation.
+        same sequence counter — minus the :class:`Event` allocation.
         """
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
         seq = self._seq
         self._seq = seq + 1
-        _heappush(self._queue, (self.now + int(delay), priority, seq,
-                                callback))
+        time = self.now + int(delay)
+        bucket = self._buckets.get(time)
+        if bucket is None:
+            self._buckets[time] = [(seq, callback)]
+            _heappush(self._times, time)
+        elif time == self._draining:
+            insort(bucket, (seq, callback), self._drain_pos)
+        else:
+            bucket.append((seq, callback))
         self._live += 1
 
     def reserve_seq(self) -> int:
@@ -144,31 +163,28 @@ class Simulator:
         occupied and materialize it later (or never) via
         :meth:`post_reserved`.  The link scheduler uses this to elide
         provably-no-op events while keeping the event order bit-identical
-        to an engine that scheduled them: sequence numbers only ever
-        break ties, so an unused gap is invisible.
+        to a run that scheduled them: sequence numbers only ever break
+        ties, so an unused gap is invisible.
         """
         seq = self._seq
         self._seq = seq + 1
         return seq
 
     def post_reserved(self, time: int, seq: int,
-                      callback: Callable[[], None],
-                      priority: int = 0) -> None:
+                      callback: Callable[[], None]) -> None:
         """Queue ``callback`` at an absolute ``time`` under a sequence
         number previously claimed with :meth:`reserve_seq`."""
         if time < self.now:
             raise SimulationError(
                 f"cannot schedule in the past (t={time} < now={self.now})")
-        _heappush(self._queue, (time, priority, seq, callback))
-        self._live += 1
+        self._insert(time, seq, callback)
 
-    def schedule_at(self, time: int, callback: Callable[[], None],
-                    priority: int = 0) -> Event:
+    def schedule_at(self, time: int, callback: Callable[[], None]) -> Event:
         """Schedule ``callback`` at an absolute time (>= now)."""
         if time < self.now:
             raise SimulationError(
                 f"cannot schedule in the past (t={time} < now={self.now})")
-        return self.schedule(time - self.now, callback, priority)
+        return self.schedule(time - self.now, callback)
 
     def stop(self) -> None:
         """Stop the run loop after the current event completes."""
@@ -181,7 +197,7 @@ class Simulator:
         callback runs — the timeline recorder samples event density
         through this.  Observation only: a sink must not schedule,
         cancel, or otherwise touch kernel state, which keeps a traced
-        run bit-identical to an untraced one.  The run loops read the
+        run bit-identical to an untraced one.  The run loop reads the
         sink once into a local, so the disabled default costs a single
         ``is not None`` test per event.
         """
@@ -191,8 +207,19 @@ class Simulator:
         """Number of live (non-cancelled) events still queued (O(1))."""
         return self._live
 
+    def _insert(self, time: int, seq: int, payload) -> None:
+        bucket = self._buckets.get(time)
+        if bucket is None:
+            self._buckets[time] = [(seq, payload)]
+            _heappush(self._times, time)
+        elif time == self._draining:
+            insort(bucket, (seq, payload), self._drain_pos)
+        else:
+            bucket.append((seq, payload))
+        self._live += 1
+
     def _note_cancelled(self) -> None:
-        """A queued event was cancelled; maybe compact the heap."""
+        """A queued event was cancelled; maybe compact the buckets."""
         self._live -= 1
         self._cancelled += 1
         if (self._cancelled >= self.COMPACTION_MIN_CANCELLED
@@ -200,175 +227,20 @@ class Simulator:
             self._compact()
 
     def _compact(self) -> None:
-        """Drop cancelled events from the heap and re-heapify.
-
-        Mutates the heap list *in place*: run() holds a local alias to
-        it, and compaction can fire mid-run from a callback that cancels
-        events — rebinding ``self._queue`` would detach the running loop
-        from the live heap.
-        """
-        keep = []
-        for entry in self._queue:
-            payload = entry[3]
-            if payload.__class__ is Event and payload.cancelled:
-                payload._sim = None
-            else:
-                keep.append(entry)
-        self._queue[:] = keep
-        heapq.heapify(self._queue)
-        self._cancelled = 0
-
-    def run(self, until: Optional[int] = None,
-            max_events: Optional[int] = None) -> None:
-        """Run until the queue drains, ``until`` cycles pass, or stop().
-
-        ``max_events`` guards against protocol livelock in tests; exceeding
-        it raises :class:`SimulationError`.
-        """
-        self._stopped = False
-        queue = self._queue
-        pop = _heappop
-        event_cls = Event
-        sink = self._event_sink
-        processed = 0
-        try:
-            while queue and not self._stopped:
-                head = queue[0]
-                if until is not None and head[0] > until:
-                    self.now = until
-                    return
-                time, _priority, seq, payload = pop(queue)
-                if payload.__class__ is event_cls:
-                    payload._sim = None  # late cancel() becomes a no-op
-                    if payload.cancelled:
-                        self._cancelled -= 1
-                        continue
-                    callback = payload.callback
-                else:
-                    callback = payload
-                self._live -= 1
-                self.now = time
-                self._current_seq = seq
-                if sink is not None:
-                    sink(time)
-                callback()
-                processed += 1
-                if max_events is not None and processed >= max_events:
-                    raise SimulationError(
-                        f"exceeded max_events={max_events}; possible livelock")
-            if until is not None and not self._stopped:
-                self.now = max(self.now, until)
-        finally:
-            self._events_processed += processed
-
-
-class BatchedSimulator(Simulator):
-    """Drop-in kernel that drains all same-timestamp events in one pass.
-
-    The heap kernel pays a ``heappush`` + ``heappop`` (plus tuple
-    allocation) per event.  Real runs dispatch several events per
-    distinct timestamp (the perf cells average 3-6), so this kernel
-    keys a dict of per-timestamp buckets by time and keeps only the
-    *distinct times* in a heap: scheduling is a bucket append, and the
-    whole bucket is dispatched with one heap pop.
-
-    Ordering is bit-identical to :class:`Simulator` — the contract the
-    golden-parity suite and the batched-drain property test pin down:
-
-    * bucket entries are ``(key, payload)`` with
-      ``key = (priority << 60) + seq`` (``seq`` alone for the
-      ubiquitous priority-0 case), so sorting a bucket reproduces the
-      (priority, seq) tie-break exactly;
-    * buckets are sorted once at drain start (entries arrive almost
-      sorted: posts draw monotonically increasing sequence numbers);
-    * posts *into the bucket being drained* (delay-0 posts, reserved
-      sequence numbers materializing at ``now``) insert in sorted
-      position within the bucket's undrained suffix, and the drain
-      loop — a plain ``for`` over the bucket list — picks them up
-      because list iterators re-check the length every step.  The
-      ``lo=_drain_pos`` bound matters twice over: inserting *before*
-      the cursor would shift the list under the iterator and
-      re-dispatch the current entry, and a reserved seq smaller than
-      the current key (claimed before the draining event was posted)
-      must run *next* — exactly what the heap kernel does when such a
-      key is pushed mid-dispatch — not retroactively earlier.
-
-    ``_current_seq`` holds the packed key during dispatch.  For
-    priority-0 events (every kernel event the simulator schedules)
-    that *is* the sequence number, which keeps the link scheduler's
-    reserved-slot comparison exact.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._buckets: dict = {}   # time -> [(key, Event | callback), ...]
-        self._times: list = []     # heap of distinct bucket times
-        self._draining = -1        # time of the bucket being drained
-        self._drain_pos = 0        # entries of it consumed by run()
-
-    def schedule(self, delay: int, callback: Callable[[], None],
-                 priority: int = 0) -> Event:
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
-        time = self.now + int(delay)
-        seq = self._seq
-        self._seq = seq + 1
-        event = Event(time, priority, seq, callback)
-        event._sim = self
-        self._insert(time, (priority << 60) + seq if priority else seq,
-                     event)
-        return event
-
-    def post(self, delay: int, callback: Callable[[], None],
-             priority: int = 0) -> None:
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
-        seq = self._seq
-        self._seq = seq + 1
-        time = self.now + int(delay)
-        key = (priority << 60) + seq if priority else seq
-        bucket = self._buckets.get(time)
-        if bucket is None:
-            self._buckets[time] = [(key, callback)]
-            _heappush(self._times, time)
-        elif time == self._draining:
-            insort(bucket, (key, callback), self._drain_pos)
-        else:
-            bucket.append((key, callback))
-        self._live += 1
-
-    def post_reserved(self, time: int, seq: int,
-                      callback: Callable[[], None],
-                      priority: int = 0) -> None:
-        if time < self.now:
-            raise SimulationError(
-                f"cannot schedule in the past (t={time} < now={self.now})")
-        self._insert(time, (priority << 60) + seq if priority else seq,
-                     callback)
-
-    def _insert(self, time: int, key: int, payload) -> None:
-        bucket = self._buckets.get(time)
-        if bucket is None:
-            self._buckets[time] = [(key, payload)]
-            _heappush(self._times, time)
-        elif time == self._draining:
-            insort(bucket, (key, payload), self._drain_pos)
-        else:
-            bucket.append((key, payload))
-        self._live += 1
-
-    def _compact(self) -> None:
         """Drop cancelled events from every non-draining bucket.
 
         The bucket being drained is left alone — run() iterates it in
-        place, and removing entries would shift the drain cursor; its
-        cancelled entries are skipped (and counted down) at dispatch.
+        place, and removing entries would shift the drain cursor; the
+        cancelled entries of its undrained suffix are skipped (and
+        counted down) at dispatch, so only they stay counted.  The
+        consumed prefix was counted down already.  Buckets are mutated
+        in place: run() holds local aliases to them.
         """
         event_cls = Event
         remaining = 0
         for time, bucket in self._buckets.items():
             if time == self._draining:
-                for _key, payload in bucket:
+                for _seq, payload in bucket[self._drain_pos:]:
                     if payload.__class__ is event_cls and payload.cancelled:
                         remaining += 1
                 continue
@@ -385,6 +257,11 @@ class BatchedSimulator(Simulator):
 
     def run(self, until: Optional[int] = None,
             max_events: Optional[int] = None) -> None:
+        """Run until the queue drains, ``until`` cycles pass, or stop().
+
+        ``max_events`` guards against protocol livelock in tests; exceeding
+        it raises :class:`SimulationError`.
+        """
         self._stopped = False
         buckets = self._buckets
         times = self._times
@@ -410,7 +287,7 @@ class BatchedSimulator(Simulator):
                 # A plain for-loop: list iterators re-check the length
                 # each step, so entries inserted mid-drain (delay-0
                 # posts, materialized reserved slots) are dispatched in
-                # this same pass, in key order.  _drain_pos mirrors the
+                # this same pass, in seq order.  _drain_pos mirrors the
                 # iterator so those inserts land behind it.  The
                 # ``finally`` settles the live count once per bucket
                 # (instead of per event) and removes consumed entries
@@ -422,7 +299,7 @@ class BatchedSimulator(Simulator):
                         self._drain_pos = i
                         payload = entry[1]
                         if payload.__class__ is event_cls:
-                            payload._sim = None
+                            payload._sim = None  # late cancel() is a no-op
                             if payload.cancelled:
                                 self._cancelled -= 1
                                 skipped += 1

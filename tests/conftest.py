@@ -16,8 +16,6 @@ def _hermetic_exec_defaults(monkeypatch):
     monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
     monkeypatch.delenv("REPRO_JOBS", raising=False)
     monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
-    monkeypatch.delenv("REPRO_ENGINE", raising=False)
-    monkeypatch.delenv("REPRO_ENGINE_PARITY_GATE", raising=False)
     monkeypatch.delenv("REPRO_OBS", raising=False)
     monkeypatch.delenv("REPRO_TIMELINE", raising=False)
     monkeypatch.delenv("REPRO_PROFILE_DIR", raising=False)

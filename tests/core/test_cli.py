@@ -184,6 +184,7 @@ def _documented_invocations(text):
 
 @pytest.mark.parametrize("doc", ["README.md", "docs/SCENARIOS.md",
                                  "docs/PERFORMANCE.md", "docs/API.md",
+                                 "docs/ARCHITECTURE.md",
                                  "docs/EXECUTION.md",
                                  "docs/SERVICE.md",
                                  "docs/VERIFICATION.md",
@@ -257,21 +258,15 @@ def test_bench_perf_command_merges_engine_report(tmp_path, monkeypatch):
     import repro.bench as bench_mod
 
     def tiny_perf(quick=False):
-        measured = {engine: {"engine": engine, "wall_seconds": 0.1,
-                             "events_per_second": 10.0,
-                             "cycles_per_second": 10.0, "runtime_cycles": 42,
-                             "events_processed": 9,
-                             "traffic_total_bytes": 7,
-                             "dropped_direct_requests": 0}
-                    for engine in ("array", "object")}
         return {"scale": "quick" if quick else "full",
-                "engines": ["array", "object"],
-                "kernel_events_per_second": {"array": 246.0,
-                                             "object": 123.0},
+                "kernel_events_per_second": 123.0,
                 "cells": {"PATCH-All": {
                     "protocol": "patch", "predictor": "all",
                     "num_cores": 4, "references_per_core": 20,
-                    "engines": measured, "speedup": {"array": 1.0}}}}
+                    "wall_seconds": 0.1, "events_per_second": 10.0,
+                    "cycles_per_second": 10.0, "runtime_cycles": 42,
+                    "events_processed": 9, "traffic_total_bytes": 7,
+                    "dropped_direct_requests": 0}}}
 
     monkeypatch.setattr(bench_mod, "engine_perf_results", tiny_perf)
     out = tmp_path / "bench_results.json"
@@ -279,11 +274,7 @@ def test_bench_perf_command_merges_engine_report(tmp_path, monkeypatch):
     assert code == 0
     import json
     report = json.loads(out.read_text())
-    assert report["engine_perf"]["kernel_events_per_second"] == {
-        "array": 246.0, "object": 123.0}
-    assert "PATCH-All" in report["engine_perf"]["cells"]
-    cell = report["engine_perf"]["cells"]["PATCH-All"]
-    assert set(cell["engines"]) == {"array", "object"}
+    assert report["engine_perf"] == tiny_perf(quick=True)
 
 
 def test_bench_update_goldens_requires_perf(capsys):
@@ -850,58 +841,6 @@ def test_verify_fuzz_rejects_bad_parameters(capsys):
     assert main(["verify", "fuzz", "--scenarios", "1", "--schedules",
                  "1", "--time-budget", "-5"]) == 2
     assert "error:" in capsys.readouterr().err
-
-
-# ---------------------------------------------------------------------------
-# Simulation engines: `repro engines` and the --engine flag
-# ---------------------------------------------------------------------------
-
-def test_engines_command_lists_registry(capsys):
-    from repro.engines import DEFAULT_ENGINE, engine_specs
-    assert main(["engines"]) == 0
-    out = capsys.readouterr().out
-    for spec in engine_specs():
-        assert spec.name in out
-        assert spec.description in out
-    assert DEFAULT_ENGINE in out
-    assert "REPRO_ENGINE" in out  # the override story is documented
-
-
-@pytest.mark.parametrize("argv", [
-    ["run", "--engine", "array"],
-    ["bench", "--engine", "array"],
-    ["study", "run", "spec.json", "--engine", "array"],
-])
-def test_engine_flag_accepted_where_documented(argv):
-    args = build_parser().parse_args(argv)
-    assert args.engine == "array"
-
-
-def test_engine_flag_rejects_unknown_engine(capsys):
-    with pytest.raises(SystemExit):
-        build_parser().parse_args(["run", "--engine", "vectorized"])
-    err = capsys.readouterr().err
-    assert "array" in err and "object" in err  # choices listed
-
-
-def test_engine_flag_selects_engine_for_run(capsys, monkeypatch):
-    import os
-    import repro.engines.parity as parity
-    monkeypatch.setenv(parity.PARITY_GATE_ENV, "off")
-    seen = {}
-    import repro.engines as engines_mod
-    real = engines_mod.build_system
-
-    def spy(config, workload, references_per_core, **kwargs):
-        seen["engine"] = config.engine
-        return real(config, workload, references_per_core, **kwargs)
-
-    monkeypatch.setattr(engines_mod, "build_system", spy)
-    # execute_cell imports build_system lazily, so the spy is picked up.
-    assert main(["run", "--workload", "microbench", "--cores", "4",
-                 "--refs", "10", "--engine", "array", "--no-cache"]) == 0
-    assert seen["engine"] == "array"
-    assert "REPRO_ENGINE" not in os.environ  # restored after dispatch
 
 
 # ---------------------------------------------------------------------------

@@ -1,27 +1,19 @@
-"""Engine-throughput microbench (`repro bench --perf`) smoke tests.
+"""Simulation-throughput microbench (`repro bench --perf`) smoke tests.
 
 Tiny scales only: these pin the report *shape*, the golden-gate logic,
-and the determinism of the measured cells — not absolute speed.  Every
-per-cell/per-kernel measurement is parametrized over the registered
-engines so a new engine is covered the moment it registers.
+and the determinism of the measured cells — not absolute speed.
 """
 
 import json
 
-import pytest
-
 from repro.bench import (PERF_CHECKED_FIELDS, check_perf_goldens,
                          engine_perf_cell, kernel_events_per_second,
                          run_perf)
-from repro.engines import engine_names
-
-ENGINES = engine_names()
+from repro.sim.kernel import Simulator
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_kernel_microbench_dispatches_all_events(engine):
-    rate = kernel_events_per_second(pending=32, events=2_000, repeats=1,
-                                    engine=engine)
+def test_kernel_microbench_dispatches_all_events():
+    rate = kernel_events_per_second(pending=32, events=2_000, repeats=1)
     assert rate > 0
 
 
@@ -33,12 +25,10 @@ def test_kernel_obs_overhead_is_a_small_fraction():
     assert -0.9 < overhead < 0.9
 
 
-@pytest.mark.parametrize("kernel_name", ["Simulator", "BatchedSimulator"])
-def test_kernel_microbench_is_deterministic_in_event_count(kernel_name):
-    import repro.sim.kernel as kernel_mod
+def test_kernel_microbench_is_deterministic_in_event_count():
     counts = []
     for _ in range(2):
-        sim = getattr(kernel_mod, kernel_name)()
+        sim = Simulator()
         remaining = [500]
 
         def tick():
@@ -53,63 +43,44 @@ def test_kernel_microbench_is_deterministic_in_event_count(kernel_name):
     assert counts[0] == counts[1]
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_engine_perf_cell_shape_and_determinism(engine):
+def test_engine_perf_cell_shape_and_determinism():
     a = engine_perf_cell("patch", "all", num_cores=4,
-                         references_per_core=20, engine=engine)
+                         references_per_core=20)
     b = engine_perf_cell("patch", "all", num_cores=4,
-                         references_per_core=20, engine=engine)
-    for field in ("engine", "wall_seconds", "runtime_cycles",
+                         references_per_core=20)
+    for field in ("wall_seconds", "runtime_cycles",
                   "events_processed", "events_per_second",
                   "cycles_per_second", "traffic_total_bytes",
                   "dropped_direct_requests"):
         assert field in a
-    assert a["engine"] == engine
     assert a["wall_seconds"] > 0
     # Timing varies; simulation results may not.
     for field in PERF_CHECKED_FIELDS + ("events_processed",):
         assert a[field] == b[field]
 
 
-def test_engine_perf_cells_agree_across_engines():
-    """The checked fields are engine-independent (the parity contract)."""
-    cells = [engine_perf_cell("patch", "all", num_cores=4,
-                              references_per_core=20, engine=engine)
-             for engine in ENGINES]
-    reference = cells[0]
-    for cell in cells[1:]:
-        for field in PERF_CHECKED_FIELDS + ("events_processed",):
-            assert cell[field] == reference[field], field
-
-
 def _perf_report(runtime_cycles=100):
     return {
         "scale": "quick",
-        "engines": ["array", "object"],
-        "kernel_events_per_second": {"array": 2.0, "object": 1.0},
+        "kernel_events_per_second": 2.0,
         "cells": {"PATCH-All": {
             "protocol": "patch", "predictor": "all",
             "num_cores": 4, "references_per_core": 20,
-            "engines": {
-                engine: {"engine": engine, "wall_seconds": 0.5,
-                         "events_per_second": 2.0,
-                         "cycles_per_second": 2.0,
-                         "events_processed": 7,
-                         "runtime_cycles": runtime_cycles,
-                         "traffic_total_bytes": 5,
-                         "dropped_direct_requests": 0}
-                for engine in ("array", "object")},
-            "speedup": {"array": 1.0},
+            "wall_seconds": 0.5,
+            "events_per_second": 2.0,
+            "cycles_per_second": 2.0,
+            "events_processed": 7,
+            "runtime_cycles": runtime_cycles,
+            "traffic_total_bytes": 5,
+            "dropped_direct_requests": 0,
         }},
     }
 
 
 def _golden_payload(runtime_cycles=100):
-    return {"quick": {"PATCH-All": {
-        engine: {"runtime_cycles": runtime_cycles,
-                 "traffic_total_bytes": 5,
-                 "dropped_direct_requests": 0}
-        for engine in ("array", "object")}}}
+    return {"quick": {"PATCH-All": {"runtime_cycles": runtime_cycles,
+                                    "traffic_total_bytes": 5,
+                                    "dropped_direct_requests": 0}}}
 
 
 def test_check_perf_goldens_flags_drift(tmp_path):
@@ -117,22 +88,21 @@ def test_check_perf_goldens_flags_drift(tmp_path):
     goldens = tmp_path / "perf_cycles.json"
     goldens.write_text(json.dumps(_golden_payload(runtime_cycles=101)))
     problems = check_perf_goldens(perf, str(goldens))
-    assert len(problems) == 2  # both engines drifted
-    assert all("runtime_cycles" in p for p in problems)
+    assert len(problems) == 1
+    assert "runtime_cycles" in problems[0]
     # Matching goldens -> clean.
     goldens.write_text(json.dumps(_golden_payload(runtime_cycles=100)))
     assert check_perf_goldens(perf, str(goldens)) == []
 
 
-def test_check_perf_goldens_flags_missing_engine(tmp_path):
+def test_check_perf_goldens_flags_missing_cell(tmp_path):
     perf = _perf_report()
     payload = _golden_payload()
-    del payload["quick"]["PATCH-All"]["array"]
+    del payload["quick"]["PATCH-All"]
     goldens = tmp_path / "perf_cycles.json"
     goldens.write_text(json.dumps(payload))
     problems = check_perf_goldens(perf, str(goldens))
-    assert len(problems) == 1
-    assert "no committed golden for engine 'array'" in problems[0]
+    assert problems == ["quick/PATCH-All: no committed golden"]
 
 
 def test_check_perf_goldens_missing_file_reports():
@@ -153,9 +123,7 @@ def test_run_perf_merges_into_existing_report(tmp_path, monkeypatch):
     assert code == 0
     report = json.loads(out.read_text())
     assert report["headline"] == {"ok": True}      # figure suite preserved
-    assert report["engine_perf"]["scale"] == "quick"
-    cell = report["engine_perf"]["cells"]["PATCH-All"]
-    assert set(cell["engines"]) == {"array", "object"}
+    assert report["engine_perf"] == _perf_report()
 
 
 def test_run_perf_check_fails_on_drift(tmp_path, monkeypatch):
@@ -174,8 +142,7 @@ def test_run_perf_check_fails_on_drift(tmp_path, monkeypatch):
 def test_check_perf_goldens_reports_missing_field_as_drift(tmp_path):
     perf = _perf_report()
     payload = _golden_payload()
-    for engine_golden in payload["quick"]["PATCH-All"].values():
-        del engine_golden["traffic_total_bytes"]
+    del payload["quick"]["PATCH-All"]["traffic_total_bytes"]
     goldens = tmp_path / "perf_cycles.json"
     goldens.write_text(json.dumps(payload))
     problems = check_perf_goldens(perf, str(goldens))

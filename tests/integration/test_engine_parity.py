@@ -1,22 +1,16 @@
-"""Golden-parity suite for every registered simulation engine.
+"""Golden suite for the simulation core.
 
-Engines (``repro.engines``) are pure performance variants: whatever
-engine a config names, every protocol's cycle counts, traffic meters,
-and drop counts must come out *bit-identical* to the committed goldens.
-``golden/engine_parity.json`` holds the full observable result of every
-(workload x topology x protocol) cell of the PR 2 scenario matrix, and
-this suite re-runs each cell under **each registered engine** — the
-reference ``object`` engine and the struct-of-arrays ``array`` engine
-alike — comparing field-for-field via the same
-:func:`~repro.engines.parity.system_fingerprint` the runtime parity
-gate uses.
+Cycle counts are the results: every protocol's cycle counts, traffic
+meters, and drop counts must come out *bit-identical* to the committed
+goldens.  ``golden/engine_parity.json`` holds the full observable result
+of every (workload x topology x protocol) cell of the scenario matrix,
+and this suite re-runs each cell and compares field-for-field via
+:func:`system_fingerprint`.
 
 Regenerate the goldens (only when an *intentional* behaviour change
 lands, never to paper over drift) with:
 
     PYTHONPATH=src python tests/integration/test_engine_parity.py --regen
-
-Regeneration always captures the reference engine.
 """
 
 import json
@@ -25,8 +19,7 @@ import os
 import pytest
 
 from repro.config import SystemConfig
-from repro.engines import DEFAULT_ENGINE, engine_names, get_engine
-from repro.engines.parity import system_fingerprint
+from repro.core.system import System
 from repro.workloads import make_workload
 from repro.workloads.patterns import PATTERN_NAMES
 
@@ -46,29 +39,55 @@ CELLS = [(workload, topology, protocol, predictor)
          for topology in TOPOLOGIES
          for protocol, predictor in PROTOCOLS]
 
-ENGINES = engine_names()
-
 
 def cell_key(workload, topology, protocol, predictor):
     return f"{workload}|{topology}|{protocol}+{predictor}"
 
 
-def run_cell(workload, topology, protocol, predictor,
-             engine=DEFAULT_ENGINE):
-    """Run one scenario cell under ``engine`` and fingerprint it.
+def system_fingerprint(system, result) -> dict:
+    """Every golden-relevant field of one finished run.
 
-    Builds through the registry factory directly (not the runtime
-    parity gate) — this suite *is* the offline parity check, so a
-    divergent engine must fail here, not silently fall back.
+    ``events_processed`` and ``link_utilization`` are deliberately
+    excluded: a kernel optimization is *allowed* to schedule fewer
+    events (e.g. eliding provably-no-op link serves) as long as
+    everything a figure table could read — cycle counts, traffic
+    meters, drop and latency statistics — comes out bit-identical.
     """
+    meter = system.network.meter
+    return {
+        "runtime_cycles": result.runtime_cycles,
+        "total_references": result.total_references,
+        "hits": result.hits,
+        "misses": result.misses,
+        "read_misses": result.read_misses,
+        "write_misses": result.write_misses,
+        "traffic_bytes_raw": dict(sorted(result.traffic_bytes_raw.items())),
+        "dropped_direct_requests": result.dropped_direct_requests,
+        "miss_latency": [result.miss_latency.count,
+                         result.miss_latency.mean,
+                         result.miss_latency.min,
+                         result.miss_latency.max],
+        # Post-drain meter state: traversal/message counts per class.
+        "link_traversals": {cls.value: count for cls, count
+                            in sorted(meter.link_traversals.items(),
+                                      key=lambda item: item[0].value)
+                            if count},
+        "messages": {cls.value: count for cls, count
+                     in sorted(meter.messages.items(),
+                               key=lambda item: item[0].value) if count},
+        "dropped_messages": meter.dropped_messages,
+        "dropped_bytes": meter.dropped_bytes,
+    }
+
+
+def run_cell(workload, topology, protocol, predictor):
+    """Run one scenario cell and fingerprint it."""
     config = SystemConfig(num_cores=NUM_CORES, protocol=protocol,
-                          predictor=predictor, topology=topology,
-                          engine=engine)
+                          predictor=predictor, topology=topology)
     kwargs = {"table_blocks": 64} if workload == "microbench" else {}
     generator = make_workload(workload, num_cores=NUM_CORES, seed=SEED,
                               **kwargs)
-    system = get_engine(engine).factory(config, generator,
-                                        references_per_core=REFERENCES)
+    system = System(config, generator, references_per_core=REFERENCES)
     return system_fingerprint(system, system.run())
 
 
@@ -92,20 +111,24 @@ def test_golden_file_covers_every_cell():
     assert set(goldens["cells"]) == expected
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+def test_fingerprint_excludes_event_counts():
+    fingerprint = run_cell("microbench", "torus", "patch", "all")
+    assert "events_processed" not in fingerprint
+    assert "link_utilization" not in fingerprint
+    assert fingerprint["runtime_cycles"] > 0
+
+
 @pytest.mark.parametrize("workload,topology,protocol,predictor", CELLS,
                          ids=[cell_key(*cell) for cell in CELLS])
 def test_engine_matches_golden(goldens, workload, topology, protocol,
-                               predictor, engine):
+                               predictor):
     key = cell_key(workload, topology, protocol, predictor)
-    observed = run_cell(workload, topology, protocol, predictor,
-                        engine=engine)
+    observed = run_cell(workload, topology, protocol, predictor)
     expected = goldens["cells"][key]
     # Field-by-field so a mismatch names the field, not a wall of JSON.
     for name, value in expected.items():
         assert observed[name] == value, (
-            f"{key}: {name} diverged from the goldens under the "
-            f"{engine!r} engine")
+            f"{key}: {name} diverged from the goldens")
 
 
 def regenerate():  # pragma: no cover - maintenance entry point
@@ -113,7 +136,7 @@ def regenerate():  # pragma: no cover - maintenance entry point
     cells = {}
     for cell in CELLS:
         key = cell_key(*cell)
-        cells[key] = run_cell(*cell, engine=DEFAULT_ENGINE)
+        cells[key] = run_cell(*cell)
         print(f"  {key}: runtime={cells[key]['runtime_cycles']}")
     payload = {
         "schema": 1,

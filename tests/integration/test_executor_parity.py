@@ -1,11 +1,11 @@
 """Golden parity across executor backends.
 
 The executor layer is pure transport: ``serial``, ``local``, and
-``subprocess-pool`` must all reproduce the committed engine goldens
+``subprocess-pool`` must all reproduce the committed golden results
 field-for-field, or a backend is corrupting results in flight
 (serialization drift, environment skew in workers, scheduling leaking
 into the simulation).  This re-uses ``golden/engine_parity.json`` — the
-same contract the engine refactor is pinned to — so a backend bug shows
+same goldens the simulation core is pinned to — so a backend bug shows
 up as a named field diff against a committed value, not as a silent
 cross-backend difference.
 """
@@ -29,7 +29,7 @@ PARITY_CELLS = [(workload, "torus", protocol, predictor)
                                             ("tokenb", "none"))]
 
 #: The golden fields observable on a transported RunResult (the meter
-#: fields need the live System object and stay in the engine suite).
+#: fields need the live System object and stay in the golden suite).
 RESULT_FIELDS = ("runtime_cycles", "total_references", "hits", "misses",
                  "read_misses", "write_misses", "traffic_bytes_raw",
                  "dropped_direct_requests", "miss_latency")

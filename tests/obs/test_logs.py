@@ -20,7 +20,7 @@ def _restore_root_handlers():
 
 
 def test_get_logger_prefixes_the_namespace():
-    assert get_logger("engines.parity").name == "repro.engines.parity"
+    assert get_logger("exec.cache").name == "repro.exec.cache"
     assert get_logger("repro.exec").name == "repro.exec"  # idempotent
     assert get_logger("repro").name == "repro"
 

@@ -2,8 +2,6 @@
 
 import json
 
-import pytest
-
 from repro.config import SystemConfig
 from repro.exec import comparable_result_dict, make_cell
 from repro.exec.cells import cell_slug, execute_cell
@@ -103,11 +101,9 @@ def test_directory_target_gets_one_file_per_slug(tmp_path):
 # End to end through execute_cell
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("engine", ["object", "array"])
-def test_execute_cell_writes_a_trace_per_cell(tmp_path, monkeypatch, engine):
+def test_execute_cell_writes_a_trace_per_cell(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_TIMELINE", str(tmp_path / "traces"))
-    cell = make_cell(BASE.with_updates(engine=engine), "microbench", 12,
-                     seed=1)
+    cell = make_cell(BASE, "microbench", 12, seed=1)
     execute_cell(cell)
     trace = tmp_path / "traces" / f"{cell_slug(cell)}.json"
     doc = json.loads(trace.read_text())
@@ -117,10 +113,8 @@ def test_execute_cell_writes_a_trace_per_cell(tmp_path, monkeypatch, engine):
     assert doc["otherData"]["cell"] == cell_slug(cell)
 
 
-@pytest.mark.parametrize("engine", ["object", "array"])
-def test_tracing_leaves_results_bit_identical(tmp_path, monkeypatch, engine):
-    cell = make_cell(BASE.with_updates(engine=engine), "producer-consumer",
-                     15, seed=3)
+def test_tracing_leaves_results_bit_identical(tmp_path, monkeypatch):
+    cell = make_cell(BASE, "producer-consumer", 15, seed=3)
     bare = comparable_result_dict(execute_cell(cell))
     monkeypatch.setenv("REPRO_TIMELINE", str(tmp_path / "traces"))
     monkeypatch.setenv("REPRO_OBS", "1")

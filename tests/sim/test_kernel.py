@@ -1,18 +1,17 @@
-"""Tests for the discrete-event kernels.
+"""Tests for the discrete-event kernel: ordering, cancellation,
+compaction, and live/processed accounting.
 
-Parametrized over both registered kernels — the reference heap
-:class:`Simulator` and the array engine's :class:`BatchedSimulator` —
-because the batched kernel is a drop-in replacement: every ordering,
-cancellation, and accounting contract here must hold for both.
+The ``sim`` fixture's ``batched`` id names the drain strategy under
+test: :class:`Simulator` dispatches every event sharing a timestamp in
+one pass over a sorted bucket.
 """
 
 import pytest
 
-from repro.sim.kernel import BatchedSimulator, SimulationError, Simulator
+from repro.sim.kernel import SimulationError, Simulator
 
 
-@pytest.fixture(params=[Simulator, BatchedSimulator],
-                ids=["heap", "batched"])
+@pytest.fixture(params=[Simulator], ids=["batched"])
 def sim(request):
     return request.param()
 
@@ -32,14 +31,6 @@ def test_ties_break_by_insertion_order(sim):
         sim.schedule(3, lambda n=name: order.append(n))
     sim.run()
     assert order == ["a", "b", "c"]
-
-
-def test_priority_breaks_ties_before_sequence(sim):
-    order = []
-    sim.schedule(3, lambda: order.append("low"), priority=1)
-    sim.schedule(3, lambda: order.append("high"), priority=0)
-    sim.run()
-    assert order == ["high", "low"]
 
 
 def test_now_advances_to_event_time(sim):
@@ -152,7 +143,6 @@ def test_cancel_after_fire_is_noop(sim):
 
 
 def test_cancelled_event_compaction_shrinks_queue():
-    # Heap-kernel specific: inspects the flat _queue representation.
     sim = Simulator()
     threshold = Simulator.COMPACTION_MIN_CANCELLED
     keep = [sim.schedule(10_000 + i, lambda: None) for i in range(8)]
@@ -160,26 +150,8 @@ def test_cancelled_event_compaction_shrinks_queue():
               for i in range(4 * threshold)]
     for timer in timers:
         timer.cancel()
-    # Compaction bounds the heap: cancelled events can linger only while
-    # they are fewer than max(threshold, live events).
-    assert len(sim._queue) <= len(keep) + threshold
-    assert sim.pending() == len(keep)
-    fired = []
-    sim.schedule(1, lambda: fired.append(1))
-    sim.run()
-    assert fired == [1]
-    assert sim.pending() == 0
-
-
-def test_batched_compaction_drops_cancelled_bucket_entries():
-    # Batched-kernel counterpart: compaction empties non-draining buckets.
-    sim = BatchedSimulator()
-    threshold = BatchedSimulator.COMPACTION_MIN_CANCELLED
-    keep = [sim.schedule(10_000 + i, lambda: None) for i in range(8)]
-    timers = [sim.schedule(i + 1, lambda: None)
-              for i in range(4 * threshold)]
-    for timer in timers:
-        timer.cancel()
+    # Compaction bounds the queue: cancelled events can linger only
+    # while they are fewer than max(threshold, live events).
     assert sum(len(bucket) for bucket in sim._buckets.values()) \
         <= len(keep) + threshold
     assert sim.pending() == len(keep)
@@ -189,6 +161,31 @@ def test_batched_compaction_drops_cancelled_bucket_entries():
     assert fired == [1]
     assert sim.pending() == 0
     del keep
+
+
+def test_batched_compaction_drops_cancelled_bucket_entries():
+    # Bucket-level view: compaction leaves each non-draining bucket
+    # holding exactly its live entries in their original order, and
+    # detaches the dropped events so a repeat cancel() is a no-op.
+    sim = Simulator()
+    threshold = Simulator.COMPACTION_MIN_CANCELLED
+    events = [sim.schedule(7, lambda: None) for _ in range(threshold + 3)]
+    live = [events[0], events[threshold // 2], events[-1]]
+    live_ids = {id(event) for event in live}
+    cancelled = [event for event in events if id(event) not in live_ids]
+    for event in cancelled:
+        event.cancel()  # the last cancel crosses the threshold
+    assert [payload for _seq, payload in sim._buckets[7]] == live
+    assert sim._cancelled == 0
+    assert all(event._sim is None for event in cancelled)
+    cancelled[0].cancel()
+    assert sim._cancelled == 0
+    assert sim.pending() == len(live)
+    fired = []
+    for event in live:
+        event.callback = lambda e=event: fired.append(e)
+    sim.run()
+    assert fired == live
 
 
 def test_compaction_preserves_event_order(sim):
@@ -235,14 +232,6 @@ def test_post_orders_with_schedule_by_shared_sequence(sim):
     sim.schedule(3, lambda: order.append("c"))
     sim.run()
     assert order == ["a", "b", "c"]
-
-
-def test_post_respects_priority(sim):
-    order = []
-    sim.post(3, lambda: order.append("low"), priority=1)
-    sim.post(3, lambda: order.append("high"), priority=0)
-    sim.run()
-    assert order == ["high", "low"]
 
 
 def test_post_negative_delay_rejected(sim):
@@ -340,3 +329,21 @@ def test_mid_run_compaction_keeps_live_queue(sim):
     sim.run()  # survivors must not be dispatched a second time
     assert fired == ["after-compaction", "tail"]
     del tail
+
+
+def test_mid_drain_compaction_keeps_the_cancelled_count_exact(sim):
+    """Regression: compaction fired mid-drain must count only the
+    undrained suffix of the bucket being drained — its consumed prefix
+    was counted down already, and re-counting it left ``_cancelled``
+    above the number of cancelled events still queued."""
+    sim.schedule(5, lambda: None).cancel()
+    timers = [sim.schedule(10 + i, lambda: None) for i in range(100)]
+
+    def cancel_timers():
+        for timer in timers:
+            timer.cancel()  # crosses the compaction threshold mid-drain
+
+    sim.schedule(5, cancel_timers)
+    sim.run()
+    assert sim.pending() == 0
+    assert sim._cancelled == 0
