@@ -1,7 +1,8 @@
 """Scenario matrix: sharing patterns x interconnect topologies.
 
-Beyond the paper's figures: the cross-scenario ablation behind
-``repro scenarios``.  Claims checked:
+Beyond the paper's figures: the cross-scenario ablation grid of
+``repro.bench.scenario_spec`` (committed as
+``examples/specs/scenario_matrix.json``).  Claims checked:
 
 * PATCH-All's advantage is pattern-dependent but never harmful: it beats
   Directory on the indirection-bound patterns (migratory,

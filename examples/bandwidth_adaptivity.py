@@ -9,12 +9,13 @@ Run:  python examples/bandwidth_adaptivity.py [workload]
 """
 
 import sys
+from dataclasses import replace
 
-from repro.config import SystemConfig
-from repro.core.sweeps import bandwidth_sweep
+from repro.api import Session
+from repro.bench import FULL_SCALE, bandwidth_spec
 
-BANDWIDTHS = (0.3, 0.6, 0.9, 2.0, 4.0, 8.0)
-CORES = 16
+BANDWIDTHS = FULL_SCALE.bw_points
+CORES = FULL_SCALE.bw_cores
 REFERENCES = 80
 
 
@@ -26,14 +27,16 @@ def main() -> None:
     workload = sys.argv[1] if len(sys.argv) > 1 else "ocean"
     print(f"Sweeping link bandwidth on {workload!r} "
           f"({CORES} cores, {REFERENCES} refs/core)...\n")
-    base = SystemConfig(num_cores=CORES)
-    sweep = bandwidth_sweep(base, workload, references_per_core=REFERENCES,
-                            bandwidths=BANDWIDTHS, seeds=(1,))
+    # The Figure-6/7 grid of the bench suite, at one seed and a
+    # shorter run.
+    spec = bandwidth_spec(workload, replace(FULL_SCALE, bw_refs=REFERENCES,
+                                            bw_seeds=(1,)))
+    sweep = Session().run(spec).nested()
 
     print(f"{'B/1000cy':>9}  {'Directory':>9}  {'PATCH-All-NA':>12}  "
           f"{'PATCH-All':>9}")
     for bandwidth in BANDWIDTHS:
-        row = sweep[bandwidth]
+        row = sweep[str(bandwidth)]
         base_rt = row["Directory"].runtime_mean
         na = row["PATCH-All-NA"].runtime_mean / base_rt
         be = row["PATCH-All"].runtime_mean / base_rt
@@ -43,7 +46,7 @@ def main() -> None:
     print("\nNormalized runtime (each row at its own bandwidth; "
           "D=Directory, N=non-adaptive, B=best-effort):")
     for bandwidth in BANDWIDTHS:
-        row = sweep[bandwidth]
+        row = sweep[str(bandwidth)]
         base_rt = row["Directory"].runtime_mean
         na = row["PATCH-All-NA"].runtime_mean / base_rt
         be = row["PATCH-All"].runtime_mean / base_rt
@@ -52,8 +55,8 @@ def main() -> None:
         print(f"        B {bar(be)}")
 
     drops = sum(run.dropped_direct_requests
-                for bandwidth in BANDWIDTHS
-                for run in sweep[bandwidth]["PATCH-All"].runs)
+                for row in sweep.values()
+                for run in row["PATCH-All"].runs)
     print(f"\nBest-effort direct requests dropped across the sweep: {drops}")
     print("With scarce bandwidth the non-adaptive variant pays for its "
           "guaranteed broadcasts; best-effort PATCH sheds them instead "

@@ -11,9 +11,10 @@ Run:  python examples/inexact_directory_scaling.py [cores]
 """
 
 import sys
+from dataclasses import replace
 
-from repro.config import SystemConfig
-from repro.core.sweeps import coarseness_points, encoding_sweep
+from repro.api import Session
+from repro.bench import FULL_SCALE, coarseness_points, encoding_spec
 from repro.directory_state.encodings import make_encoding
 
 CORES = 64
@@ -32,26 +33,28 @@ def main() -> None:
 
     print(f"\nRunning microbenchmark sweeps at {cores} cores, "
           "2 bytes/cycle links...\n")
-    base = SystemConfig(num_cores=4, link_bandwidth=2.0)
-    sweep = encoding_sweep(base, num_cores=cores,
-                           references_per_core=REFERENCES,
-                           coarseness_values=points, seeds=(1,),
-                           table_blocks=6 * cores)
+    # The bench suite's bounded-bandwidth Figure-9/10 grid at this
+    # core count.
+    scale = replace(FULL_SCALE, enc_refs={cores: REFERENCES},
+                    enc_table_blocks={cores: 6 * cores})
+    sweep = Session().run(encoding_spec(cores, True, scale)).nested(
+        order=("protocol", "coarseness"))
 
-    header = "".join(f"  1:{k:<5}" for k in points)
+    labels = [f"1:{k}" for k in points]
+    header = "".join(f"  {label:<7}" for label in labels)
     print(f"{'':14}{header}")
-    for label in ("Directory", "PATCH"):
-        per_label = sweep[label]
-        base_runtime = per_label[1].runtime_mean
-        base_traffic = per_label[1].bytes_per_miss_mean
+    for protocol in ("Directory", "PATCH"):
+        per_label = sweep[protocol]
+        base_runtime = per_label["1:1"].runtime_mean
+        base_traffic = per_label["1:1"].bytes_per_miss_mean
         runtime_cells = "".join(
             f"  {per_label[k].runtime_mean / base_runtime:<7.3f}"
-            for k in points)
+            for k in labels)
         traffic_cells = "".join(
             f"  {per_label[k].bytes_per_miss_mean / base_traffic:<7.2f}"
-            for k in points)
-        print(f"{label + ' runtime':<14}{runtime_cells}")
-        print(f"{label + ' traffic':<14}{traffic_cells}")
+            for k in labels)
+        print(f"{protocol + ' runtime':<14}{runtime_cells}")
+        print(f"{protocol + ' traffic':<14}{traffic_cells}")
 
     print("\nDirectory pays for its false-positive invalidation targets "
           "with acknowledgement traffic that grows with coarseness; "

@@ -5,8 +5,8 @@ Runs every isolated sharing-pattern generator (migratory,
 producer-consumer, false-sharing, lock-contention, hot-home) under
 Directory and PATCH-All on each registered topology (torus, mesh,
 fully-connected), then prints the cross-scenario ablation matrix — the
-same table `repro scenarios` and the bench suite's scenario_matrix.txt
-produce.
+bench suite's scenario grid (`repro.bench.scenario_spec`) at example
+size, rendered like its scenario_matrix.txt.
 
 What to look for:
 
@@ -24,10 +24,10 @@ Env:  REPRO_EXAMPLE_QUICK=1 shrinks the grid for CI smoke runs.
 """
 
 import os
+from dataclasses import replace
 
-from repro.bench import render_scenarios
-from repro.config import SystemConfig
-from repro.core.sweeps import scenario_matrix
+from repro.api import Session
+from repro.bench import FULL_SCALE, render_scenarios, scenario_spec
 from repro.workloads.patterns import PATTERN_NAMES
 
 QUICK = bool(os.environ.get("REPRO_EXAMPLE_QUICK"))
@@ -41,9 +41,11 @@ TOPOLOGIES = ("torus", "mesh") if QUICK else ("torus", "mesh",
 def main() -> None:
     print(f"=== scenario matrix: {len(WORKLOADS)} sharing patterns x "
           f"{len(TOPOLOGIES)} topologies, {CORES} cores ===\n")
-    base = SystemConfig(num_cores=CORES)
-    results = scenario_matrix(base, WORKLOADS, TOPOLOGIES,
-                              references_per_core=REFERENCES, seeds=(1,))
+    spec = scenario_spec(replace(
+        FULL_SCALE, scenario_workloads=WORKLOADS,
+        scenario_topologies=TOPOLOGIES, scenario_cores=CORES,
+        scenario_refs=REFERENCES, scenario_seeds=(1,)))
+    results = Session().run(spec).nested()
     text, ratio, fabric = render_scenarios(results, WORKLOADS, TOPOLOGIES)
     print(text)
 

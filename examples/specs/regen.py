@@ -14,25 +14,24 @@ and commit the rewritten files.
 from __future__ import annotations
 
 import os
+from dataclasses import replace
 
 from repro.api import StudySpec
 from repro.bench import (FULL_SCALE, bandwidth_spec, encoding_spec,
                          fig4_spec, scalability_spec, scenario_spec)
-from repro.config import SystemConfig
-from repro.core.runner import PAPER_CONFIGS, matrix_spec
 
 SPEC_DIR = os.path.dirname(os.path.abspath(__file__))
 
 
 def fig4_smoke_spec() -> StudySpec:
-    """A small Figure-4 grid (all six paper configurations) that runs
-    in seconds — the CI spec-smoke study, and the grid the equality
-    test replays against the legacy cell-assembly path."""
-    return matrix_spec(SystemConfig(num_cores=4), ("jbb", "oltp"),
-                       references_per_core=25, variants=PAPER_CONFIGS,
-                       seeds=(1, 2), name="fig4-smoke",
-                       description="Figure-4 grid at smoke scale: six "
-                                   "configs x two workloads x two seeds")
+    """The Figure-4 grid (all six paper configurations) at a scale that
+    runs in seconds — the CI spec-smoke study, and the grid the
+    equality test replays against hand-assembled cells."""
+    smoke = replace(FULL_SCALE, fig4_workloads=("jbb", "oltp"),
+                    fig4_cores=4, fig4_refs=25, fig4_seeds=(1, 2))
+    return replace(fig4_spec(smoke), name="fig4-smoke",
+                   description="Figure-4 grid at smoke scale: six "
+                               "configs x two workloads x two seeds")
 
 
 #: file name -> builder producing the committed spec.

@@ -27,13 +27,11 @@ Quickstart::
 from repro import model
 from repro.config import SystemConfig, torus_dims_for
 from repro.core.results import RunResult
-from repro.core.runner import (PAPER_CONFIGS, compare_configs,
-                               normalized_runtimes, run_experiment,
-                               run_matrix, run_one)
-from repro.core.sweeps import scenario_matrix, topology_sweep
+from repro.core.runner import (PAPER_CONFIGS, normalized_runtimes,
+                               run_experiment, run_one)
 from repro.core.system import System
-# After repro.core: the core helpers are spec builders over repro.api,
-# so the api package initializes as part of the core import chain.
+# After repro.core: run_experiment is a spec builder over repro.api, so
+# the api package initializes as part of the core import chain.
 from repro.api import (ExperimentResult, Session, SpecError, StudyResult,
                        StudySpec)
 from repro.exec import ParallelRunner, ResultCache
@@ -47,8 +45,7 @@ __all__ = [
     "ExperimentResult", "PAPER_CONFIGS", "ParallelRunner", "ResultCache",
     "RunResult", "Session", "SpecError", "StudyResult", "StudySpec",
     "System", "SystemConfig", "WORKLOAD_NAMES", "__version__",
-    "compare_configs", "make_topology", "make_workload", "model",
-    "normalized_runtimes", "run_experiment", "run_matrix", "run_one",
-    "scenario_matrix", "topology_names", "topology_sweep",
-    "torus_dims_for", "workload_names", "workload_specs",
+    "make_topology", "make_workload", "model", "normalized_runtimes",
+    "run_experiment", "run_one", "topology_names", "torus_dims_for",
+    "workload_names", "workload_specs",
 ]

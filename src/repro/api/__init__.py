@@ -7,9 +7,8 @@ package makes that grid a first-class value:
 * :class:`~repro.api.spec.StudySpec` — named axes over config
   overrides, workloads (trace-backed included), kwargs, and seeds;
   cross-product or explicit-point grids; JSON round-trip with
-  schema-versioned validation.  Lowers to the existing
-  :class:`~repro.exec.cells.Cell` batch, so a spec-run study is
-  bit-identical to the legacy helper it replaces.
+  schema-versioned validation.  Lowers to a
+  :class:`~repro.exec.cells.Cell` batch for the parallel runner.
 * :class:`~repro.api.session.Session` — owns the parallel runner and
   result cache; ``Session().run(spec)`` executes the whole grid as one
   batch.
@@ -17,11 +16,12 @@ package makes that grid a first-class value:
   point, with per-axis :class:`~repro.api.result.ExperimentResult`
   views, nested-dict reshaping, and confidence-interval helpers.
 
-The legacy helpers (``run_experiment``, ``run_matrix``, every sweep in
-:mod:`repro.core.sweeps`, the ``repro bench`` figure bundles) are thin
-spec-builders over this package; ``repro study run|show|validate``
-drives spec files from the shell, and ``examples/specs/`` ships the
-paper's figures as committed specs.  See docs/API.md.
+Every figure grid is defined once, as a ``*_spec`` builder in
+:mod:`repro.bench` (whose ``*_results`` bundles run and reshape it), and
+``run_experiment`` builds the one-configuration spec behind ``repro
+run``; ``repro study run|show|validate`` drives spec files from the
+shell, and ``examples/specs/`` ships the paper's figures as committed
+specs.  See docs/API.md.
 """
 
 from repro.api.result import ExperimentResult, StudyKey, StudyResult

@@ -9,8 +9,8 @@ Student-t confidence intervals over runtime and per-group traffic means
 :class:`StudyResult` is what a :class:`~repro.api.session.Session`
 returns for a whole :class:`~repro.api.spec.StudySpec` grid: every grid
 point's seeded runs, keyed by the point's axis labels, plus views that
-reshape the grid into the nested-dict forms the legacy helpers
-(``run_matrix``, the sweeps) have always returned.
+reshape the grid into the nested dicts the figure renderers in
+:mod:`repro.bench` read.
 """
 
 from __future__ import annotations
@@ -152,7 +152,7 @@ class StudyResult:
         an axis's string labels back to native keys (ints, floats).
         ``label_fn`` names each leaf's :class:`ExperimentResult` from
         its full key (default: the innermost axis label).  This is the
-        reshaping primitive behind every legacy helper's return value.
+        reshaping primitive behind every :mod:`repro.bench` bundle.
         """
         if not self.spec.axes:
             raise ValueError("an axis-less study has no nested view; "

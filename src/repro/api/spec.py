@@ -3,18 +3,17 @@
 A :class:`StudySpec` names a whole experiment grid — a base
 :class:`~repro.config.SystemConfig`, named *axes* whose points override
 config fields, workloads, workload kwargs (including trace paths), or
-reference quotas, and a seed list — and lowers it to the exact
-:class:`~repro.exec.cells.Cell` batch the legacy helpers have always
-submitted.  Specs round-trip through JSON (schema-versioned, validated
-with precise error messages), so a study is a committable artifact:
-``repro study run spec.json`` reproduces it anywhere, and
-``examples/specs/`` ships the paper's figures in this form.
+reference quotas, and a seed list — and lowers it to a
+:class:`~repro.exec.cells.Cell` batch for the runner.  Specs round-trip
+through JSON (schema-versioned, validated with precise error messages),
+so a study is a committable artifact: ``repro study run spec.json``
+reproduces it anywhere, and ``examples/specs/`` ships the paper's
+figures in this form.
 
 Grid semantics
 --------------
 * ``grid="cross"`` (default): every combination of one point per axis,
-  in axis order (first axis outermost), seeds innermost — the same
-  enumeration order every legacy sweep used.
+  in axis order (first axis outermost), seeds innermost.
 * ``grid="explicit"``: only the listed ``points`` (tuples of point
   labels, one per axis) run, in the listed order.
 

@@ -9,11 +9,12 @@ same code:
 
 * :class:`BenchScale` pins the grid sizes; :data:`FULL_SCALE` matches
   the benchmark suite, :data:`QUICK_SCALE` is the CI smoke-test size.
-* ``*_spec`` functions express each figure's grid as a declarative
-  :class:`~repro.api.spec.StudySpec` (committed under
+* ``*_spec`` functions are the one definition of each figure's grid,
+  a declarative :class:`~repro.api.spec.StudySpec` (committed under
   ``examples/specs/`` and replayable via ``repro study run``).
-* ``*_results`` functions run the experiment bundles through the
-  parallel runner (and therefore the shared on-disk result cache).
+* ``*_results`` functions run those specs through the parallel runner
+  (and therefore the shared on-disk result cache) and reshape each
+  study into the nested dict its renderer reads.
 * ``render_*`` functions turn bundles into the published text tables
   plus the derived metrics the benchmark assertions check.
 * :func:`run_bench` drives the whole suite, writing each table to
@@ -48,14 +49,8 @@ from repro.analysis import format_table
 from repro.api import AxisSpec, PointSpec, Session, StudySpec, \
     config_overrides
 from repro.config import SystemConfig
-from repro.core.runner import (PAPER_CONFIGS, matrix_spec, matrix_view,
+from repro.core.runner import (ADAPTIVITY_CONFIGS, PAPER_CONFIGS,
                                normalized_runtimes, normalized_traffic)
-from repro.core.sweeps import (bandwidth_sweep_spec, bandwidth_sweep_view,
-                               coarseness_points, encoding_sweep_spec,
-                               encoding_sweep_view, scalability_sweep_spec,
-                               scalability_sweep_view,
-                               scenario_matrix_view)
-from repro.core.sweeps import scenario_matrix_spec as _scenario_matrix_spec
 from repro.exec import ParallelRunner, get_default_runner
 from repro.exec.serialization import comparable_result_dict
 from repro.obs import telemetry as _telemetry
@@ -160,77 +155,136 @@ QUICK_SCALE = BenchScale(
 
 # ---------------------------------------------------------------------------
 # Figure studies as declarative specs (see repro.api and docs/API.md).
-# The bundles below execute these exact grids via the legacy wrappers;
-# `examples/specs/` commits their JSON form (regenerated by
-# examples/specs/regen.py), so `repro study run` replays any figure.
+# These builders are the one definition of each figure's grid: the
+# bundles below run them, and `examples/specs/` commits their JSON form
+# (regenerated by examples/specs/regen.py), so `repro study run`
+# replays any figure.
 # ---------------------------------------------------------------------------
 
-def _scale_table_blocks(cores: int) -> Dict[str, int]:
-    """Figure-8 microbench table sizing: hold block reuse constant."""
-    return {"table_blocks": min(16 * 1024, 24 * cores)}
+def coarseness_points(num_cores: int) -> List[int]:
+    """The Figure-9/10 sharer-encoding coarseness values (cores per
+    sharer bit) at ``num_cores``: 1, 4, 16, ... and finally
+    ``num_cores`` itself (a single bit)."""
+    points = []
+    k = 1
+    while k < num_cores:
+        points.append(k)
+        k *= 4
+    points.append(num_cores)
+    return points
+
+
+def _config_axis(name: str, configs: Mapping[str, dict]) -> AxisSpec:
+    """An axis with one point per named set of config overrides."""
+    return AxisSpec(name, tuple(PointSpec(label=label, config=overrides)
+                                for label, overrides in configs.items()))
+
+
+def _workload_axis(workloads: Sequence[str]) -> AxisSpec:
+    return AxisSpec("workload", tuple(PointSpec(label=workload,
+                                                workload=workload)
+                                      for workload in workloads))
 
 
 def fig4_spec(scale: BenchScale = FULL_SCALE) -> StudySpec:
     """The Figure-4/5 grid: six protocol configs x workloads x seeds."""
-    return matrix_spec(SystemConfig(num_cores=scale.fig4_cores),
-                       scale.fig4_workloads,
-                       references_per_core=scale.fig4_refs,
-                       variants=PAPER_CONFIGS, seeds=scale.fig4_seeds,
-                       name=f"fig4-grid-{scale.name}",
-                       description="Figures 4/5: runtime and traffic of "
-                                   "the six paper configurations")
+    return StudySpec(
+        name=f"fig4-grid-{scale.name}",
+        description="Figures 4/5: runtime and traffic of the six paper "
+                    "configurations",
+        base_config=config_overrides(SystemConfig(
+            num_cores=scale.fig4_cores)),
+        references_per_core=scale.fig4_refs,
+        seeds=scale.fig4_seeds,
+        axes=(_workload_axis(scale.fig4_workloads),
+              _config_axis("variant", PAPER_CONFIGS)))
 
 
 def bandwidth_spec(workload: str,
                    scale: BenchScale = FULL_SCALE) -> StudySpec:
     """The Figure-6/7 grid: link bandwidth x adaptivity variants."""
-    return bandwidth_sweep_spec(
-        SystemConfig(num_cores=scale.bw_cores), workload,
-        references_per_core=scale.bw_refs, bandwidths=scale.bw_points,
-        seeds=scale.bw_seeds,
+    bandwidths = AxisSpec("bandwidth", tuple(
+        PointSpec(label=str(bandwidth),
+                  config={"link_bandwidth": bandwidth})
+        for bandwidth in scale.bw_points))
+    return StudySpec(
         name=f"bandwidth-{workload}-{scale.name}",
         description=f"Figures 6/7 [{workload}]: runtime vs link "
-                    "bandwidth, Directory vs PATCH-All[-NA]")
+                    "bandwidth, Directory vs PATCH-All[-NA]",
+        base_config=config_overrides(SystemConfig(
+            num_cores=scale.bw_cores)),
+        workload=workload,
+        references_per_core=scale.bw_refs,
+        seeds=scale.bw_seeds,
+        axes=(bandwidths, _config_axis("variant", ADAPTIVITY_CONFIGS)))
 
 
 def scalability_spec(scale: BenchScale = FULL_SCALE) -> StudySpec:
-    """The Figure-8 grid: core count x adaptivity variants."""
-    return scalability_sweep_spec(
-        SystemConfig(num_cores=4, link_bandwidth=2.0),
-        core_counts=scale.scale_cores,
-        references_for=dict(scale.scale_refs), seeds=(1,),
-        workload_kwargs_for=_scale_table_blocks,
+    """The Figure-8 grid: core count x adaptivity variants.
+
+    Each core-count point carries its own reference quota (scaled down
+    at large N to keep simulation cost sane; the metric is normalized
+    per core count) and sizes the microbenchmark's table with N so
+    block reuse stays constant across the sweep.
+    """
+    cores_axis = AxisSpec("cores", tuple(
+        PointSpec(label=str(cores),
+                  config={"num_cores": cores, "torus_dims": None},
+                  references_per_core=scale.scale_refs[cores],
+                  workload_kwargs={"table_blocks":
+                                   min(16 * 1024, 24 * cores)})
+        for cores in scale.scale_cores))
+    return StudySpec(
         name=f"scalability-{scale.name}",
         description="Figure 8: runtime vs core count on the "
-                    "microbenchmark (2B/cycle links)")
+                    "microbenchmark (2B/cycle links)",
+        base_config={"num_cores": 4, "link_bandwidth": 2.0},
+        workload="microbench",
+        # Never applies (every point sets its own quota), but the
+        # schema needs a real value.
+        references_per_core=scale.scale_refs[scale.scale_cores[0]],
+        axes=(cores_axis, _config_axis("variant", ADAPTIVITY_CONFIGS)))
 
 
 def encoding_spec(num_cores: int, bounded: bool,
                   scale: BenchScale = FULL_SCALE) -> StudySpec:
     """The Figure-9/10 grid: sharer-encoding coarseness x protocol."""
-    bandwidth = 2.0 if bounded else 1000.0
-    return encoding_sweep_spec(
-        SystemConfig(num_cores=4, link_bandwidth=bandwidth),
-        num_cores=num_cores,
-        references_per_core=scale.enc_refs[num_cores],
-        coarseness_values=tuple(coarseness_points(num_cores)),
-        seeds=(1,), table_blocks=scale.enc_table_blocks[num_cores],
+    coarseness = AxisSpec("coarseness", tuple(
+        PointSpec(label=f"1:{k}", config={"encoding_coarseness": k})
+        for k in coarseness_points(num_cores)))
+    return StudySpec(
         name=f"coarseness-{num_cores}p-"
              f"{'bounded' if bounded else 'unbounded'}-{scale.name}",
         description=f"Figures 9/10 [{num_cores} cores]: inexact sharer "
-                    "encodings, Directory vs PATCH")
+                    "encodings, Directory vs PATCH",
+        base_config={"num_cores": num_cores,
+                     "link_bandwidth": 2.0 if bounded else 1000.0,
+                     "torus_dims": None, "predictor": "none"},
+        workload="microbench",
+        workload_kwargs={"table_blocks": scale.enc_table_blocks[num_cores]},
+        references_per_core=scale.enc_refs[num_cores],
+        axes=(coarseness, _config_axis("protocol", {
+            "Directory": {"protocol": "directory"},
+            "PATCH": {"protocol": "patch"}})))
 
 
 def scenario_spec(scale: BenchScale = FULL_SCALE) -> StudySpec:
     """The scenario-matrix grid: sharing patterns x topologies."""
-    return _scenario_matrix_spec(
-        SystemConfig(num_cores=scale.scenario_cores),
-        scale.scenario_workloads, scale.scenario_topologies,
-        references_per_core=scale.scenario_refs,
-        seeds=scale.scenario_seeds,
+    topologies = AxisSpec("topology", tuple(
+        PointSpec(label=topology, config={"topology": topology})
+        for topology in scale.scenario_topologies))
+    return StudySpec(
         name=f"scenario-matrix-{scale.name}",
         description="Cross-scenario ablation: sharing patterns x "
-                    "interconnect fabrics, Directory vs PATCH-All")
+                    "interconnect fabrics, Directory vs PATCH-All",
+        base_config=config_overrides(SystemConfig(
+            num_cores=scale.scenario_cores)),
+        references_per_core=scale.scenario_refs,
+        seeds=scale.scenario_seeds,
+        axes=(_workload_axis(scale.scenario_workloads), topologies,
+              _config_axis("variant", {
+                  "Directory": {"protocol": "directory"},
+                  "PATCH-All": {"protocol": "patch", "predictor": "all"}})))
 
 
 def trace_replay_spec(scale: BenchScale,
@@ -261,9 +315,8 @@ def trace_replay_spec(scale: BenchScale,
 
 # ---------------------------------------------------------------------------
 # Experiment bundles (each one parallel batch through the runner/cache).
-# Each bundle *executes its spec twin* — the spec above is the single
-# definition of the grid — and reshapes with the same view the legacy
-# sweep wrappers use, so the return shapes are unchanged.
+# Each bundle runs its spec above and reshapes the StudyResult into the
+# nested dict its renderer reads.
 # ---------------------------------------------------------------------------
 
 #: Aggregated telemetry of every study executed since the last
@@ -288,28 +341,34 @@ def _run_spec(spec, runner: Optional[ParallelRunner]):
 
 def fig45_results(scale: BenchScale = FULL_SCALE,
                   runner: Optional[ParallelRunner] = None):
-    """The 6-configuration x N-workload grid behind Figures 4 and 5."""
-    return matrix_view(_run_spec(fig4_spec(scale), runner))
+    """The 6-configuration x N-workload grid behind Figures 4 and 5:
+    ``{workload: {variant: ExperimentResult}}``."""
+    return _run_spec(fig4_spec(scale), runner).nested()
 
 
 def bandwidth_results(workload: str, scale: BenchScale = FULL_SCALE,
                       runner: Optional[ParallelRunner] = None):
-    """Runtime vs link bandwidth (Figures 6 and 7)."""
-    return bandwidth_sweep_view(
-        _run_spec(bandwidth_spec(workload, scale), runner))
+    """Runtime vs link bandwidth (Figures 6 and 7):
+    ``{bandwidth: {variant: ExperimentResult}}``, float keys."""
+    result = _run_spec(bandwidth_spec(workload, scale), runner)
+    return result.nested(key_maps={"bandwidth": {
+        str(bandwidth): bandwidth for bandwidth in scale.bw_points}})
 
 
 def scalability_results(scale: BenchScale = FULL_SCALE,
                         runner: Optional[ParallelRunner] = None):
-    """Runtime vs core count on the microbenchmark (Figure 8)."""
-    return scalability_sweep_view(
-        _run_spec(scalability_spec(scale), runner))
+    """Runtime vs core count on the microbenchmark (Figure 8):
+    ``{cores: {variant: ExperimentResult}}``, int keys."""
+    result = _run_spec(scalability_spec(scale), runner)
+    return result.nested(key_maps={"cores": {
+        str(cores): cores for cores in scale.scale_cores}})
 
 
 def scenario_matrix_results(scale: BenchScale = FULL_SCALE,
                             runner: Optional[ParallelRunner] = None):
-    """The sharing-pattern x topology ablation grid (scenario matrix)."""
-    return scenario_matrix_view(_run_spec(scenario_spec(scale), runner))
+    """The sharing-pattern x topology ablation grid (scenario matrix):
+    ``{workload: {topology: {variant: ExperimentResult}}}``."""
+    return _run_spec(scenario_spec(scale), runner).nested()
 
 
 def trace_replay_results(scale: BenchScale = FULL_SCALE,
@@ -372,9 +431,13 @@ def render_trace_replay(results):
 def encoding_results(num_cores: int, bounded: bool,
                      scale: BenchScale = FULL_SCALE,
                      runner: Optional[ParallelRunner] = None):
-    """Runtime/traffic vs encoding coarseness (Figures 9 and 10)."""
-    return encoding_sweep_view(
-        _run_spec(encoding_spec(num_cores, bounded, scale), runner))
+    """Runtime/traffic vs encoding coarseness (Figures 9 and 10):
+    ``{protocol: {coarseness: ExperimentResult}}``, int coarseness."""
+    result = _run_spec(encoding_spec(num_cores, bounded, scale), runner)
+    return result.nested(
+        order=("protocol", "coarseness"),
+        key_maps={"coarseness": {f"1:{k}": k
+                                 for k in coarseness_points(num_cores)}})
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +594,7 @@ def render_scenarios(results, workloads: Sequence[str],
                      topologies: Sequence[str]):
     """Scenario-matrix tables + the PATCH/Directory ratio per cell.
 
-    ``results`` is :func:`~repro.core.sweeps.scenario_matrix` output.
+    ``results`` is :func:`scenario_matrix_results` output.
     Section one: PATCH-All runtime normalized to Directory on the same
     (workload, topology) — the paper's headline metric per scenario.
     Section two: Directory runtime per topology normalized to its torus

@@ -7,11 +7,8 @@ regenerates the paper's experiments from the shell:
 
     repro run --protocol patch --predictor all --workload oltp
     repro run --workload migratory --topology mesh
-    repro fig4 --cores 16 --refs 100
-    repro fig6 --workload ocean
-    repro fig8
-    repro fig9 --cores 64
-    repro scenarios --cores 8 --refs 40
+    repro study run examples/specs/fig6_bandwidth_ocean.json
+    repro study run examples/specs/scenario_matrix.json
     repro trace record --workload oltp --cores 16 --refs 120 --out oltp.rpt
     repro trace info oltp.rpt
     repro trace transform oltp.rpt --fold-cores 8 --out oltp8.rpt
@@ -46,24 +43,22 @@ regenerates the paper's experiments from the shell:
     repro list-scenarios --kind pattern
     repro --version
 
-The figure subcommands print the same tables the benchmark suite
-produces (the benchmarks additionally assert the paper's claims),
-``repro scenarios`` prints the sharing-pattern x topology ablation
-matrix, ``repro trace`` records/inspects/transforms/replays access
-traces (see :mod:`repro.traces`), ``repro study`` validates/inspects/
-runs declarative study specs (JSON experiment grids — see
-:mod:`repro.api` and docs/API.md; the paper's figures ship as specs
-under ``examples/specs/``), ``repro trace profile`` / ``repro synth``
-fit and sample statistical workload profiles (see :mod:`repro.synth`;
-a starter corpus ships under ``examples/profiles/``), ``repro verify
-fuzz`` runs the property-based protocol verification campaign —
-random and synthesized race scenarios explored under adversarial
-schedules on every protocol, with violations shrunk and saved as
-replayable cases (docs/VERIFICATION.md is the guide), ``repro bench``
-regenerates the whole figure suite with machine-readable timings, and
-``repro bench --perf`` runs the simulation-throughput microbench
-(``--check`` gates on the committed cycle-count goldens).  Experiment subcommands accept
-``--jobs`` (worker count, default ``REPRO_JOBS`` or the CPU count),
+``repro trace`` records/inspects/transforms/replays access traces
+(see :mod:`repro.traces`), ``repro study`` validates/inspects/runs
+declarative study specs (JSON experiment grids — see :mod:`repro.api`
+and docs/API.md; every figure grid, the sharing-pattern x topology
+scenario matrix included, ships as a spec under ``examples/specs/``),
+``repro trace profile`` / ``repro synth`` fit and sample statistical
+workload profiles (see :mod:`repro.synth`; a starter corpus ships under
+``examples/profiles/``), ``repro verify fuzz`` runs the property-based
+protocol verification campaign — random and synthesized race scenarios
+explored under adversarial schedules on every protocol, with violations
+shrunk and saved as replayable cases (docs/VERIFICATION.md is the
+guide), ``repro bench`` regenerates the whole figure suite with
+machine-readable timings, and ``repro bench --perf`` runs the
+simulation-throughput microbench (``--check`` gates on the committed
+cycle-count goldens).  Experiment subcommands accept ``--jobs``
+(worker count, default ``REPRO_JOBS`` or the CPU count),
 ``--executor`` (execution backend, default ``REPRO_EXECUTOR`` or
 ``local``), ``--no-cache``, and ``--cache-dir`` (default
 ``REPRO_CACHE_DIR`` or ``~/.cache/repro``).  ``repro study run``
@@ -94,15 +89,10 @@ from typing import List, Optional
 
 from repro.analysis import bar_chart, format_table
 from repro.api import Session, SpecError, StudySpec
-from repro.bench import (render_bandwidth, render_fig4, render_fig5,
-                         render_fig8, render_scenarios, run_bench,
-                         run_perf, update_perf_goldens)
+from repro.bench import run_bench, run_perf, update_perf_goldens
 from repro.config import PREDICTORS, PROTOCOLS, SystemConfig
 from repro.core.runner import (ADAPTIVITY_CONFIGS, PAPER_CONFIGS,
-                               run_experiment, run_matrix)
-from repro.core.sweeps import (bandwidth_sweep, coarseness_points,
-                               encoding_sweep, scalability_sweep,
-                               scenario_matrix)
+                               run_experiment)
 from repro.exec import (NO_CACHE_ENV, CellExecutionError, ParallelRunner,
                         ResultCache, code_version, executor_names,
                         set_default_runner)
@@ -110,7 +100,6 @@ from repro.interconnect.topology import TOPOLOGIES, topology_names
 from repro.obs import (OBS_ENV, PROFILE_ENV, TIMELINE_ENV,
                        configure_logging, render_top)
 from repro.obs.profiling import SORT_KEYS
-from repro.workloads.patterns import PATTERN_NAMES
 from repro.workloads.presets import WORKLOAD_NAMES
 from repro.workloads.registry import WORKLOAD_KINDS, workload_specs
 
@@ -120,19 +109,6 @@ from repro.workloads.registry import WORKLOAD_KINDS, workload_specs
 #: "synthetic" sampler needs a profile (``repro synth`` supplies it).
 RUNNABLE_WORKLOADS = sorted(name for name in WORKLOAD_NAMES
                             if name not in ("trace", "synthetic"))
-
-
-def _add_common(parser: argparse.ArgumentParser,
-                refs_default: Optional[int] = 100) -> None:
-    parser.add_argument("--cores", type=int, default=16,
-                        help="number of cores (default 16)")
-    parser.add_argument("--refs", type=_nonneg_int, default=refs_default,
-                        help="references per core (default 100"
-                             + (", or the recorded length with --trace)"
-                                if refs_default is None else ")"))
-    parser.add_argument("--seed", type=_seed_value, default=1)
-    parser.add_argument("--workload", default="oltp",
-                        choices=RUNNABLE_WORKLOADS)
 
 
 def _int_at_least(minimum: int, what: str = "value"):
@@ -242,7 +218,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run one simulation")
-    _add_common(run, refs_default=None)
+    run.add_argument("--cores", type=int, default=16,
+                     help="number of cores (default 16)")
+    run.add_argument("--refs", type=_nonneg_int, default=None,
+                     help="references per core (default 100, or the "
+                          "recorded length with --trace)")
+    run.add_argument("--seed", type=_seed_value, default=1)
+    run.add_argument("--workload", default="oltp",
+                     choices=RUNNABLE_WORKLOADS)
     _add_exec_options(run)
     _add_obs_options(run)
     run.add_argument("--protocol", default="patch", choices=PROTOCOLS)
@@ -261,48 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "generator (--workload/--cores are then taken "
                           "from the trace; --refs defaults to the recorded "
                           "length and must not exceed it)")
-
-    fig4 = sub.add_parser("fig4", help="Figure 4/5: runtime and traffic "
-                                       "across protocol configurations")
-    _add_common(fig4)
-    _add_exec_options(fig4)
-    fig4.add_argument("--workloads", nargs="+",
-                      choices=RUNNABLE_WORKLOADS,
-                      default=["jbb", "oltp", "apache", "barnes", "ocean"])
-
-    fig6 = sub.add_parser("fig6", help="Figure 6/7: bandwidth adaptivity")
-    _add_common(fig6)
-    _add_exec_options(fig6)
-
-    fig8 = sub.add_parser("fig8", help="Figure 8: scalability sweep")
-    _add_exec_options(fig8)
-    fig8.add_argument("--max-cores", type=int, default=64)
-
-    fig9 = sub.add_parser("fig9", help="Figure 9/10: inexact encodings")
-    _add_exec_options(fig9)
-    fig9.add_argument("--cores", type=int, default=64)
-    fig9.add_argument("--refs", type=int, default=20)
-    fig9.add_argument("--bandwidth", type=float, default=2.0)
-    fig9.add_argument("--seed", type=_seed_value, default=1)
-
-    scenarios = sub.add_parser(
-        "scenarios", help="cross-scenario ablation: sharing patterns x "
-                          "interconnect topologies")
-    _add_exec_options(scenarios)
-    scenarios.add_argument("--cores", type=int, default=8,
-                           help="number of cores (default 8)")
-    scenarios.add_argument("--refs", type=int, default=40,
-                           help="references per core (default 40)")
-    scenarios.add_argument("--seed", type=_seed_value, default=1)
-    scenarios.add_argument("--workloads", nargs="+",
-                           default=list(PATTERN_NAMES),
-                           choices=RUNNABLE_WORKLOADS,
-                           help="workloads to cross against topologies")
-    scenarios.add_argument("--topologies", nargs="+",
-                           default=list(TOPOLOGIES),
-                           choices=topology_names(),
-                           help="interconnect fabrics to compare (the "
-                                "first is the normalization baseline)")
 
     bench = sub.add_parser(
         "bench", help="regenerate the full figure suite with timings")
@@ -648,80 +589,6 @@ def cmd_run(args) -> int:
     return 0
 
 
-def cmd_fig4(args) -> int:
-    base = SystemConfig(num_cores=args.cores)
-    matrix = run_matrix(base, args.workloads, references_per_core=args.refs,
-                        seeds=(args.seed,))
-    fig5_text, _, _ = render_fig5(matrix, args.workloads)
-    print(fig5_text)
-    print()
-    fig4_text, _, _ = render_fig4(matrix, args.workloads)
-    print(fig4_text)
-    return 0
-
-
-def cmd_fig6(args) -> int:
-    base = SystemConfig(num_cores=args.cores)
-    sweep = bandwidth_sweep(base, args.workload,
-                            references_per_core=args.refs,
-                            seeds=(args.seed,))
-    figure_number = {"ocean": 6, "jbb": 7}.get(args.workload, 6)
-    text, _ = render_bandwidth(sweep, args.workload, figure_number,
-                               tuple(sweep))
-    print(text)
-    return 0
-
-
-def cmd_fig8(args) -> int:
-    core_counts = [n for n in (4, 8, 16, 32, 64, 128, 256, 512)
-                   if n <= args.max_cores]
-    refs = {4: 200, 8: 140, 16: 100, 32: 60, 64: 36, 128: 20, 256: 10,
-            512: 6}
-    base = SystemConfig(num_cores=4, link_bandwidth=2.0)
-    sweep = scalability_sweep(
-        base, core_counts=core_counts, references_for=refs, seeds=(1,),
-        workload_kwargs_for=lambda cores: {
-            "table_blocks": min(16 * 1024, 24 * cores)})
-    text, _, _ = render_fig8(sweep, core_counts)
-    print(text)
-    return 0
-
-
-def cmd_fig9(args) -> int:
-    points = coarseness_points(args.cores)
-    base = SystemConfig(num_cores=4, link_bandwidth=args.bandwidth)
-    sweep = encoding_sweep(base, num_cores=args.cores,
-                           references_per_core=args.refs,
-                           coarseness_values=points, seeds=(args.seed,),
-                           table_blocks=6 * args.cores)
-    rows = []
-    for label in ("Directory", "PATCH"):
-        per_label = sweep[label]
-        base_rt = per_label[1].runtime_mean
-        base_tr = per_label[1].bytes_per_miss_mean
-        rows.append([f"{label} runtime"] +
-                    [f"{per_label[k].runtime_mean / base_rt:.3f}"
-                     for k in points])
-        rows.append([f"{label} traffic"] +
-                    [f"{per_label[k].bytes_per_miss_mean / base_tr:.2f}"
-                     for k in points])
-    print(format_table(
-        f"Figures 9/10 [{args.cores} cores, "
-        f"{args.bandwidth}B/cy]: normalized to full-map",
-        ["metric"] + [f"1:{k}" for k in points], rows))
-    return 0
-
-
-def cmd_scenarios(args) -> int:
-    base = SystemConfig(num_cores=args.cores)
-    results = scenario_matrix(base, args.workloads, args.topologies,
-                              references_per_core=args.refs,
-                              seeds=(args.seed,))
-    text, _, _ = render_scenarios(results, args.workloads, args.topologies)
-    print(text)
-    return 0
-
-
 def cmd_bench(args) -> int:
     if args.update_goldens and not args.perf:
         print("error: --update-goldens only applies to the perf bench; "
@@ -771,8 +638,8 @@ def cmd_list_scenarios(args) -> int:
     print("\nInterconnect topologies (repro run --topology NAME):")
     for spec in TOPOLOGIES.values():
         print(f"  {spec.name:20} {spec.description}")
-    print("\nCross them with: repro scenarios "
-          "[--workloads ...] [--topologies ...]")
+    print("\nCross them with: repro study run "
+          "examples/specs/scenario_matrix.json")
     return 0
 
 
@@ -1337,11 +1204,6 @@ def cmd_obs(args) -> int:
 
 COMMANDS = {
     "run": cmd_run,
-    "fig4": cmd_fig4,
-    "fig6": cmd_fig6,
-    "fig8": cmd_fig8,
-    "fig9": cmd_fig9,
-    "scenarios": cmd_scenarios,
     "serve": cmd_serve,
     "serve-load": cmd_serve_load,
     "study": cmd_study,

@@ -1,21 +1,15 @@
-"""System assembly, experiment runner, and parameter sweeps."""
+"""System assembly and the experiment runner."""
 
-from repro.core.results import (RunResult, normalized_runtime,
-                                normalized_traffic)
+from repro.core.results import RunResult
 from repro.core.runner import (ADAPTIVITY_CONFIGS, PAPER_CONFIGS,
-                               ExperimentResult, compare_configs,
-                               normalized_runtimes, run_experiment, run_one)
+                               ExperimentResult, normalized_runtimes,
+                               normalized_traffic, run_experiment, run_one)
 from repro.core.system import (DEFAULT_MAX_CYCLES, System,
                                build_random_delay_system)
-from repro.core.sweeps import (BANDWIDTH_POINTS, SCALABILITY_POINTS,
-                               bandwidth_sweep, coarseness_points,
-                               encoding_sweep, scalability_sweep)
 
 __all__ = [
-    "ADAPTIVITY_CONFIGS", "BANDWIDTH_POINTS", "DEFAULT_MAX_CYCLES",
-    "ExperimentResult", "PAPER_CONFIGS", "RunResult", "SCALABILITY_POINTS",
-    "System", "bandwidth_sweep", "build_random_delay_system",
-    "coarseness_points", "compare_configs", "encoding_sweep",
-    "normalized_runtime", "normalized_runtimes", "normalized_traffic",
-    "run_experiment", "run_one", "scalability_sweep",
+    "ADAPTIVITY_CONFIGS", "DEFAULT_MAX_CYCLES", "ExperimentResult",
+    "PAPER_CONFIGS", "RunResult", "System", "build_random_delay_system",
+    "normalized_runtimes", "normalized_traffic", "run_experiment",
+    "run_one",
 ]

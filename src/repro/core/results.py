@@ -71,19 +71,3 @@ class RunResult:
                 f"(avg latency {self.avg_miss_latency:.0f}cy), "
                 f"traffic/miss {self.bytes_per_miss:.0f}B [{groups}]")
 
-
-def normalized_runtime(result: RunResult, baseline: RunResult) -> float:
-    """Runtime normalized to a baseline run (the paper's headline metric)."""
-    if baseline.runtime_cycles <= 0:
-        raise ValueError("baseline runtime must be positive")
-    return result.runtime_cycles / baseline.runtime_cycles
-
-
-def normalized_traffic(result: RunResult,
-                       baseline: RunResult) -> Dict[str, float]:
-    """Per-group traffic/miss normalized to the baseline's total (Fig. 5)."""
-    base = baseline.bytes_per_miss
-    if base <= 0:
-        raise ValueError("baseline traffic must be positive")
-    return {name: value / base
-            for name, value in result.traffic_per_miss().items()}

@@ -1,24 +1,22 @@
-"""Experiment runner: seeded repetitions, confidence intervals, and the
-named protocol configurations used throughout the paper's evaluation.
+"""Experiment runner: seeded repetitions, the named protocol
+configurations used throughout the paper's evaluation, and the
+normalizations its figures plot.
 
-Since the declarative API landed (:mod:`repro.api`), every helper here
-is a thin *spec builder*: it assembles a
-:class:`~repro.api.spec.StudySpec` describing its grid (the
-``*_spec`` functions, exposed so the same grids can be saved to JSON
-and replayed via ``repro study run``) and executes it through a
-:class:`~repro.api.session.Session` wrapping the default — or given —
-:class:`~repro.exec.parallel.ParallelRunner`.  The lowering produces
-the exact (config, workload, seed) cell batch these helpers always
-submitted, so results are bit-identical to the pre-spec code, parallel
-or serial.
+:func:`run_experiment` is the one-configuration path (``repro run``,
+``repro trace replay``, ``repro synth --run``): it builds an axis-less
+:class:`~repro.api.spec.StudySpec` (:func:`experiment_spec`) and
+executes it through a :class:`~repro.api.session.Session` wrapping the
+default — or given — :class:`~repro.exec.parallel.ParallelRunner`.
+Figure grids are defined once, as the ``*_spec`` builders in
+:mod:`repro.bench`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
-from repro.api import (AxisSpec, ExperimentResult, PointSpec, Session,
-                       StudySpec, config_overrides)
+from repro.api import (ExperimentResult, Session, StudySpec,
+                       config_overrides)
 from repro.config import SystemConfig
 from repro.core.results import RunResult
 from repro.exec import ParallelRunner, execute_cell, get_default_runner, \
@@ -43,49 +41,6 @@ ADAPTIVITY_CONFIGS: Dict[str, dict] = {
     "PATCH-All": {"protocol": "patch", "predictor": "all",
                   "best_effort_direct": True},
 }
-
-
-def variants_axis(variants: Dict[str, dict],
-                  name: str = "variant") -> AxisSpec:
-    """A named-configuration axis (e.g. over :data:`PAPER_CONFIGS`)."""
-    return AxisSpec(name, tuple(PointSpec(label=label, config=overrides)
-                                for label, overrides in variants.items()))
-
-
-def workloads_axis(workloads: Sequence[str],
-                   name: str = "workload") -> AxisSpec:
-    """An axis whose points select workload generators by name."""
-    return AxisSpec(name, tuple(PointSpec(label=workload,
-                                          workload=workload)
-                                for workload in workloads))
-
-
-def _resolve(runner: Optional[ParallelRunner]) -> ParallelRunner:
-    return runner if runner is not None else get_default_runner()
-
-
-def _session(runner: Optional[ParallelRunner]) -> Session:
-    return Session(runner=_resolve(runner))
-
-
-def run_grouped_cells(cells: Sequence, slots: Sequence,
-                      runner: Optional[ParallelRunner] = None
-                      ) -> Dict[object, List[RunResult]]:
-    """Execute one batch of cells and regroup the runs per slot key.
-
-    ``slots`` aligns with ``cells``: slot ``i`` names the experiment
-    cell ``i`` belongs to (e.g. ``(workload, label)``).  Because
-    ``run_cells`` preserves input order, each slot's run list comes back
-    in cell-submission order, so grouping is deterministic regardless of
-    parallel completion order.  Kept for callers with ad-hoc batches;
-    grid-shaped experiments should build a
-    :class:`~repro.api.spec.StudySpec` instead.
-    """
-    runs = _resolve(runner).run_cells(cells)
-    grouped: Dict[object, List[RunResult]] = {}
-    for slot, run in zip(slots, runs):
-        grouped.setdefault(slot, []).append(run)
-    return grouped
 
 
 def run_one(config: SystemConfig, workload_name: str,
@@ -122,63 +77,10 @@ def run_experiment(config: SystemConfig, workload_name: str,
     """Run one configuration across several seeds (paper methodology)."""
     spec = experiment_spec(config, workload_name, references_per_core,
                            seeds=seeds, **workload_kwargs)
-    result = _session(runner).run(spec)
+    session = Session(runner=runner if runner is not None
+                      else get_default_runner())
+    result = session.run(spec)
     return result.experiment(label=label or config.describe())
-
-
-def compare_configs(base_config: SystemConfig, workload_name: str,
-                    references_per_core: int,
-                    variants: Dict[str, dict] = PAPER_CONFIGS,
-                    seeds: Sequence[int] = (1, 2, 3),
-                    runner: Optional[ParallelRunner] = None,
-                    **workload_kwargs) -> Dict[str, ExperimentResult]:
-    """Run every named variant on one workload (one Figure-4 group)."""
-    matrix = run_matrix(base_config, [workload_name], references_per_core,
-                        variants=variants, seeds=seeds, runner=runner,
-                        **workload_kwargs)
-    return matrix[workload_name]
-
-
-def matrix_view(result) -> Dict[str, Dict[str, ExperimentResult]]:
-    """Reshape a :func:`matrix_spec` study into the legacy
-    ``{workload: {variant: ExperimentResult}}`` form."""
-    return result.nested(label_fn=lambda key: key[1])
-
-
-def matrix_spec(base_config: SystemConfig, workloads: Sequence[str],
-                references_per_core: int,
-                variants: Dict[str, dict] = PAPER_CONFIGS,
-                seeds: Sequence[int] = (1, 2, 3),
-                name: str = "matrix",
-                description: str = "",
-                **workload_kwargs) -> StudySpec:
-    """The (workload x variant x seed) grid behind :func:`run_matrix`."""
-    return StudySpec(name=name, description=description,
-                     base_config=config_overrides(base_config),
-                     workload_kwargs=workload_kwargs,
-                     references_per_core=references_per_core,
-                     seeds=tuple(seeds),
-                     axes=(workloads_axis(workloads),
-                           variants_axis(variants)))
-
-
-def run_matrix(base_config: SystemConfig, workloads: Sequence[str],
-               references_per_core: int,
-               variants: Dict[str, dict] = PAPER_CONFIGS,
-               seeds: Sequence[int] = (1, 2, 3),
-               runner: Optional[ParallelRunner] = None,
-               **workload_kwargs
-               ) -> Dict[str, Dict[str, ExperimentResult]]:
-    """Run a (workload x variant x seed) grid as one parallel batch.
-
-    Returns ``{workload: {label: ExperimentResult}}`` with workloads and
-    labels in their given order.  Submitting the whole grid at once lets
-    the pool overlap cells across workloads and variants, not just
-    within one configuration's seeds.
-    """
-    spec = matrix_spec(base_config, workloads, references_per_core,
-                       variants=variants, seeds=seeds, **workload_kwargs)
-    return matrix_view(_session(runner).run(spec))
 
 
 def normalized_runtimes(results: Dict[str, ExperimentResult],

@@ -15,7 +15,7 @@ them through a :class:`~repro.exec.parallel.ParallelRunner`:
   studies resumable (``repro study run --resume`` / ``status``);
 * ``repro.exec.parallel`` — the cache-aware runner over the backends.
 
-Library entry points (``run_experiment``, the sweeps, ``repro bench``)
+Library entry points (``run_experiment``, ``Session``, ``repro bench``)
 use the *default runner*: either one installed explicitly via
 :func:`set_default_runner` (the CLI does this from ``--jobs`` /
 ``--executor`` / ``--no-cache`` / ``--cache-dir``) or one built from

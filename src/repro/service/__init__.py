@@ -18,8 +18,7 @@ and multiplexes many clients over them:
   ``GET /healthz``, ``GET /stats``) with graceful SIGTERM/SIGINT
   shutdown that persists every study manifest;
 * :mod:`repro.service.client` — a blocking :class:`ServiceClient`
-  (urllib) and an asyncio :class:`AsyncServiceClient`, both speaking
-  plain HTTP/1.1 with zero third-party dependencies.
+  over the stdlib's urllib, with zero third-party dependencies.
 
 docs/SERVICE.md is the operations guide: endpoint table, client
 examples, and the shared-cache deploy recipe.
@@ -27,14 +26,14 @@ examples, and the shared-cache deploy recipe.
 
 from __future__ import annotations
 
-from repro.service.client import AsyncServiceClient, ServiceClient
+from repro.service.client import ServiceClient
 from repro.service.scheduler import StudyRecord, StudyScheduler
 from repro.service.server import StudyServer, make_server
 from repro.service.wire import (WIRE_SCHEMA, study_result_from_dict,
                                 study_result_to_dict)
 
 __all__ = [
-    "AsyncServiceClient", "ServiceClient", "StudyRecord", "StudyScheduler",
-    "StudyServer", "WIRE_SCHEMA", "make_server",
-    "study_result_from_dict", "study_result_to_dict",
+    "ServiceClient", "StudyRecord", "StudyScheduler", "StudyServer",
+    "WIRE_SCHEMA", "make_server", "study_result_from_dict",
+    "study_result_to_dict",
 ]

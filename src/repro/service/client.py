@@ -1,26 +1,20 @@
-"""Service clients: blocking (urllib) and asyncio, both stdlib-only.
+"""The service client: blocking, over the stdlib's ``urllib``.
 
 :class:`ServiceClient` is the workhorse behind ``repro study submit``:
 submit a spec, poll until terminal, fetch the full
 :class:`~repro.api.result.StudyResult`, or iterate the NDJSON progress
-stream line by line.  :class:`AsyncServiceClient` offers the same
-surface as coroutines over ``asyncio.open_connection`` — a raw
-HTTP/1.1 implementation small enough to read, so event streams can be
-consumed concurrently with other work without threads.
-
-Both raise :class:`ServiceError` carrying the HTTP status and the
-server's pointed ``error`` message (which for a 400 is the same
-SpecError text a local run prints).
+stream line by line.  It raises :class:`ServiceError` carrying the HTTP
+status and the server's pointed ``error`` message (which for a 400 is
+the same SpecError text a local run prints).
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
 import time
 import urllib.error
 import urllib.request
-from typing import Any, AsyncIterator, Dict, Iterator, Optional, Union
+from typing import Any, Dict, Iterator, Optional, Union
 
 from repro.api.result import StudyResult
 from repro.api.spec import StudySpec
@@ -143,138 +137,3 @@ def _error_message(raw: bytes) -> str:
         return json.loads(raw.decode())["error"]
     except Exception:  # noqa: BLE001 - any undecodable body
         return raw.decode(errors="replace") or "(no body)"
-
-
-# ----------------------------------------------------------------------
-# Asyncio client
-# ----------------------------------------------------------------------
-class AsyncServiceClient:
-    """The same surface as :class:`ServiceClient`, as coroutines.
-
-    Speaks HTTP/1.1 directly over ``asyncio.open_connection`` (one
-    connection per call, ``Connection: close``): enough protocol for
-    this service's JSON and NDJSON replies, zero dependencies, and no
-    thread pool hiding in an "async" facade.
-    """
-
-    def __init__(self, base_url: str, timeout: float = 30.0) -> None:
-        self.base_url = base_url.rstrip("/")
-        self.timeout = timeout
-        if "//" not in self.base_url:
-            raise ValueError(f"base_url must include a scheme, "
-                             f"got {base_url!r}")
-        authority = self.base_url.split("//", 1)[1]
-        host, _, port = authority.partition(":")
-        self.host = host
-        self.port = int(port) if port else 80
-
-    # ------------------------------------------------------------------
-    async def _open(self, method: str, path: str,
-                    body: Optional[bytes] = None):
-        reader, writer = await asyncio.wait_for(
-            asyncio.open_connection(self.host, self.port), self.timeout)
-        head = [f"{method} {path} HTTP/1.1",
-                f"Host: {self.host}:{self.port}",
-                "Connection: close"]
-        if body is not None:
-            head.append("Content-Type: application/json")
-            head.append(f"Content-Length: {len(body)}")
-        request = ("\r\n".join(head) + "\r\n\r\n").encode()
-        writer.write(request + (body or b""))
-        await writer.drain()
-        status_line = await asyncio.wait_for(reader.readline(),
-                                             self.timeout)
-        try:
-            status = int(status_line.split()[1])
-        except (IndexError, ValueError):
-            writer.close()
-            raise ServiceError(0, f"malformed status line "
-                                  f"{status_line!r}")
-        headers: Dict[str, str] = {}
-        while True:
-            line = await asyncio.wait_for(reader.readline(), self.timeout)
-            line = line.strip()
-            if not line:
-                break
-            name, _, value = line.decode().partition(":")
-            headers[name.strip().lower()] = value.strip()
-        return reader, writer, status, headers
-
-    async def _request(self, method: str, path: str,
-                       payload: Optional[Dict[str, Any]] = None
-                       ) -> Dict[str, Any]:
-        body = None if payload is None else json.dumps(payload).encode()
-        reader, writer, status, headers = await self._open(method, path,
-                                                           body)
-        try:
-            length = headers.get("content-length")
-            if length is not None:
-                raw = await asyncio.wait_for(
-                    reader.readexactly(int(length)), self.timeout)
-            else:
-                raw = await asyncio.wait_for(reader.read(), self.timeout)
-        finally:
-            writer.close()
-        if status >= 400:
-            raise ServiceError(status, _error_message(raw))
-        return json.loads(raw.decode())
-
-    # ------------------------------------------------------------------
-    async def health(self) -> Dict[str, Any]:
-        return await self._request("GET", "/healthz")
-
-    async def stats(self) -> Dict[str, Any]:
-        return await self._request("GET", "/stats")
-
-    async def studies(self) -> Dict[str, Any]:
-        return await self._request("GET", "/studies")
-
-    async def submit(self, spec: Union[StudySpec, Dict[str, Any]]
-                     ) -> Dict[str, Any]:
-        return await self._request("POST", "/studies",
-                                   _spec_payload(spec))
-
-    async def status(self, study_id: str) -> Dict[str, Any]:
-        return await self._request("GET", f"/studies/{study_id}")
-
-    async def result(self, study_id: str) -> StudyResult:
-        data = await self._request("GET", f"/studies/{study_id}/result")
-        return study_result_from_dict(data)
-
-    async def wait(self, study_id: str,
-                   timeout: Optional[float] = None,
-                   poll: float = DEFAULT_POLL_SECONDS) -> StudyResult:
-        loop = asyncio.get_event_loop()
-        deadline = None if timeout is None else loop.time() + timeout
-        while True:
-            status = await self.status(study_id)
-            if status["state"] in ("done", "failed"):
-                return await self.result(study_id)
-            if deadline is not None and loop.time() >= deadline:
-                raise TimeoutError(
-                    f"study {study_id} still {status['state']} after "
-                    f"{timeout}s")
-            await asyncio.sleep(poll)
-
-    async def run(self, spec: Union[StudySpec, Dict[str, Any]],
-                  timeout: Optional[float] = None) -> StudyResult:
-        submitted = await self.submit(spec)
-        return await self.wait(submitted["study"], timeout=timeout)
-
-    async def stream_events(self, study_id: str, since: int = 0
-                            ) -> AsyncIterator[Dict[str, Any]]:
-        reader, writer, status, _headers = await self._open(
-            "GET", f"/studies/{study_id}/events?since={since}")
-        try:
-            if status >= 400:
-                raw = await asyncio.wait_for(reader.read(), self.timeout)
-                raise ServiceError(status, _error_message(raw))
-            while True:
-                line = await reader.readline()
-                if not line:
-                    break
-                line = line.strip()
-                if line:
-                    yield json.loads(line.decode())
-        finally:
-            writer.close()

@@ -2,7 +2,7 @@
 
 Registering the ``"trace"`` workload (kind ``"trace"``) makes trace
 files runnable everywhere a generator name is accepted — ``repro run
---trace``, ``run_matrix``, ``scenario_matrix``, the bench suite — with
+--trace``, study specs (``repro study run``), the bench suite — with
 the trace file carried in the cell's ``workload_kwargs`` as
 ``path=...``.  Because the path travels inside the (picklable) cell,
 replay works across the parallel runner's worker processes, and

@@ -30,8 +30,9 @@ from repro.workloads.base import Access, WorkloadGenerator
 from repro.workloads.registry import register_workload
 
 #: The isolated sharing patterns, in presentation order — the canonical
-#: set behind `repro scenarios`, the bench scenario matrix, and the
-#: sharing-patterns example.
+#: set behind the bench scenario matrix
+#: (`examples/specs/scenario_matrix.json`) and the sharing-patterns
+#: example.
 PATTERN_NAMES = ("migratory", "producer-consumer", "false-sharing",
                  "lock-contention", "hot-home")
 

@@ -1,25 +1,21 @@
-"""Every legacy helper must be equivalent to its spec-built form.
+"""``run_experiment`` must be equivalent to its hand-assembled cells.
 
-Each test hand-assembles the exact cell batch the pre-spec helper used
-to build (the loops preserved here verbatim), runs it through a runner
-sharing one result cache with the wrapper under test, and compares
-every RunResult field-for-field.  Because the wrapper's spec lowering
-stores into the same cache keys, any divergence in the lowered cells
-would also show up as unexpected cache misses.
+``run_experiment`` (the one-configuration path behind ``repro run``)
+lowers an axis-less spec.  Each test hand-assembles the cell batch that
+spec must lower to, runs it through a runner sharing one result cache
+with ``run_experiment``, and compares every RunResult field-for-field.
+Because the spec lowering stores into the same cache keys, any
+divergence in the lowered cells would also show up as unexpected cache
+misses.  The figure grids are pinned separately, by digest, in
+``tests/core/test_bench.py``.
 """
 
 import pytest
 
 from repro.config import SystemConfig
-from repro.core.runner import (run_experiment, run_matrix)
-from repro.core.sweeps import (bandwidth_sweep, encoding_sweep,
-                               scalability_sweep, scenario_matrix,
-                               topology_sweep)
+from repro.core.runner import run_experiment
 from repro.exec import (ParallelRunner, ResultCache, make_cell,
                         comparable_result_dict)
-
-VARIANTS = {"Directory": {"protocol": "directory"},
-            "PATCH-All": {"protocol": "patch", "predictor": "all"}}
 
 BASE = SystemConfig(num_cores=4)
 
@@ -42,142 +38,6 @@ def test_run_experiment_equivalent_to_legacy_cells(runner):
                                 runner=runner)
     assert experiment.label == config.describe()
     assert dicts(experiment.runs) == dicts(legacy)
-
-
-def test_run_matrix_equivalent_to_legacy_cells(runner):
-    workloads = ("microbench", "migratory")
-    seeds = (1, 2)
-    cells, slots = [], []
-    for workload in workloads:
-        for label, overrides in VARIANTS.items():
-            config = BASE.with_updates(**overrides)
-            for seed in seeds:
-                cells.append(make_cell(config, workload, 10, seed))
-                slots.append((workload, label))
-    legacy_runs = runner.run_cells(cells)
-    matrix = run_matrix(BASE, workloads, references_per_core=10,
-                        variants=VARIANTS, seeds=seeds, runner=runner)
-    for (workload, label), run in zip(slots, legacy_runs):
-        wrapper_runs = matrix[workload][label].runs
-        assert comparable_result_dict(run) in dicts(wrapper_runs)
-    for workload in workloads:
-        for label in VARIANTS:
-            expected = [run for (w, l), run in zip(slots, legacy_runs)
-                        if (w, l) == (workload, label)]
-            assert dicts(matrix[workload][label].runs) == dicts(expected)
-            assert matrix[workload][label].label == label
-
-
-def test_bandwidth_sweep_equivalent_to_legacy_cells(runner):
-    bandwidths = (0.3, 8.0)
-    cells, slots = [], []
-    for bandwidth in bandwidths:
-        for label, overrides in VARIANTS.items():
-            config = BASE.with_updates(link_bandwidth=bandwidth,
-                                       **overrides)
-            for seed in (1,):
-                cells.append(make_cell(config, "microbench", 10, seed))
-                slots.append((bandwidth, label))
-    legacy_runs = runner.run_cells(cells)
-    sweep = bandwidth_sweep(BASE, "microbench", references_per_core=10,
-                            bandwidths=bandwidths, seeds=(1,),
-                            variants=VARIANTS, runner=runner)
-    assert list(sweep) == list(bandwidths)  # float keys preserved
-    for (bandwidth, label), run in zip(slots, legacy_runs):
-        assert dicts(sweep[bandwidth][label].runs) == [
-            comparable_result_dict(run)]
-
-
-def test_scalability_sweep_equivalent_to_legacy_cells(runner):
-    core_counts = (4, 8)
-    references_for = {4: 12, 8: 6}
-    kwargs_for = lambda cores: {"table_blocks": 24 * cores}  # noqa: E731
-    cells, slots = [], []
-    for cores in core_counts:
-        refs = references_for[cores]
-        kwargs = kwargs_for(cores)
-        for label, overrides in VARIANTS.items():
-            config = BASE.with_updates(num_cores=cores, torus_dims=None,
-                                       **overrides)
-            for seed in (1,):
-                cells.append(make_cell(config, "microbench", refs, seed,
-                                       **kwargs))
-                slots.append((cores, label))
-    legacy_runs = runner.run_cells(cells)
-    sweep = scalability_sweep(BASE, core_counts=core_counts,
-                              references_for=references_for, seeds=(1,),
-                              variants=VARIANTS,
-                              workload_kwargs_for=kwargs_for,
-                              runner=runner)
-    assert list(sweep) == list(core_counts)  # int keys preserved
-    for (cores, label), run in zip(slots, legacy_runs):
-        assert dicts(sweep[cores][label].runs) == [
-            comparable_result_dict(run)]
-
-
-def test_topology_sweep_equivalent_to_legacy_cells(runner):
-    topologies = ("torus", "fully-connected")
-    cells, slots = [], []
-    for topology in topologies:
-        for label, overrides in VARIANTS.items():
-            config = BASE.with_updates(topology=topology, **overrides)
-            for seed in (1,):
-                cells.append(make_cell(config, "migratory", 10, seed))
-                slots.append((topology, label))
-    legacy_runs = runner.run_cells(cells)
-    sweep = topology_sweep(BASE, "migratory", references_per_core=10,
-                           topologies=topologies, seeds=(1,),
-                           variants=VARIANTS, runner=runner)
-    for (topology, label), run in zip(slots, legacy_runs):
-        experiment = sweep[topology][label]
-        assert experiment.label == f"{label}@{topology}"
-        assert dicts(experiment.runs) == [comparable_result_dict(run)]
-
-
-def test_scenario_matrix_equivalent_to_legacy_cells(runner):
-    workloads = ("migratory", "false-sharing")
-    topologies = ("torus", "mesh")
-    cells, slots = [], []
-    for workload in workloads:
-        for topology in topologies:
-            for label, overrides in VARIANTS.items():
-                config = BASE.with_updates(topology=topology, **overrides)
-                for seed in (1,):
-                    cells.append(make_cell(config, workload, 8, seed))
-                    slots.append((workload, topology, label))
-    legacy_runs = runner.run_cells(cells)
-    results = scenario_matrix(BASE, workloads, topologies,
-                              references_per_core=8, seeds=(1,),
-                              variants=VARIANTS, runner=runner)
-    for (workload, topology, label), run in zip(slots, legacy_runs):
-        experiment = results[workload][topology][label]
-        assert experiment.label == f"{label}[{workload}@{topology}]"
-        assert dicts(experiment.runs) == [comparable_result_dict(run)]
-
-
-def test_encoding_sweep_equivalent_to_legacy_cells(runner):
-    coarseness_values = (1, 8)
-    num_cores = 8
-    pairs = (("Directory", "directory"), ("PATCH", "patch"))
-    cells, slots = [], []
-    for coarseness in coarseness_values:
-        for label, protocol in pairs:
-            config = BASE.with_updates(
-                num_cores=num_cores, torus_dims=None, protocol=protocol,
-                predictor="none", encoding_coarseness=coarseness)
-            for seed in (1,):
-                cells.append(make_cell(config, "microbench", 8, seed))
-                slots.append((label, coarseness))
-    legacy_runs = runner.run_cells(cells)
-    sweep = encoding_sweep(BASE, num_cores=num_cores,
-                           references_per_core=8,
-                           coarseness_values=coarseness_values,
-                           seeds=(1,), runner=runner)
-    assert set(sweep) == {"Directory", "PATCH"}
-    for (label, coarseness), run in zip(slots, legacy_runs):
-        experiment = sweep[label][coarseness]
-        assert experiment.label == f"{label}-1:{coarseness}"
-        assert dicts(experiment.runs) == [comparable_result_dict(run)]
 
 
 def test_wrappers_hit_the_cache_populated_by_legacy_cells(tmp_path):

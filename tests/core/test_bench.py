@@ -6,8 +6,11 @@ import os
 import pytest
 
 from repro.bench import (BenchScale, FULL_SCALE, QUICK_SCALE,
-                         headline_check, run_bench)
+                         bandwidth_spec, encoding_spec, fig4_spec,
+                         headline_check, run_bench, scalability_spec,
+                         scenario_spec)
 from repro.exec import ParallelRunner, ResultCache
+from repro.exec.manifest import spec_digest
 
 #: A miniature scale so the whole suite runs in seconds.
 TINY_SCALE = BenchScale(
@@ -124,3 +127,45 @@ def test_scales_are_consistent():
         for cores in scale.enc_core_counts:
             assert cores in scale.enc_refs, (scale.name, cores)
             assert cores in scale.enc_table_blocks, (scale.name, cores)
+
+
+#: ``spec_digest`` of every figure grid at both committed scales.  The
+#: digest covers the grid's name and description too and keys the
+#: study's recorded manifest, so changing a grid must be deliberate:
+#: update this table in the same change.
+GRID_DIGESTS = {
+    "fig4-grid-full": "963dbe8e04ead956",
+    "bandwidth-ocean-full": "0e3d007345feddfa",
+    "bandwidth-jbb-full": "224903f7dbb2f65b",
+    "scalability-full": "75f65ccfe26613b4",
+    "scenario-matrix-full": "d7818ad0b2643084",
+    "coarseness-64p-unbounded-full": "e7fc234fdb44734d",
+    "coarseness-64p-bounded-full": "19e1c039ed7413b4",
+    "coarseness-128p-unbounded-full": "4a7d662ae284b930",
+    "coarseness-128p-bounded-full": "599a1f1cf07c3765",
+    "coarseness-256p-unbounded-full": "efee61f5b52e1a72",
+    "coarseness-256p-bounded-full": "5b03eaa22fecab32",
+    "fig4-grid-quick": "a5bb55734e83b291",
+    "bandwidth-ocean-quick": "5d39be6662200e33",
+    "bandwidth-jbb-quick": "dfd9365ecaba67d3",
+    "scalability-quick": "34a65e21b0ced5ac",
+    "scenario-matrix-quick": "d1ec1f0aff444088",
+    "coarseness-16p-unbounded-quick": "9a4a4c9eab01ae73",
+    "coarseness-16p-bounded-quick": "500c83087cb41fb7",
+    "coarseness-32p-unbounded-quick": "3c86f21b92b4a0cd",
+    "coarseness-32p-bounded-quick": "f67ad38678af0932",
+}
+
+
+def test_figure_grid_digests_are_pinned():
+    """Every grid ``run_bench`` builds, at both scales (no simulation)."""
+    digests = {}
+    for scale in (FULL_SCALE, QUICK_SCALE):
+        specs = [fig4_spec(scale), bandwidth_spec("ocean", scale),
+                 bandwidth_spec("jbb", scale), scalability_spec(scale),
+                 scenario_spec(scale)]
+        specs += [encoding_spec(cores, bounded, scale)
+                  for cores in scale.enc_core_counts
+                  for bounded in (False, True)]
+        digests.update((spec.name, spec_digest(spec)) for spec in specs)
+    assert digests == GRID_DIGESTS

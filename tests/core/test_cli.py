@@ -57,42 +57,6 @@ def test_run_command_nonadaptive_and_coarse(capsys):
     assert "enc=1:4" in out
 
 
-def test_fig4_command(capsys):
-    code = main(["fig4", "--cores", "4", "--refs", "20",
-                 "--workloads", "microbench"])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "Figure 4" in out
-    assert "Token Coherence" in out
-
-
-def test_fig6_command(capsys):
-    # Tiny sweep through the real code path.
-    import repro.cli as cli
-    import repro.core.sweeps as sweeps
-    code = main(["fig6", "--cores", "4", "--refs", "15",
-                 "--workload", "microbench"])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "PATCH-All-NA" in out
-
-
-def test_fig8_command(capsys):
-    code = main(["fig8", "--max-cores", "8"])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "Figure 8" in out
-    assert "8" in out
-
-
-def test_fig9_command(capsys):
-    code = main(["fig9", "--cores", "8", "--refs", "10"])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "Figures 9/10" in out
-    assert "1:8" in out
-
-
 def test_exec_options_accepted_on_experiment_commands(capsys):
     code = main(["run", "--protocol", "directory", "--workload",
                  "microbench", "--cores", "4", "--refs", "20",
@@ -109,18 +73,6 @@ def test_run_command_uses_cache_dir(tmp_path, capsys):
     assert any(tmp_path.rglob("*.json"))  # the run was cached
     assert main(argv) == 0
     assert capsys.readouterr().out == first  # served from cache
-
-
-def test_fig4_with_jobs_and_cache_dir(tmp_path, capsys):
-    argv = ["fig4", "--cores", "4", "--refs", "15",
-            "--workloads", "microbench", "--cache-dir", str(tmp_path)]
-    assert main(argv + ["--jobs", "1"]) == 0
-    serial = capsys.readouterr().out
-    # Second run: warm cache, more workers — identical tables.
-    assert main(argv + ["--jobs", "2"]) == 0
-    parallel = capsys.readouterr().out
-    assert serial == parallel
-    assert any(tmp_path.iterdir())  # the cache was actually written
 
 
 def test_run_command_with_topology(capsys):
@@ -144,16 +96,9 @@ def test_list_scenarios_names_generators_and_topologies(capsys):
         assert workload in out
     for topology in ("torus", "mesh", "fully-connected"):
         assert topology in out
-
-
-def test_scenarios_command(capsys):
-    code = main(["scenarios", "--cores", "4", "--refs", "10",
-                 "--workloads", "migratory",
-                 "--topologies", "torus", "fully-connected"])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "Scenario matrix" in out
-    assert "fully-connected" in out
+    # The footer's recipe names a committed spec.
+    spec = re.search(r"repro study run (\S+)", out).group(1)
+    assert (REPO_ROOT / spec).is_file()
 
 
 def _subcommands():
@@ -189,7 +134,8 @@ def _documented_invocations(text):
                                  "docs/SERVICE.md",
                                  "docs/VERIFICATION.md",
                                  "docs/OBSERVABILITY.md",
-                                 "benchmarks/repro_cases/README.md"])
+                                 "benchmarks/repro_cases/README.md",
+                                 ".claude/skills/verify/SKILL.md"])
 def test_documented_cli_recipes_exist(doc):
     """Anti-drift: every `repro` invocation in the docs must parse."""
     subcommands = _subcommands()
@@ -291,9 +237,9 @@ def test_bench_update_goldens_requires_perf(capsys):
 @pytest.mark.parametrize("argv", [
     ["run", "--seed", "-1"],
     ["bench", "--seed", "-2"],
-    ["fig4", "--seed", "-1"],
-    ["fig9", "--seed", "-3"],
-    ["scenarios", "--seed", "-1"],
+    ["trace", "replay", "x.rpt", "--seed", "-1"],
+    ["synth", "--profile", "p.json", "--seed", "-3"],
+    ["verify", "fuzz", "--seed", "-1"],
     ["trace", "record", "--seed", "-1", "--out", "x.rpt"],
     ["trace", "transform", "x.rpt", "--perturb-seed", "-4", "--out", "y"],
 ])
@@ -377,13 +323,6 @@ def test_run_with_trace_defaults_to_recorded_length(tmp_path, capsys):
     capsys.readouterr()
     assert main(["run", "--trace", trace, "--no-cache"]) == 0
     assert "cycles" in capsys.readouterr().out
-
-
-def test_scenarios_rejects_trace_workload():
-    with pytest.raises(SystemExit):
-        build_parser().parse_args(["scenarios", "--workloads", "trace"])
-    with pytest.raises(SystemExit):
-        build_parser().parse_args(["fig4", "--workloads", "trace"])
 
 
 def test_run_with_trace_rejects_excess_refs(tmp_path, capsys):
@@ -576,10 +515,10 @@ def test_study_validate_rejects_bad_spec(tmp_path, capsys):
 
 
 def test_study_show_reports_per_point_refs(tmp_path, capsys):
-    from repro.config import SystemConfig
-    from repro.core.sweeps import scalability_sweep_spec
-    spec = scalability_sweep_spec(SystemConfig(num_cores=4), (4, 8),
-                                  {4: 20, 8: 10})
+    from dataclasses import replace
+    from repro.bench import FULL_SCALE, scalability_spec
+    spec = scalability_spec(replace(FULL_SCALE, scale_cores=(4, 8),
+                                    scale_refs={4: 20, 8: 10}))
     path = tmp_path / "scale.json"
     spec.save(path)
     assert main(["study", "show", str(path)]) == 0

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.core.results import (RunResult, normalized_runtime,
-                                normalized_traffic)
+from repro.core.results import RunResult
+from repro.core.runner import (ExperimentResult, normalized_runtimes,
+                               normalized_traffic)
 from repro.stats.counters import RunningStat
 from repro.stats.traffic import FIGURE5_ORDER
 
@@ -50,21 +51,27 @@ def test_summary_mentions_key_numbers():
     assert "100 misses" in text
 
 
+def _by_label(**runs):
+    return {label: ExperimentResult(label, [run])
+            for label, run in runs.items()}
+
+
 def test_normalized_runtime():
-    a = make_result(runtime=900)
-    b = make_result(runtime=1000)
-    assert normalized_runtime(a, b) == 0.9
-    with pytest.raises(ValueError):
-        normalized_runtime(a, make_result(runtime=0))
+    results = _by_label(Directory=make_result(runtime=1000),
+                        PATCH=make_result(runtime=900))
+    assert normalized_runtimes(results) == {"Directory": 1.0, "PATCH": 0.9}
+    with pytest.raises(ValueError, match="baseline runtime"):
+        normalized_runtimes(_by_label(Directory=make_result(runtime=0)))
 
 
 def test_normalized_traffic_sums_to_ratio():
     a = make_result(traffic={"Data": 14400, "Ack": 1600, "Dir. Req.": 2000,
                              "Ind. Req.": 0, "Forward": 0, "Reissue": 0,
                              "Activation": 0})
-    base = make_result()
-    normalized = normalized_traffic(a, base)
-    assert sum(normalized.values()) == pytest.approx(18000 / 9000)
-    with pytest.raises(ValueError):
-        normalized_traffic(a, make_result(traffic={g: 0 for g in
-                                                   FIGURE5_ORDER}))
+    normalized = normalized_traffic(_by_label(Directory=make_result(),
+                                              PATCH=a))
+    assert sum(normalized["PATCH"].values()) == pytest.approx(18000 / 9000)
+    assert sum(normalized["Directory"].values()) == pytest.approx(1.0)
+    with pytest.raises(ValueError, match="baseline traffic"):
+        normalized_traffic(_by_label(Directory=make_result(
+            traffic={g: 0 for g in FIGURE5_ORDER})))

@@ -1,16 +1,25 @@
-"""Experiment runner and sweep machinery."""
+"""Experiment runner and the bench suite's figure-grid bundles."""
+
+from dataclasses import replace
 
 import pytest
 
+from repro.api import Session
+from repro.bench import (FULL_SCALE, bandwidth_results, coarseness_points,
+                         encoding_results, fig4_spec, scalability_results)
 from repro.config import SystemConfig
 from repro.core.runner import (ADAPTIVITY_CONFIGS, PAPER_CONFIGS,
-                               ExperimentResult, compare_configs,
-                               normalized_runtimes, normalized_traffic,
-                               run_experiment, run_one)
-from repro.core.sweeps import (bandwidth_sweep, coarseness_points,
-                               encoding_sweep, scalability_sweep)
+                               ExperimentResult, normalized_runtimes,
+                               normalized_traffic, run_experiment)
 
 SMALL = SystemConfig(num_cores=4)
+
+
+def _fig4_group(workload, refs):
+    """One Figure-4 group (all six paper configs) at a tiny scale."""
+    scale = replace(FULL_SCALE, fig4_workloads=(workload,), fig4_cores=4,
+                    fig4_refs=refs, fig4_seeds=(1,))
+    return Session().run(fig4_spec(scale)).nested()[workload]
 
 
 def test_run_experiment_aggregates_seeds():
@@ -23,22 +32,15 @@ def test_run_experiment_aggregates_seeds():
 
 
 def test_compare_configs_runs_all_variants():
-    variants = {"Directory": {"protocol": "directory"},
-                "PATCH-All": {"protocol": "patch", "predictor": "all"}}
-    results = compare_configs(SMALL, "microbench", references_per_core=25,
-                              variants=variants, seeds=(1,))
-    assert set(results) == {"Directory", "PATCH-All"}
+    results = _fig4_group("microbench", refs=25)
+    assert list(results) == list(PAPER_CONFIGS)
     normalized = normalized_runtimes(results)
     assert normalized["Directory"] == pytest.approx(1.0)
     assert normalized["PATCH-All"] > 0
 
 
 def test_normalized_traffic_baseline_sums_to_one():
-    variants = {"Directory": {"protocol": "directory"},
-                "PATCH-None": {"protocol": "patch", "predictor": "none"}}
-    results = compare_configs(SMALL, "oltp", references_per_core=40,
-                              variants=variants, seeds=(1,))
-    traffic = normalized_traffic(results)
+    traffic = normalized_traffic(_fig4_group("oltp", refs=40))
     assert sum(traffic["Directory"].values()) == pytest.approx(1.0)
 
 
@@ -49,33 +51,31 @@ def test_coarseness_points_cover_range():
 
 
 def test_bandwidth_sweep_structure():
-    sweep = bandwidth_sweep(SMALL, "microbench", references_per_core=15,
-                            bandwidths=(2.0, 16.0), seeds=(1,),
-                            variants={"Directory": {"protocol": "directory"},
-                                      "PATCH-All": {"protocol": "patch",
-                                                    "predictor": "all"}})
-    assert set(sweep) == {2.0, 16.0}
+    scale = replace(FULL_SCALE, bw_cores=4, bw_refs=15,
+                    bw_points=(2.0, 16.0), bw_seeds=(1,))
+    sweep = bandwidth_results("microbench", scale)
+    assert list(sweep) == [2.0, 16.0]  # float keys, in axis order
     for row in sweep.values():
-        assert set(row) == {"Directory", "PATCH-All"}
+        assert list(row) == list(ADAPTIVITY_CONFIGS)
         for experiment in row.values():
             assert experiment.runtime_mean > 0
 
 
 def test_scalability_sweep_scales_refs():
-    sweep = scalability_sweep(
-        SMALL, core_counts=(4, 8), references_for={4: 20, 8: 10},
-        seeds=(1,),
-        variants={"Directory": {"protocol": "directory"}})
-    assert set(sweep) == {4, 8}
+    scale = replace(FULL_SCALE, scale_cores=(4, 8),
+                    scale_refs={4: 20, 8: 10})
+    sweep = scalability_results(scale)
+    assert list(sweep) == [4, 8]
     assert sweep[4]["Directory"].runs[0].total_references == 4 * 20
     assert sweep[8]["Directory"].runs[0].total_references == 8 * 10
 
 
 def test_encoding_sweep_compares_directory_and_patch():
-    sweep = encoding_sweep(SMALL, num_cores=8, references_per_core=15,
-                           coarseness_values=(1, 8), seeds=(1,))
-    assert set(sweep) == {"Directory", "PATCH"}
-    assert set(sweep["Directory"]) == {1, 8}
+    scale = replace(FULL_SCALE, enc_refs={8: 15},
+                    enc_table_blocks={8: 48})
+    sweep = encoding_results(8, False, scale)
+    assert list(sweep) == ["Directory", "PATCH"]
+    assert list(sweep["Directory"]) == [1, 4, 8]
     for per_label in sweep.values():
         for experiment in per_label.values():
             assert experiment.runtime_mean > 0

@@ -2,9 +2,9 @@
 
 import pytest
 
+from repro.api import AxisSpec, PointSpec, Session, StudySpec
 from repro.config import SystemConfig
-from repro.core.runner import (PAPER_CONFIGS, compare_configs,
-                               run_experiment)
+from repro.core.runner import PAPER_CONFIGS, run_experiment
 from repro.exec import (CellExecutionError, ParallelRunner, ResultCache,
                         default_jobs, get_default_runner, make_cell,
                         comparable_result_dict, set_default_runner)
@@ -103,20 +103,22 @@ def test_run_experiment_uses_given_runner_and_cache(tmp_path):
 
 
 def test_compare_configs_parallel_matches_serial_results(tmp_path):
-    variants = {"Directory": {"protocol": "directory"},
-                "PATCH-All": {"protocol": "patch", "predictor": "all"}}
-    serial = compare_configs(BASE, "microbench", 15, variants=variants,
-                             seeds=(1, 2), runner=ParallelRunner(jobs=1))
-    parallel = compare_configs(BASE, "microbench", 15, variants=variants,
-                               seeds=(1, 2),
-                               runner=ParallelRunner(jobs=4,
-                                                     cache=ResultCache(
-                                                         tmp_path)))
-    assert set(serial) == set(parallel)
-    for label in serial:
-        assert serialized(serial[label].runs) == \
-            serialized(parallel[label].runs)
-        assert serial[label].runtime_mean == parallel[label].runtime_mean
+    spec = StudySpec(
+        name="compare", base_config={"num_cores": 4},
+        workload="microbench", references_per_core=15, seeds=(1, 2),
+        axes=(AxisSpec("variant", (
+            PointSpec("Directory", config={"protocol": "directory"}),
+            PointSpec("PATCH-All", config={"protocol": "patch",
+                                           "predictor": "all"}))),))
+    serial = Session(runner=ParallelRunner(jobs=1)).run(spec)
+    parallel = Session(runner=ParallelRunner(
+        jobs=4, cache=ResultCache(tmp_path))).run(spec)
+    assert serial.keys == parallel.keys
+    for key in serial.keys:
+        assert serialized(serial.runs_by_key[key]) == \
+            serialized(parallel.runs_by_key[key])
+        assert serial.experiment(key).runtime_mean == \
+            parallel.experiment(key).runtime_mean
 
 
 def test_default_jobs_env_override(monkeypatch):

@@ -1,11 +1,13 @@
 """Scenario engine end-to-end: every pattern x topology x protocol runs
-to completion with the integrity checker on, and the grid sweeps
-(topology_sweep, scenario_matrix) regroup deterministically."""
+to completion with the integrity checker on, and the bench suite's
+scenario matrix regroups deterministically."""
+
+from dataclasses import replace
 
 import pytest
 
+from repro.bench import FULL_SCALE, scenario_matrix_results
 from repro.config import SystemConfig
-from repro.core.sweeps import scenario_matrix, topology_sweep
 from repro.core.system import System
 from repro.workloads import make_workload
 from repro.workloads.patterns import PATTERN_NAMES as PATTERNS
@@ -45,22 +47,12 @@ def test_fully_connected_run_is_deterministic_per_seed():
     assert a.traffic_bytes == b.traffic_bytes
 
 
-def test_topology_sweep_shape_and_labels():
-    sweep = topology_sweep(SystemConfig(num_cores=4), "microbench",
-                           references_per_core=10,
-                           topologies=("torus", "fully-connected"))
-    assert set(sweep) == {"torus", "fully-connected"}
-    for topology, per_label in sweep.items():
-        for label, experiment in per_label.items():
-            assert experiment.runtime_mean > 0
-            assert experiment.label == f"{label}@{topology}"
-
-
 def test_scenario_matrix_shape_and_distinct_cells():
-    results = scenario_matrix(SystemConfig(num_cores=4),
-                              workloads=("migratory", "false-sharing"),
-                              topologies=("torus", "mesh"),
-                              references_per_core=10)
+    scale = replace(FULL_SCALE,
+                    scenario_workloads=("migratory", "false-sharing"),
+                    scenario_topologies=("torus", "mesh"),
+                    scenario_cores=4, scenario_refs=10, scenario_seeds=(1,))
+    results = scenario_matrix_results(scale)
     assert set(results) == {"migratory", "false-sharing"}
     runtimes = set()
     for workload, per_topology in results.items():

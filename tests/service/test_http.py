@@ -5,7 +5,6 @@ the same ThreadingHTTPServer + scheduler pairing ``repro serve``
 deploys — so these tests cover the wire, not mocks of it.
 """
 
-import asyncio
 import json
 import threading
 import urllib.request
@@ -14,7 +13,7 @@ import pytest
 
 from repro.api import Session, StudySpec
 from repro.exec.serialization import comparable_result_dict
-from repro.service import AsyncServiceClient, ServiceClient
+from repro.service import ServiceClient
 from repro.service.client import ServiceError
 from repro.service.server import make_server
 
@@ -148,29 +147,6 @@ def test_concurrent_http_submissions_share_cells_exactly_once(
                                   key=lambda s: s.name), deltas):
         assert delta["hits"] + delta["misses"] + delta["shared"] \
             == spec.num_cells()
-
-
-def test_async_client_submit_wait_and_stream(live_server):
-    _, url = live_server
-    spec = tiny_spec(name="svc-async", seeds=(1, 2))
-
-    async def drive():
-        client = AsyncServiceClient(url)
-        assert (await client.health())["ok"] is True
-        submitted = await client.submit(spec)
-        events = []
-        async for event in client.stream_events(submitted["study"]):
-            events.append(event)
-        result = await client.wait(submitted["study"], timeout=60)
-        with pytest.raises(ServiceError) as err:
-            await client.status("feedfacedeadbeef")
-        assert err.value.status == 404
-        return events, result
-
-    events, result = asyncio.run(drive())
-    assert len(result.runs) == spec.num_cells()
-    assert events[-1]["event"] == "study-done"
-    assert [e["seq"] for e in events] == list(range(len(events)))
 
 
 def test_shutdown_rejects_submissions_and_persists_manifests(tmp_path):
