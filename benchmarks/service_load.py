@@ -31,7 +31,6 @@ def main(argv=None) -> int:
     parser.add_argument("--window", type=int, default=load.DEFAULT_WINDOW)
     parser.add_argument("--refs", type=int, default=load.DEFAULT_REFS)
     parser.add_argument("--jobs", type=int, default=None)
-    parser.add_argument("--executor", default=None)
     parser.add_argument("--cache-dir", default=None)
     parser.add_argument("--out", default=None, metavar="FILE",
                         help="merge the 'service' block into this "
@@ -39,8 +38,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     report = load.run_service_load(
         studies=args.studies, clients=args.clients, window=args.window,
-        refs=args.refs, jobs=args.jobs, executor=args.executor,
-        cache_dir=args.cache_dir)
+        refs=args.refs, jobs=args.jobs, cache_dir=args.cache_dir)
     print(load.render_report(report))
     if args.out:
         load.merge_report(report, args.out)

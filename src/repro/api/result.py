@@ -76,9 +76,6 @@ class StudyResult:
     runs_by_key: Dict[StudyKey, List[RunResult]]
     cache_delta: Optional[Dict[str, int]] = None
     jobs: int = 1
-    #: Name of the execution backend the session resolved for this
-    #: study (``None`` for results built outside a Session).
-    executor: Optional[str] = None
     #: Aggregated observability block when the study ran with
     #: ``REPRO_OBS``/``--obs``: the per-cell telemetry snapshots merged
     #: order-independently plus the session-side spans (see

@@ -2,7 +2,7 @@
 
 A :class:`Session` wraps the pieces every entry point used to wire by
 hand — a :class:`~repro.exec.parallel.ParallelRunner`, its worker
-count and executor backend, and the on-disk
+count, and the on-disk
 :class:`~repro.exec.cache.ResultCache` — and exposes study-level
 operations over them:
 
@@ -27,7 +27,7 @@ Construction mirrors the CLI's execution flags::
 
     Session()                      # the process default runner
     Session(jobs=4)                # 4 workers, environment cache policy
-    Session(executor="serial")     # pick the execution backend
+    Session(jobs=1)                # run every cell in this process
     Session(no_cache=True)         # never touch the on-disk cache
     Session(cache_dir="/tmp/c")    # explicit cache location
     Session(runner=my_runner)      # wrap an existing runner verbatim
@@ -36,14 +36,14 @@ Construction mirrors the CLI's execution flags::
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence
 
 from repro.api.result import StudyResult
 from repro.api.spec import StudySpec
 from repro.core.results import RunResult
-from repro.exec import (NO_CACHE_ENV, CellExecutionError, Executor,
-                        ManifestStore, ParallelRunner, ResultCache,
-                        StudyManifest, code_version, get_default_runner)
+from repro.exec import (NO_CACHE_ENV, CellExecutionError, ManifestStore,
+                        ParallelRunner, ResultCache, StudyManifest,
+                        code_version, get_default_runner)
 from repro.exec.cells import Cell
 from repro.obs import telemetry as _telemetry
 
@@ -55,18 +55,16 @@ class Session:
                  jobs: Optional[int] = None,
                  cache: Optional[ResultCache] = None,
                  cache_dir: Optional[os.PathLike] = None,
-                 no_cache: bool = False,
-                 executor: Union[None, str, Executor] = None) -> None:
+                 no_cache: bool = False) -> None:
         if runner is not None:
             if jobs is not None or cache is not None \
-                    or cache_dir is not None or no_cache \
-                    or executor is not None:
+                    or cache_dir is not None or no_cache:
                 raise ValueError("pass either 'runner' or the "
-                                 "jobs/cache/cache_dir/no_cache/executor "
-                                 "knobs, not both")
+                                 "jobs/cache/cache_dir/no_cache knobs, "
+                                 "not both")
             self.runner = runner
         elif jobs is None and cache is None and cache_dir is None \
-                and not no_cache and executor is None:
+                and not no_cache:
             self.runner = get_default_runner()
         else:
             if no_cache:
@@ -76,8 +74,7 @@ class Session:
                     cache = ResultCache(cache_dir)
                 elif not os.environ.get(NO_CACHE_ENV):
                     cache = ResultCache()
-            self.runner = ParallelRunner(jobs=jobs, cache=cache,
-                                         executor=executor)
+            self.runner = ParallelRunner(jobs=jobs, cache=cache)
 
     # ------------------------------------------------------------------
     @property
@@ -91,13 +88,6 @@ class Session:
     def cache_stats(self) -> Optional[Dict[str, int]]:
         """Lifetime stats of the underlying cache (None when uncached)."""
         return self.cache.stats() if self.cache is not None else None
-
-    def executor_name(self, spec: Optional[StudySpec] = None) -> str:
-        """The backend a run of ``spec`` would use (resolution order:
-        runner's explicit executor, then the spec's ``executor`` field,
-        then ``REPRO_EXECUTOR``, then ``local``)."""
-        return self.runner.resolve_executor(
-            spec.executor if spec is not None else None).name
 
     # ------------------------------------------------------------------
     def run_cells(self, cells: Sequence[Cell]) -> List[RunResult]:
@@ -131,8 +121,7 @@ class Session:
         return store.load(spec_digest(spec), strict=strict)
 
     def _open_manifest(self, store: ManifestStore, spec: StudySpec,
-                      resume: bool,
-                      executor: Optional[Executor] = None) -> StudyManifest:
+                      resume: bool) -> StudyManifest:
         """Continue the stored manifest (resume) or start a fresh one.
 
         A resumed manifest must describe exactly this spec's grid;
@@ -152,8 +141,6 @@ class Session:
                 # probe below will miss and re-run them; the manifest
                 # just follows along.
                 manifest.code_version = code_version()
-        if executor is not None:
-            manifest.executor = executor.name
         store.save(manifest)
         return manifest
 
@@ -167,7 +154,7 @@ class Session:
         hits the result cache independently; the returned
         :class:`StudyResult` reports how many of this study's cells
         were cache hits vs fresh simulations (``cache_delta``) and the
-        executor backend used.  With ``resume=True`` the study's
+        worker count.  With ``resume=True`` the study's
         manifest is continued rather than restarted: cells recorded
         done load from the cache and only the missing ones execute.
         """
@@ -175,14 +162,13 @@ class Session:
             spec.validate()
         groups = spec.cell_groups()
         cells = [cell for _, cells in groups for cell in cells]
-        executor = self.runner.resolve_executor(spec.executor)
         before = self.cache_stats()
         # Session-side telemetry (cache probes, scheduling) collects in
         # its own registry; cell-side registries live in the workers and
         # ride back on each RunResult.
         session_telemetry = _telemetry.for_process()
         with _telemetry.activate(session_telemetry):
-            runs = self._run_tracked(spec, cells, executor, resume=resume)
+            runs = self._run_tracked(spec, cells, resume=resume)
         after = self.cache_stats()
         delta = (None if before is None
                  else {key: after[key] - before[key] for key in after})
@@ -199,7 +185,6 @@ class Session:
                            runs_by_key=runs_by_key,
                            cache_delta=delta,
                            jobs=self.jobs,
-                           executor=executor.name,
                            telemetry=telemetry)
 
     def advance(self, spec: StudySpec, limit: Optional[int] = None,
@@ -219,23 +204,19 @@ class Session:
                              "REPRO_NO_CACHE)")
         if validate:
             spec.validate()
-        cells = spec.cells()
-        executor = self.runner.resolve_executor(spec.executor)
-        return self._advance_tracked(spec, cells, executor, limit)
+        return self._advance_tracked(spec, spec.cells(), limit)
 
     # ------------------------------------------------------------------
     def _run_tracked(self, spec: StudySpec, cells: Sequence[Cell],
-                     executor: Executor, resume: bool) -> List[RunResult]:
+                     resume: bool) -> List[RunResult]:
         """Run the full batch, recording per-cell progress."""
         store = self.manifest_store()
         if store is None:
-            return self.runner.run_cells(cells, executor=executor)
-        manifest = self._open_manifest(store, spec, resume,
-                                       executor=executor)
+            return self.runner.run_cells(cells)
+        manifest = self._open_manifest(store, spec, resume)
         try:
             runs = self.runner.run_cells(
-                cells, executor=executor,
-                on_result=manifest.record_result)
+                cells, on_result=manifest.record_result)
         except CellExecutionError as exc:
             self._record_failure(manifest, cells, exc)
             store.save(manifest)
@@ -244,15 +225,12 @@ class Session:
         return runs
 
     def _advance_tracked(self, spec: StudySpec, cells: Sequence[Cell],
-                         executor: Executor,
                          limit: Optional[int]) -> StudyManifest:
         store = self.manifest_store()
-        manifest = self._open_manifest(store, spec, resume=True,
-                                       executor=executor)
+        manifest = self._open_manifest(store, spec, resume=True)
         try:
             self.runner.run_cells(
-                cells, executor=executor, limit=limit,
-                on_result=manifest.record_result)
+                cells, limit=limit, on_result=manifest.record_result)
         except CellExecutionError as exc:
             self._record_failure(manifest, cells, exc)
             store.save(manifest)

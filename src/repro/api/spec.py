@@ -41,8 +41,12 @@ from repro.exec.cells import Cell, make_cell
 #: a v1 file loads unchanged), and anything else fails validation with
 #: a pointed message instead of misloading.
 #:
-#: History: 2 added the optional ``executor`` field (execution-backend
-#: preference; see docs/EXECUTION.md).
+#: History: 2 added an optional ``executor`` field (an execution-backend
+#: choice), since removed: a spec that sets it fails validation as an
+#: unknown key, and every other schema-2 file loads unchanged.  The
+#: version stays 2 because ``spec_schema`` is part of the hashed JSON
+#: that names a study's manifest (:func:`repro.exec.manifest.spec_digest`),
+#: so a bump would orphan every recorded study's progress.
 SPEC_SCHEMA = 2
 SUPPORTED_SPEC_SCHEMAS = (1, SPEC_SCHEMA)
 
@@ -220,12 +224,6 @@ class StudySpec:
     grid: str = "cross"
     points: Optional[Tuple[Tuple[str, ...], ...]] = None
     check_integrity: bool = True
-    #: Preferred execution backend (a :mod:`repro.exec.executors` name).
-    #: ``None`` defers to the CLI/environment; an explicit CLI
-    #: ``--executor`` always wins over the spec.  Deliberately excluded
-    #: from the study's manifest digest: switching backends must never
-    #: orphan a partially-run study's progress.
-    executor: Optional[str] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "base_config",
@@ -299,13 +297,6 @@ class StudySpec:
                         f"axis {axis.name!r}, point {point.label!r}: "
                         "'references_per_core' must be a non-negative "
                         "integer")
-        if self.executor is not None:
-            from repro.exec.executors import executor_names
-            if self.executor not in executor_names():
-                raise SpecError(
-                    f"'executor' must name a registered execution "
-                    f"backend ({', '.join(executor_names())}), got "
-                    f"{self.executor!r}")
         if self.grid not in ("cross", "explicit"):
             raise SpecError(f"'grid' must be 'cross' or 'explicit', "
                             f"got {self.grid!r}")
@@ -439,8 +430,6 @@ class StudySpec:
             out["points"] = [list(point) for point in self.points]
         if not self.check_integrity:
             out["check_integrity"] = False
-        if self.executor is not None:
-            out["executor"] = self.executor
         return out
 
     @classmethod
@@ -459,7 +448,7 @@ class StudySpec:
         _require(data, ("spec_schema", "name", "description",
                         "base_config", "workload", "workload_kwargs",
                         "references_per_core", "seeds", "axes", "grid",
-                        "points", "check_integrity", "executor"), "spec")
+                        "points", "check_integrity"), "spec")
         if "references_per_core" not in data:
             raise SpecError("spec is missing 'references_per_core'")
         axes_data = data.get("axes", [])
@@ -485,8 +474,7 @@ class StudySpec:
                    axes=axes,
                    grid=data.get("grid", "cross"),
                    points=points,
-                   check_integrity=data.get("check_integrity", True),
-                   executor=data.get("executor"))
+                   check_integrity=data.get("check_integrity", True))
         return spec.validate()
 
     def to_json(self) -> str:

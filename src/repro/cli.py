@@ -23,7 +23,6 @@ regenerates the paper's experiments from the shell:
     repro study validate examples/specs/fig4_paper.json
     repro study show examples/specs/fig4_paper.json
     repro study run examples/specs/fig4_smoke.json --jobs 2
-    repro study run examples/specs/fig4_smoke.json --executor subprocess-pool
     repro study run examples/specs/fig4_smoke.json --max-cells 8
     repro study run examples/specs/fig4_smoke.json --resume
     repro study status examples/specs/fig4_smoke.json
@@ -58,16 +57,17 @@ guide), ``repro bench`` regenerates the whole figure suite with
 machine-readable timings, and ``repro bench --perf`` runs the
 simulation-throughput microbench (``--check`` gates on the committed
 cycle-count goldens).  Experiment subcommands accept ``--jobs``
-(worker count, default ``REPRO_JOBS`` or the CPU count),
-``--executor`` (execution backend, default ``REPRO_EXECUTOR`` or
-``local``), ``--no-cache``, and ``--cache-dir`` (default
+(worker count, default ``REPRO_JOBS`` or the CPU count; ``--jobs 1``
+runs every cell in this process, the debugging and profiling
+setting), ``--no-cache``, and ``--cache-dir`` (default
 ``REPRO_CACHE_DIR`` or ``~/.cache/repro``).  ``repro study run``
 additionally takes ``--resume`` / ``--max-cells`` for resumable and
 chunked grids, with ``repro study status`` reporting recorded
 progress and ``repro study list`` enumerating every recorded
-manifest — docs/EXECUTION.md is the operations guide.  ``repro
-serve`` runs the experiment service daemon (studies over HTTP with a
-shared warm cache and in-flight dedup), ``repro study submit`` sends
+manifest; both execute nothing and take only the cache flags —
+docs/EXECUTION.md is the operations guide.  ``repro serve`` runs the
+experiment service daemon (studies over HTTP with a shared warm cache
+and in-flight dedup), ``repro study submit`` sends
 a spec to one and renders the same table as a local run, and ``repro
 serve-load`` measures service latency/dedup under concurrent
 overlapping submissions — docs/SERVICE.md is that guide.  The run, study
@@ -94,8 +94,7 @@ from repro.config import PREDICTORS, PROTOCOLS, SystemConfig
 from repro.core.runner import (ADAPTIVITY_CONFIGS, PAPER_CONFIGS,
                                run_experiment)
 from repro.exec import (NO_CACHE_ENV, CellExecutionError, ParallelRunner,
-                        ResultCache, code_version, executor_names,
-                        set_default_runner)
+                        ResultCache, code_version, set_default_runner)
 from repro.interconnect.topology import TOPOLOGIES, topology_names
 from repro.obs import (OBS_ENV, PROFILE_ENV, TIMELINE_ENV,
                        configure_logging, render_top)
@@ -155,11 +154,12 @@ def _add_exec_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--jobs", type=_positive_int, default=None,
                         metavar="N",
                         help="worker processes for independent simulations "
-                             "(default: $REPRO_JOBS or the CPU count)")
-    parser.add_argument("--executor", default=None,
-                        choices=executor_names(),
-                        help="execution backend (default: $REPRO_EXECUTOR "
-                             "or 'local'; see docs/EXECUTION.md)")
+                             "(default: $REPRO_JOBS or the CPU count; 1 "
+                             "runs every cell in this process)")
+    _add_cache_options(parser)
+
+
+def _add_cache_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--no-cache", action="store_true",
                         help="do not read or write the on-disk result cache")
     parser.add_argument("--cache-dir", default=None, metavar="DIR",
@@ -184,15 +184,15 @@ def _add_obs_options(parser: argparse.ArgumentParser) -> None:
 
 def _runner_from_args(args) -> Optional[ParallelRunner]:
     """Build the runner described by --jobs/--no-cache/--cache-dir."""
-    if not hasattr(args, "jobs"):
+    if not hasattr(args, "no_cache"):
         return None
     # --no-cache always wins; the REPRO_NO_CACHE kill switch applies
     # unless the user explicitly asked for a cache directory.
     no_cache = args.no_cache or (args.cache_dir is None
                                  and bool(os.environ.get(NO_CACHE_ENV)))
     cache = None if no_cache else ResultCache(args.cache_dir)
-    return ParallelRunner(jobs=args.jobs, cache=cache,
-                          executor=args.executor)
+    # `study status` / `study list` take only the cache flags.
+    return ParallelRunner(jobs=getattr(args, "jobs", None), cache=cache)
 
 
 def package_version() -> str:
@@ -462,12 +462,12 @@ def build_parser() -> argparse.ArgumentParser:
         "status", help="report a study's recorded progress (done/pending/"
                        "failed cells) without running anything")
     sstatus.add_argument("spec", metavar="SPEC.json")
-    _add_exec_options(sstatus)
+    _add_cache_options(sstatus)
 
     slist = stsub.add_parser(
         "list", help="list every study manifest recorded beside the "
-                     "result cache (digest, study, progress, executor)")
-    _add_exec_options(slist)
+                     "result cache (digest, study, progress)")
+    _add_cache_options(slist)
 
     ssubmit = stsub.add_parser(
         "submit", help="submit a spec to a running service daemon and "
@@ -699,8 +699,7 @@ def _cmd_study_run(args) -> int:
                                    validate=False)
         # Progress chatter goes to stderr so stdout stays
         # machine-parseable; only the summary line is the result here.
-        print(f"[exec] executor={session.executor_name(spec)} "
-              f"workers={session.jobs}", file=sys.stderr)
+        print(f"[exec] workers={session.jobs}", file=sys.stderr)
         print(f"study {spec.name}: {manifest.summary()}")
         if not manifest.complete:
             print(f"(continue with: repro study run {args.spec} "
@@ -735,8 +734,7 @@ def _print_study_table(result) -> None:
 def _print_exec_epilogue(result) -> None:
     # stdout carries exactly the result table; execution chatter
     # ([exec]/[cache]) goes to stderr so pipelines can diff/parse it.
-    print(f"[exec] executor={result.executor} workers={result.jobs}",
-          file=sys.stderr)
+    print(f"[exec] workers={result.jobs}", file=sys.stderr)
     delta = result.cache_delta
     if delta is not None:
         line = (f"[cache] {delta['hits']} hits, {delta['misses']} "
@@ -814,11 +812,10 @@ def _cmd_study_list(args) -> int:
         counts = manifest.counts()
         progress = f"{counts['done']}/{len(manifest.cells)}"
         rows.append([manifest.digest, manifest.study, progress,
-                     str(counts["failed"]), manifest.executor or "-"])
+                     str(counts["failed"])])
     if rows:
         print(format_table(f"Recorded studies ({store.root})",
-                           ["digest", "study", "done", "failed",
-                            "executor"], rows))
+                           ["digest", "study", "done", "failed"], rows))
     for path in corrupt:
         print(f"corrupt manifest: {path} (delete it and re-run the "
               f"study)", file=sys.stderr)
@@ -902,10 +899,9 @@ def cmd_serve(args) -> int:
     from repro.service.scheduler import StudyScheduler
 
     # main() already installed the runner described by --jobs /
-    # --executor / --cache-dir / --no-cache as the process default;
-    # the daemon simply owns it for its whole lifetime.
-    scheduler = StudyScheduler(runner=get_default_runner(),
-                               executor=args.executor)
+    # --cache-dir / --no-cache as the process default; the daemon
+    # simply owns it for its whole lifetime.
+    scheduler = StudyScheduler(runner=get_default_runner())
     try:
         server = make_server(args.host, args.port, scheduler)
     except OSError as exc:
@@ -953,8 +949,7 @@ def cmd_serve_load(args) -> int:
         return 2
     report = run_service_load(studies=args.studies, clients=args.clients,
                               window=args.window, refs=args.refs,
-                              jobs=args.jobs, executor=args.executor,
-                              cache_dir=args.cache_dir)
+                              jobs=args.jobs, cache_dir=args.cache_dir)
     print(render_report(report))
     if args.out != "-":
         merge_report(report, args.out)
@@ -1223,10 +1218,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     runner = _runner_from_args(args)
     if runner is not None:
         set_default_runner(runner)
-    # The observability flags resolve through the environment: every
-    # executor worker built under this command then sees the chosen
-    # obs settings, which is what carries them into subprocess-pool
-    # workers.
+    # The observability flags resolve through the environment, so
+    # every pool worker started under this command inherits them.
     overrides = {}
     # `hasattr(args, "obs")` marks the commands wired through
     # _add_obs_options; `repro synth` has an unrelated --profile.

@@ -4,9 +4,9 @@ A :class:`Cell` fully describes one independent simulation — a
 (config, workload, seed) point of the paper's evaluation grid — in a
 form that is hashable, picklable, and deterministically serializable.
 ``execute_cell`` is the single code path that turns a cell into a
-:class:`~repro.core.results.RunResult`; the serial runner, the process
-pool workers, and ``run_one`` all funnel through it, which is what makes
-parallel execution bit-identical to serial execution.
+:class:`~repro.core.results.RunResult`; the runner's in-process path,
+its pool workers, and ``run_one`` all funnel through it, which is what
+makes parallel execution bit-identical to serial execution.
 """
 
 from __future__ import annotations
@@ -102,8 +102,8 @@ def execute_cell(cell: Cell) -> RunResult:
     """Run one cell in-process and return its result.
 
     Beyond the simulation itself, this is where per-cell observability
-    happens — in whichever process the cell runs, so every executor
-    backend gets it for free: wall time is always recorded on the
+    happens — in whichever process the cell runs, so in-process and
+    pool execution get it alike: wall time is always recorded on the
     result; with ``REPRO_OBS`` a fresh telemetry registry is active for
     the duration and its snapshot rides back on ``result.telemetry``;
     ``REPRO_TIMELINE`` / ``REPRO_PROFILE_DIR`` write this cell's trace

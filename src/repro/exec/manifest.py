@@ -13,11 +13,10 @@ cache, only the missing ones execute.
 Manifests live *inside the cache directory* on purpose: point several
 machines' ``REPRO_CACHE_DIR`` at one shared directory and they share
 both the results and the progress record (writes are atomic, same as
-cache entries).  The digest deliberately excludes the spec's
-``executor`` field — switching backends must never orphan progress —
-and excludes the code version, which is instead recorded in the
-manifest so ``status`` can warn that cached results predate the current
-source tree (stale ``done`` cells simply miss the cache and re-run).
+cache entries).  The digest excludes the code version, which is
+instead recorded in the manifest so ``status`` can warn that cached
+results predate the current source tree (stale ``done`` cells simply
+miss the cache and re-run).
 """
 
 from __future__ import annotations
@@ -45,15 +44,13 @@ class ManifestError(ValueError):
 
 
 def spec_digest(spec) -> str:
-    """Stable identity of a study's *grid* (not its execution knobs).
+    """Stable identity of a study's *grid*.
 
-    Hashes the spec's canonical JSON with the ``executor`` field
-    removed, so re-running the same grid under a different backend (or
-    schema-compatible re-serialization) resumes the same manifest.
+    Hashes the spec's canonical JSON, so a schema-compatible
+    re-serialization of the same grid resumes the same manifest.
     """
-    data = dict(spec.to_json_dict())
-    data.pop("executor", None)
-    canonical = json.dumps(data, sort_keys=True, separators=(",", ":"))
+    canonical = json.dumps(spec.to_json_dict(), sort_keys=True,
+                           separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
@@ -115,11 +112,6 @@ class StudyManifest:
     digest: str
     code_version: str
     cells: List[CellEntry] = field(default_factory=list)
-    #: Name of the execution backend the recording run resolved
-    #: (additive like the timing fields; older manifests lack it).
-    #: Informational only — deliberately outside the digest, so
-    #: switching backends continues the same progress record.
-    executor: Optional[str] = None
 
     # ------------------------------------------------------------------
     @classmethod
@@ -190,14 +182,11 @@ class StudyManifest:
 
     # ------------------------------------------------------------------
     def to_json_dict(self) -> Dict[str, Any]:
-        out = {"manifest_schema": MANIFEST_SCHEMA,
-               "study": self.study,
-               "digest": self.digest,
-               "code_version": self.code_version,
-               "cells": [cell.to_json_dict() for cell in self.cells]}
-        if self.executor is not None:
-            out["executor"] = self.executor
-        return out
+        return {"manifest_schema": MANIFEST_SCHEMA,
+                "study": self.study,
+                "digest": self.digest,
+                "code_version": self.code_version,
+                "cells": [cell.to_json_dict() for cell in self.cells]}
 
     @classmethod
     def from_json_dict(cls, data: Dict[str, Any]) -> "StudyManifest":
@@ -205,12 +194,12 @@ class StudyManifest:
             raise ValueError(
                 f"unsupported manifest_schema "
                 f"{data.get('manifest_schema')!r}")
-        executor = data.get("executor")
+        # Unknown keys are ignored, so a manifest that still carries a
+        # field this version no longer writes keeps loading.
         return cls(study=str(data["study"]), digest=str(data["digest"]),
                    code_version=str(data["code_version"]),
                    cells=[CellEntry.from_json_dict(cell)
-                          for cell in data["cells"]],
-                   executor=None if executor is None else str(executor))
+                          for cell in data["cells"]])
 
 
 class ManifestStore:

@@ -3,10 +3,10 @@
 Every library logger hangs off the ``repro`` root
 (``get_logger("exec.cache")`` -> ``repro.exec.cache``), which
 carries a ``NullHandler`` so an un-configured import never prints.
-:func:`configure_logging` — called once by the CLI and by executor
-workers — reads ``REPRO_LOG`` (a level name like ``debug``/``INFO`` or
-a numeric level) and, when set, attaches a stderr handler at that
-level.  Log output shares stderr with the progress echoes, keeping
+:func:`configure_logging` — called once by the CLI, whose forked pool
+workers inherit the handler — reads ``REPRO_LOG`` (a level name like
+``debug``/``INFO`` or a numeric level) and, when set, attaches a stderr
+handler at that level.  Log output shares stderr with the progress echoes, keeping
 stdout machine-parseable.
 """
 

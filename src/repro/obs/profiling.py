@@ -4,7 +4,7 @@ When ``REPRO_PROFILE_DIR`` (CLI: ``--profile DIR``) is set,
 ``execute_cell`` wraps each cell's build+run in a
 :class:`cProfile.Profile` and dumps the stats to
 ``<dir>/<slug>.pstats`` — in whichever process executed the cell, so
-subprocess-pool workers profile themselves without any extra protocol.
+pool workers profile themselves without any extra protocol.
 ``repro obs top`` merges every ``*.pstats`` in the directory with
 :mod:`pstats` and renders the combined hotspot table.
 

@@ -132,7 +132,7 @@ class Telemetry:
         stat.add(seconds)
 
     def snapshot(self) -> Dict[str, Any]:
-        """JSON-safe dump; the unit executors ship across processes."""
+        """JSON-safe dump; the unit pool workers ship across processes."""
         return {
             "counters": dict(sorted(self.counters.items())),
             "gauges": dict(sorted(self.gauges.items())),

@@ -22,9 +22,8 @@ The recorder is installed per cell by ``execute_cell`` when the
 ``REPRO_TIMELINE`` target (CLI: ``--timeline``) is set: a target ending
 in ``.json`` is written verbatim (the single-cell ``repro run`` shape),
 anything else is treated as a directory that collects one
-``<slug>.json`` per cell — which is what lets worker processes of any
-executor backend write their own cell's trace without shipping it
-through the result pipe.
+``<slug>.json`` per cell — which is what lets pool workers write their
+own cell's trace without shipping it through the result pipe.
 """
 
 from __future__ import annotations

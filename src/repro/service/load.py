@@ -76,7 +76,6 @@ def run_service_load(studies: int = DEFAULT_STUDIES,
                      refs: int = DEFAULT_REFS,
                      cores: int = DEFAULT_CORES,
                      jobs: Optional[int] = None,
-                     executor: Optional[str] = None,
                      cache_dir: Optional[str] = None,
                      timeout: float = 300.0) -> Dict[str, Any]:
     """Run the harness against a fresh in-process daemon; the report."""
@@ -85,8 +84,7 @@ def run_service_load(studies: int = DEFAULT_STUDIES,
     if own_tmp:
         tmp = tempfile.TemporaryDirectory(prefix="repro-serve-load-")
         cache_dir = tmp.name
-    server = make_server(scheduler=None, jobs=jobs, cache_dir=cache_dir,
-                         executor=executor)
+    server = make_server(scheduler=None, jobs=jobs, cache_dir=cache_dir)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     url = f"http://127.0.0.1:{server.port}"

@@ -32,14 +32,14 @@ import itertools
 import os
 import threading
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Tuple, Union
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.api.result import StudyResult
 from repro.api.spec import StudySpec
 from repro.core.results import RunResult
-from repro.exec import (NO_CACHE_ENV, CellExecutionError, Executor,
-                        ManifestStore, ParallelRunner, ResultCache,
-                        StudyManifest, cache_key, code_version)
+from repro.exec import (NO_CACHE_ENV, CellExecutionError, ManifestStore,
+                        ParallelRunner, ResultCache, StudyManifest,
+                        cache_key, code_version)
 from repro.exec.cells import Cell
 from repro.exec.manifest import spec_digest
 from repro.obs import telemetry as _telemetry
@@ -77,11 +77,10 @@ class StudyRecord:
     """
 
     def __init__(self, study_id: str, spec: StudySpec,
-                 cells: List[Cell], executor: str, jobs: int) -> None:
+                 cells: List[Cell], jobs: int) -> None:
         self.study_id = study_id
         self.spec = spec
         self.cells = cells
-        self.executor = executor
         self.jobs = jobs
         #: Grid identity per flat cell index: (axis labels, seed) —
         #: the same order :meth:`StudySpec.cells` produces.
@@ -125,7 +124,6 @@ class StudyRecord:
                                "name": self.spec.name,
                                "state": self.state,
                                "cells": self.counts(),
-                               "executor": self.executor,
                                "cache_delta": dict(self.cache_delta)}
         if self.error is not None:
             out["error"] = self.error
@@ -148,17 +146,14 @@ class StudyScheduler:
                  jobs: Optional[int] = None,
                  cache: Optional[ResultCache] = None,
                  cache_dir: Optional[str] = None,
-                 executor: Union[None, str, Executor] = None,
                  autostart: bool = True) -> None:
         if runner is None:
             if cache is None and cache_dir is not None:
                 cache = ResultCache(cache_dir)
             elif cache is None and not os.environ.get(NO_CACHE_ENV):
                 cache = ResultCache()
-            runner = ParallelRunner(jobs=jobs, cache=cache,
-                                    executor=executor)
+            runner = ParallelRunner(jobs=jobs, cache=cache)
         self.runner = runner
-        self._executor_pref = executor
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
         self._queue: Deque[_CellTask] = deque()
@@ -256,13 +251,8 @@ class StudyScheduler:
 
     def _create_record(self, study_id: str,
                        spec: StudySpec) -> StudyRecord:
-        # The daemon's backend is service-wide: batches mix cells from
-        # several studies, so a spec's own ``executor`` field cannot be
-        # honored per study and is deliberately ignored here.
-        executor = self.runner.resolve_executor(self._executor_pref)
         cells = spec.cells()
-        record = StudyRecord(study_id, spec, cells,
-                             executor=executor.name, jobs=self.runner.jobs)
+        record = StudyRecord(study_id, spec, cells, jobs=self.runner.jobs)
         self._studies[study_id] = record
         self._order.append(study_id)
         self._counts["studies_created"] += 1
@@ -316,8 +306,6 @@ class StudyScheduler:
                 if cell.state == "failed":
                     manifest.mark(index, "pending")
             manifest.code_version = code_version()
-        executor = self.runner.resolve_executor(self._executor_pref)
-        manifest.executor = executor.name
         return manifest
 
     def _save_manifest(self, record: StudyRecord) -> None:
@@ -358,7 +346,6 @@ class StudyScheduler:
             runs_by_key=runs_by_key,
             cache_delta=dict(record.cache_delta),
             jobs=record.jobs,
-            executor=record.executor,
             telemetry=_telemetry.study_telemetry(
                 [run.telemetry for run in runs]))
         self._counts["studies_done"] = \
@@ -440,7 +427,6 @@ class StudyScheduler:
 
             try:
                 self.runner.run_cells([t.cell for t in current],
-                                      executor=self._executor_pref,
                                       on_result=on_result)
             except CellExecutionError as exc:
                 with self._cond:
@@ -485,8 +471,7 @@ class StudyScheduler:
                              "cells": {"done": counts["done"],
                                        "failed": counts["failed"],
                                        "pending": counts["pending"],
-                                       "total": len(manifest.cells)},
-                             "executor": manifest.executor})
+                                       "total": len(manifest.cells)}})
         return live
 
     def stats(self) -> Dict[str, Any]:

@@ -36,8 +36,6 @@ def study_result_to_dict(result: StudyResult) -> Dict[str, Any]:
     }
     if result.cache_delta is not None:
         out["cache_delta"] = dict(result.cache_delta)
-    if result.executor is not None:
-        out["executor"] = result.executor
     if result.telemetry is not None:
         out["telemetry"] = result.telemetry
     return out
@@ -68,5 +66,4 @@ def study_result_from_dict(data: Dict[str, Any]) -> StudyResult:
     return StudyResult(spec=spec, keys=keys, runs_by_key=runs_by_key,
                        cache_delta=None if delta is None else dict(delta),
                        jobs=int(data.get("jobs", 1)),
-                       executor=data.get("executor"),
                        telemetry=data.get("telemetry"))

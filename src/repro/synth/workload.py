@@ -7,7 +7,7 @@ each block so access mass follows ``sharing_accesses``, and then lets
 every core draw from its own seeded RNG — so, like every other
 generator, the stream is a pure function of the constructor arguments
 regardless of cross-core interleaving, and experiment cells stay
-cacheable and bit-identical across executors.
+cacheable and bit-identical in-process or on a pool.
 
 Registered as workload ``"synthetic"`` (kind ``"synthetic"``), taking
 ``profile=FILE`` the way the trace replayer takes ``path=FILE``; the

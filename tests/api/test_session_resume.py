@@ -2,10 +2,9 @@
 
 import pytest
 
+import repro.exec.parallel as parallel
 from repro.api import Session, StudySpec
-from repro.exec import (CellExecutionError, Executor, ParallelRunner,
-                        ResultCache, get_executor)
-from repro.exec.manifest import spec_digest
+from repro.exec import CellExecutionError, ParallelRunner, ResultCache
 
 
 def tiny_spec(**extra):
@@ -24,50 +23,53 @@ def tiny_spec(**extra):
     return StudySpec.from_json_dict(data)
 
 
-class CountingExecutor(Executor):
-    """Delegates to the serial backend, recording what actually ran."""
+@pytest.fixture
+def executed(monkeypatch):
+    """Grid indices (in ``tiny_spec().cells()`` order) of every cell
+    that really simulates.  The counting wrapper sees only in-process
+    execution, so the sessions it observes run at ``jobs=1``."""
+    cells = tiny_spec().cells()
+    indices = []
+    original = parallel.execute_cell_payload
 
-    name = "counting"
+    def counting(cell):
+        indices.append(cells.index(cell))
+        return original(cell)
 
-    def __init__(self):
-        self.executed = []
-
-    def execute(self, items, jobs):
-        self.executed.extend(index for index, _ in items)
-        return get_executor("serial").execute(items, jobs)
+    monkeypatch.setattr(parallel, "execute_cell_payload", counting)
+    return indices
 
 
 def counting_session(tmp_path):
-    backend = CountingExecutor()
-    session = Session(runner=ParallelRunner(
-        jobs=1, cache=ResultCache(tmp_path), executor=backend))
-    return session, backend
+    """A cached ``jobs=1`` session, so ``executed`` sees every cell."""
+    return Session(runner=ParallelRunner(jobs=1,
+                                         cache=ResultCache(tmp_path)))
 
 
 # ---------------------------------------------------------------------------
 # Resume and chunked advance
 # ---------------------------------------------------------------------------
 
-def test_resume_executes_only_missing_cells(tmp_path):
+def test_resume_executes_only_missing_cells(tmp_path, executed):
     spec = tiny_spec()
-    first, counted = counting_session(tmp_path)
-    manifest = first.advance(spec, limit=2)
-    assert len(counted.executed) == 2
+    manifest = counting_session(tmp_path).advance(spec, limit=2)
+    assert executed == [0, 1]
     assert manifest.counts() == {"done": 2, "pending": 2, "failed": 0}
 
-    second, counted = counting_session(tmp_path)
+    executed.clear()
+    second = counting_session(tmp_path)
     result = second.run(spec, resume=True)
     # Only the two missing cells simulated; the rest came from cache.
-    assert len(counted.executed) == 2
-    assert set(counted.executed).isdisjoint({0, 1})
+    assert len(executed) == 2
+    assert set(executed).isdisjoint({0, 1})
     assert result.cache_delta["hits"] == 2
     assert result.cache_delta["misses"] == 2
     assert second.status(spec).complete
 
 
-def test_advance_one_cell_at_a_time_until_complete(tmp_path):
+def test_advance_one_cell_at_a_time_until_complete(tmp_path, executed):
     spec = tiny_spec()
-    session, counted = counting_session(tmp_path)
+    session = counting_session(tmp_path)
     steps = 0
     while True:
         steps += 1
@@ -76,31 +78,32 @@ def test_advance_one_cell_at_a_time_until_complete(tmp_path):
         if manifest.complete:
             break
     assert steps == spec.num_cells()
-    assert len(counted.executed) == spec.num_cells()
-    assert sorted(counted.executed) == list(range(spec.num_cells()))
+    assert len(executed) == spec.num_cells()
+    assert sorted(executed) == list(range(spec.num_cells()))
 
 
-def test_plain_run_after_partial_still_reuses_cache(tmp_path):
+def test_plain_run_after_partial_still_reuses_cache(tmp_path, executed):
     """Without --resume the manifest restarts, but results never re-run:
     the content-addressed cache, not the manifest, stores the work."""
     spec = tiny_spec()
     Session(jobs=1, cache_dir=tmp_path).advance(spec, limit=1)
-    session, counted = counting_session(tmp_path)
+    executed.clear()
+    session = counting_session(tmp_path)
     result = session.run(spec)  # resume=False
     assert result.cache_delta["hits"] == 1
-    assert len(counted.executed) == spec.num_cells() - 1
+    assert len(executed) == spec.num_cells() - 1
     assert session.status(spec).complete
 
 
-def test_status_reports_progress_without_running(tmp_path):
+def test_status_reports_progress_without_running(tmp_path, executed):
     spec = tiny_spec()
     session = Session(jobs=1, cache_dir=tmp_path)
     assert session.status(spec) is None  # never recorded
     session.advance(spec, limit=3)
-    status_session, counted = counting_session(tmp_path)
-    manifest = status_session.status(spec)
+    executed.clear()
+    manifest = counting_session(tmp_path).status(spec)
     assert manifest.summary() == "3 done, 1 pending, 0 failed of 4 cells"
-    assert counted.executed == []  # status never executes
+    assert executed == []  # status never executes
 
 
 def test_status_and_advance_require_a_cache():
@@ -120,38 +123,20 @@ def test_uncached_run_still_works_without_manifest():
 
 
 # ---------------------------------------------------------------------------
-# Manifest identity
+# Worker count
 # ---------------------------------------------------------------------------
 
-def test_manifest_digest_ignores_executor_field():
-    """Switching backends must resume the same manifest."""
-    assert spec_digest(tiny_spec()) == \
-        spec_digest(tiny_spec(executor="subprocess-pool"))
-    # ...but any grid change moves to a new manifest.
-    assert spec_digest(tiny_spec()) != spec_digest(tiny_spec(seeds=[1]))
-
-
 def test_resume_across_executors_shares_progress(tmp_path):
+    """A study advanced in-process (jobs=1) resumes on a pool (jobs=2)."""
     spec = tiny_spec()
-    Session(jobs=1, cache_dir=tmp_path, executor="serial") \
-        .advance(spec, limit=2)
-    session = Session(jobs=2, cache_dir=tmp_path,
-                      executor="subprocess-pool")
+    Session(jobs=1, cache_dir=tmp_path).advance(spec, limit=2)
+    session = Session(jobs=2, cache_dir=tmp_path)
     manifest = session.status(spec)
     assert manifest.counts()["done"] == 2
     result = session.run(spec, resume=True)
-    assert result.executor == "subprocess-pool"
+    assert result.jobs == 2
     assert result.cache_delta["hits"] == 2
-
-
-def test_spec_executor_field_selects_backend(tmp_path):
-    spec = tiny_spec(executor="serial")
-    result = Session(jobs=1, cache_dir=tmp_path).run(spec)
-    assert result.executor == "serial"
-    # An explicit session executor (the CLI flag) wins over the spec.
-    result = Session(jobs=1, cache_dir=tmp_path, executor="local") \
-        .run(spec, resume=True)
-    assert result.executor == "local"
+    assert result.cache_delta["misses"] == 2
 
 
 # ---------------------------------------------------------------------------

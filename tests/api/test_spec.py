@@ -211,14 +211,13 @@ def test_wrong_schema_version_rejected():
 
 
 def test_schema_1_specs_still_load():
-    """Files written before the executor field (spec_schema 1) must
-    keep loading and validating unchanged."""
+    """Files written at spec_schema 1 must keep loading and
+    validating unchanged."""
     data = two_axis_spec().to_json_dict()
     assert data["spec_schema"] == SPEC_SCHEMA  # writes use the newest
     data["spec_schema"] = 1
     spec = StudySpec.from_json_dict(data)
     spec.validate()
-    assert spec.executor is None
     # Re-serialization upgrades to the current schema.
     assert spec.to_json_dict()["spec_schema"] == SPEC_SCHEMA
 
@@ -229,21 +228,17 @@ def test_supported_schemas_cover_current():
     assert 1 in SUPPORTED_SPEC_SCHEMAS
 
 
-def test_executor_field_roundtrips():
+def test_spec_naming_an_executor_is_rejected_and_loads_without_it():
+    """Specs no longer choose how cells run: a schema-2 file that sets
+    ``executor`` fails as an unknown key, and the same file without it
+    loads at both supported schemas."""
     data = two_axis_spec().to_json_dict()
-    assert "executor" not in data  # None is omitted, old files stay valid
-    data["executor"] = "serial"
-    spec = StudySpec.from_json_dict(data)
-    spec.validate()
-    assert spec.executor == "serial"
-    assert spec.to_json_dict()["executor"] == "serial"
-
-
-def test_unknown_executor_rejected_with_registry_listing():
-    data = two_axis_spec().to_json_dict()
-    data["executor"] = "ssh"
-    with pytest.raises(SpecError, match="serial"):
-        StudySpec.from_json_dict(data).validate()
+    assert SPEC_SCHEMA == 2
+    with pytest.raises(SpecError, match="unknown key.*'executor'"):
+        StudySpec.from_json_dict(dict(data, executor="serial"))
+    for schema in (1, 2):
+        spec = StudySpec.from_json_dict(dict(data, spec_schema=schema))
+        assert spec == two_axis_spec()
 
 
 def test_unknown_top_level_key_rejected():

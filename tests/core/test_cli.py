@@ -543,7 +543,7 @@ def test_study_run_prints_deterministic_table(tmp_path, capsys):
     assert "Study cli-tiny" in first.out
     assert "Directory" in first.out and "PATCH-All" in first.out
     # Execution chatter lives on stderr; stdout is the table alone.
-    assert "[exec] executor=local workers=1" in first.err
+    assert "[exec] workers=1" in first.err
     assert "[cache] 0 hits, 2 misses, 2 stores" in first.err
     # Second run: identical stdout, all cells served from cache.
     assert main(argv) == 0
@@ -571,7 +571,7 @@ def test_study_run_no_cache_omits_cache_line(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "[cache]" not in captured.err
     assert "[cache]" not in captured.out
-    assert "[exec] executor=local workers=1" in captured.err  # still echoed
+    assert "[exec] workers=1" in captured.err  # still echoed
 
 
 def test_study_run_reports_spec_errors_cleanly(tmp_path, capsys):
@@ -582,46 +582,55 @@ def test_study_run_reports_spec_errors_cleanly(tmp_path, capsys):
 
 
 def test_study_run_executor_flag_is_echoed(tmp_path, capsys):
+    """In-process (``--jobs 1``) and pool (``--jobs 2``) runs, each
+    executing every cell into its own empty cache, print byte-identical
+    tables and echo their worker count on stderr."""
     path = _tiny_spec_file(tmp_path)
-    argv = ["study", "run", path, "--jobs", "2",
-            "--cache-dir", str(tmp_path / "cache")]
-    assert main(argv + ["--executor", "serial"]) == 0
-    serial = capsys.readouterr()
-    assert "[exec] executor=serial workers=2" in serial.err
-    # A different backend over a warm cache: identical table.
-    assert main(argv + ["--executor", "subprocess-pool"]) == 0
-    pooled = capsys.readouterr()
-    assert "[exec] executor=subprocess-pool workers=2" in pooled.err
-    assert serial.out == pooled.out
+    outputs = {}
+    for jobs in ("1", "2"):
+        assert main(["study", "run", path, "--jobs", jobs, "--cache-dir",
+                     str(tmp_path / f"cache-{jobs}")]) == 0
+        captured = capsys.readouterr()
+        assert f"[exec] workers={jobs}\n" in captured.err
+        assert "[cache] 0 hits, 2 misses, 2 stores" in captured.err
+        outputs[jobs] = captured.out
+    assert outputs["1"] == outputs["2"]
 
 
-def test_study_run_rejects_unknown_executor():
-    with pytest.raises(SystemExit):
-        build_parser().parse_args(["study", "run", "x.json",
-                                   "--executor", "ssh"])
+def test_study_status_and_list_take_only_cache_flags():
+    """They read manifests and execute nothing, so they take no
+    worker count."""
+    parser = build_parser()
+    for argv in (["study", "status", "x.json"], ["study", "list"]):
+        args = parser.parse_args(argv + ["--cache-dir", "c", "--no-cache"])
+        assert args.cache_dir == "c" and args.no_cache
+        with pytest.raises(SystemExit):
+            parser.parse_args(argv + ["--jobs", "3"])
 
 
 def test_study_max_cells_then_resume_roundtrip(tmp_path, capsys):
     path = _tiny_spec_file(tmp_path, seeds=(1, 2))
-    cache = ["--cache-dir", str(tmp_path / "cache"), "--jobs", "1"]
+    cache = ["--cache-dir", str(tmp_path / "cache")]
+    jobs = ["--jobs", "1"]
 
     # Before anything runs, status reports no progress.
     assert main(["study", "status", path] + cache) == 0
     assert "no recorded progress" in capsys.readouterr().out
 
     # Chunk 1: one cell executes, three stay pending.
-    assert main(["study", "run", path, "--max-cells", "1"] + cache) == 0
+    assert main(["study", "run", path, "--max-cells", "1"]
+                + cache + jobs) == 0
     captured = capsys.readouterr()
     assert "1 done, 3 pending, 0 failed of 4 cells" in captured.out
     assert "--resume" in captured.err  # points at how to continue
-    assert "[exec] executor=local workers=1" in captured.err
+    assert "[exec] workers=1" in captured.err
 
     assert main(["study", "status", path] + cache) == 0
     assert "1 done, 3 pending, 0 failed of 4 cells" \
         in capsys.readouterr().out
 
     # Resume: only the three missing cells execute (1 hit, 3 misses).
-    assert main(["study", "run", path, "--resume"] + cache) == 0
+    assert main(["study", "run", path, "--resume"] + cache + jobs) == 0
     captured = capsys.readouterr()
     assert "Study cli-tiny" in captured.out
     assert "[cache] 1 hits, 3 misses, 3 stores" in captured.err
@@ -652,8 +661,8 @@ def test_study_run_failure_points_at_status_and_resume(tmp_path, capsys):
                                        str(tmp_path / "missing.rpt")}))),))
     path = tmp_path / "fail.json"
     spec.save(path)
-    cache = ["--cache-dir", str(tmp_path / "cache"), "--jobs", "1"]
-    assert main(["study", "run", str(path)] + cache) == 1
+    cache = ["--cache-dir", str(tmp_path / "cache")]
+    assert main(["study", "run", str(path), "--jobs", "1"] + cache) == 1
     err = capsys.readouterr().err
     assert "error:" in err
     assert "study status" in err and "--resume" in err
@@ -662,6 +671,34 @@ def test_study_run_failure_points_at_status_and_resume(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "1 done, 0 pending, 1 failed of 2 cells" in out
     assert "failed: bad seed=1" in out
+
+
+def test_manifest_with_executor_field_still_loads(tmp_path, capsys):
+    """Manifests recorded when studies still named an execution
+    backend (an ``executor`` key) keep working: status, resume, list."""
+    import json
+    from repro.api import Session, StudySpec
+    from repro.exec import ManifestStore, spec_digest
+    path = _tiny_spec_file(tmp_path, seeds=(1, 2))
+    spec = StudySpec.load(path)
+    cache_dir = tmp_path / "cache"
+    Session(jobs=1, cache_dir=cache_dir).advance(spec, limit=1)
+    manifest_path = ManifestStore(cache_dir).path_for(spec_digest(spec))
+    recorded = json.loads(manifest_path.read_text())
+    recorded["executor"] = "local"
+    manifest_path.write_text(json.dumps(recorded))
+    cache = ["--cache-dir", str(cache_dir)]
+
+    assert main(["study", "status", path] + cache) == 0
+    assert "1 done, 3 pending, 0 failed of 4 cells" \
+        in capsys.readouterr().out
+    assert main(["study", "run", path, "--resume", "--jobs", "1"]
+                + cache) == 0
+    assert "[cache] 1 hits, 3 misses, 3 stores" in capsys.readouterr().err
+    assert main(["study", "list"] + cache) == 0
+    listed = capsys.readouterr().out
+    assert spec_digest(spec) in listed and "cli-tiny" in listed
+    assert "4/4" in listed
 
 
 def test_run_workload_choices_exclude_trace():

@@ -1,5 +1,10 @@
 """ParallelRunner: bit-identity, cache integration, crash surfacing."""
 
+import multiprocessing
+import os
+import threading
+from concurrent.futures.process import BrokenProcessPool
+
 import pytest
 
 from repro.api import AxisSpec, PointSpec, Session, StudySpec
@@ -49,8 +54,40 @@ def test_failing_cell_fails_the_experiment_not_hangs():
 
 def test_failing_cell_raises_in_serial_mode_too():
     bad = make_cell(BASE, "no-such-workload", 15, seed=1)
-    with pytest.raises(CellExecutionError):
+    with pytest.raises(CellExecutionError) as excinfo:
         ParallelRunner(jobs=1).run_cells([bad])
+    assert excinfo.value.cell is bad
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the test workload reaches pool workers only "
+                           "when they fork from this process")
+def test_dead_pool_worker_fails_the_batch_not_hangs(monkeypatch):
+    from repro.workloads import registry
+
+    def exit_process(num_cores, seed=1, **knobs):
+        os._exit(3)
+
+    registry.workload_names()  # populate before adding to the table
+    monkeypatch.setitem(registry._REGISTRY, "exits-worker",
+                        registry.WorkloadSpec("exits-worker", exit_process,
+                                              "kills its process", "micro"))
+    good = fig4_cells(seeds=(1,))[0]
+    dying = make_cell(BASE, "exits-worker", 15, seed=1)
+    raised = []
+
+    def run():
+        try:
+            ParallelRunner(jobs=2).run_cells([good, dying])
+        except CellExecutionError as exc:
+            raised.append(exc)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive(), "a dead worker hung the batch"
+    (error,) = raised
+    assert isinstance(error.cause, BrokenProcessPool)
 
 
 def test_cache_serves_second_batch_without_executing(tmp_path, monkeypatch):
@@ -62,18 +99,13 @@ def test_cache_serves_second_batch_without_executing(tmp_path, monkeypatch):
                              "stores": len(cells), "store_errors": 0}
 
     # Any attempt to simulate on the second pass is a bug: every cell
-    # must come from the cache.  Patch the payload executor in every
-    # backend module that bound it at import time (fork-start pools
-    # inherit the patched copy).
-    import repro.exec.executors.base as base_mod
-    import repro.exec.executors.local as local_mod
-    import repro.exec.executors.serial as serial_mod
+    # must come from the cache.
+    import repro.exec.parallel as parallel
 
     def boom(cell):
         raise AssertionError("cache miss re-executed a cached cell")
 
-    for module in (base_mod, serial_mod, local_mod):
-        monkeypatch.setattr(module, "execute_cell_payload", boom)
+    monkeypatch.setattr(parallel, "execute_cell_payload", boom)
     second = runner.run_cells(cells)
     assert serialized(second) == serialized(first)
     assert cache.hits == len(cells)

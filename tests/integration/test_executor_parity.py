@@ -1,13 +1,13 @@
-"""Golden parity across executor backends.
+"""Golden parity across the runner's two execution paths.
 
-The executor layer is pure transport: ``serial``, ``local``, and
-``subprocess-pool`` must all reproduce the committed golden results
-field-for-field, or a backend is corrupting results in flight
+How cells run is pure transport: in-process (``jobs=1``) and on the
+process pool (``jobs=2``) must both reproduce the committed golden
+results field-for-field, or a path is corrupting results in flight
 (serialization drift, environment skew in workers, scheduling leaking
 into the simulation).  This re-uses ``golden/engine_parity.json`` — the
-same goldens the simulation core is pinned to — so a backend bug shows
-up as a named field diff against a committed value, not as a silent
-cross-backend difference.
+same goldens the simulation core is pinned to — so a transport bug
+shows up as a named field diff against a committed value, not as a
+silent difference between the paths.
 """
 
 import pytest
@@ -19,9 +19,9 @@ from tests.integration.test_engine_parity import (NUM_CORES, REFERENCES,
                                                   SEED, cell_key,
                                                   load_goldens)
 
-#: Every protocol under every backend, one topology, two workload shapes
-#: (pattern-generated and table-driven) — small enough to run three
-#: times, wide enough that any transport corruption has to show.
+#: Every protocol on both paths, one topology, two workload shapes
+#: (pattern-generated and table-driven) — small enough to run twice,
+#: wide enough that any transport corruption has to show.
 PARITY_CELLS = [(workload, "torus", protocol, predictor)
                 for workload in ("producer-consumer", "microbench")
                 for protocol, predictor in (("directory", "none"),
@@ -63,11 +63,14 @@ def observed_fields(result):
     }
 
 
-@pytest.mark.parametrize("backend", ["serial", "local", "subprocess-pool"])
+#: Worker counts selecting each execution path, by test id.
+PATHS = {"serial": 1, "local": 2}
+
+
+@pytest.mark.parametrize("backend", list(PATHS))
 def test_backend_matches_engine_goldens(backend):
     goldens = load_goldens()["cells"]
-    results = ParallelRunner(jobs=2, executor=backend) \
-        .run_cells(parity_cells())
+    results = ParallelRunner(jobs=PATHS[backend]).run_cells(parity_cells())
     for (workload, topology, protocol, predictor), result \
             in zip(PARITY_CELLS, results):
         key = cell_key(workload, topology, protocol, predictor)

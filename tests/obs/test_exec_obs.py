@@ -13,7 +13,8 @@ from repro.exec.manifest import StudyManifest, spec_digest
 
 BASE = SystemConfig(num_cores=4)
 
-BACKENDS = ("serial", "local", "subprocess-pool")
+#: Worker counts selecting each execution path (in-process, pool).
+PATHS = {"serial": 1, "local": 2}
 
 
 def tiny_spec() -> StudySpec:
@@ -135,10 +136,10 @@ def test_obs_off_leaves_study_telemetry_cells_empty(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Bit-identity across executor backends with everything on
+# Bit-identity on both execution paths with everything on
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", list(PATHS))
 def test_backends_stay_bit_identical_under_full_instrumentation(
         tmp_path, monkeypatch, backend):
     cells = [make_cell(BASE.with_updates(**overrides), "microbench", 10,
@@ -151,7 +152,7 @@ def test_backends_stay_bit_identical_under_full_instrumentation(
     monkeypatch.setenv("REPRO_OBS", "1")
     monkeypatch.setenv("REPRO_TIMELINE", str(tmp_path / "traces"))
     monkeypatch.setenv("REPRO_PROFILE_DIR", str(tmp_path / "prof"))
-    runner = ParallelRunner(jobs=2, executor=backend)
+    runner = ParallelRunner(jobs=PATHS[backend])
     results = runner.run_cells(cells)
     assert [comparable_result_dict(r) for r in results] == bare
     # The snapshot rode back from whichever process ran the cell.

@@ -166,4 +166,3 @@ def test_shutdown_rejects_submissions_and_persists_manifests(tmp_path):
         client.health()
     manifest = ManifestStore(tmp_path / "cache").load(spec_digest(spec))
     assert manifest is not None and manifest.complete
-    assert manifest.executor == "local"

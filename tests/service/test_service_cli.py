@@ -42,7 +42,6 @@ def test_study_list_empty_then_after_run(cache_env, tmp_path, capsys):
     captured = capsys.readouterr()
     assert "svc-cli" in captured.out
     assert "2/2" in captured.out
-    assert "local" in captured.out  # the executor column
 
 
 def test_study_status_missing_manifest_names_expected_path(

@@ -5,9 +5,9 @@ Two layers for every pattern workload plus the synthetic sampler:
 * the *recorded trace* of a (workload, cores, refs, seed) cell is
   byte-identical across repeated recordings — the generator contract
   the trace/cache subsystems build on;
-* the *simulated results* of that cell are field-identical across the
-  serial, local, and subprocess-pool executor backends — generation
-  must not depend on which process drains the generator.
+* the *simulated results* of that cell are field-identical in-process
+  (``jobs=1``) and on the process pool (``jobs=2``) — generation must
+  not depend on which process drains the generator.
 """
 
 import pytest
@@ -61,10 +61,9 @@ def test_all_executors_produce_identical_results(profile_path):
     cells = [make_cell(SystemConfig(num_cores=CORES), workload, REFS,
                        SEED, **_kwargs(workload, profile_path))
              for workload in WORKLOADS]
-    per_backend = {}
-    for backend in ("serial", "local", "subprocess-pool"):
-        results = ParallelRunner(jobs=2, executor=backend).run_cells(cells)
-        per_backend[backend] = [comparable_result_dict(result)
-                                for result in results]
-    assert per_backend["serial"] == per_backend["local"]
-    assert per_backend["serial"] == per_backend["subprocess-pool"]
+    per_jobs = {}
+    for jobs in (1, 2):
+        results = ParallelRunner(jobs=jobs).run_cells(cells)
+        per_jobs[jobs] = [comparable_result_dict(result)
+                          for result in results]
+    assert per_jobs[1] == per_jobs[2]
