@@ -23,14 +23,9 @@ same code:
   and per figure), the paper's headline comparison (PATCH-All vs.
   Directory and Token Coherence), and the trace-replay identity verdict
   (recorded traces must replay bit-identically to their live runs).
-* :func:`run_perf` (``repro bench --perf``) is the simulation-throughput
-  microbench: a pure kernel events/sec figure plus timed single cells
-  on the default torus, merged into ``bench_results.json`` so the
-  perf trajectory accumulates across commits.  With ``--check`` it
-  fails if any measured cell's cycle counts drift from the committed
-  goldens in ``benchmarks/goldens/perf_cycles.json`` (the simulator
-  must get faster without changing simulation results — see
-  docs/PERFORMANCE.md).
+
+Simulation throughput is measured by the repository benchmark,
+``benchmarks/perf/run.py``, not here (see docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations
@@ -42,7 +37,6 @@ import sys
 import tempfile
 import time
 from dataclasses import dataclass, field, replace
-from heapq import heappop as _heappop, heappush as _heappush
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis import format_table
@@ -641,8 +635,8 @@ def render_scenarios(results, workloads: Sequence[str],
 
 def _echo(message: str) -> None:
     """Default echo: ``[...]``-prefixed progress chatter goes to stderr
-    so stdout carries only the verdict lines (``headline:``, ``perf
-    goldens:``) and stays machine-parseable."""
+    so stdout carries only the verdict lines (``headline:`` and any
+    regression or replay-mismatch notes) and stays machine-parseable."""
     print(message,
           file=sys.stderr if message.startswith("[") else sys.stdout)
 
@@ -812,304 +806,3 @@ def run_bench(quick: bool = False,
             failed = True
     return 1 if failed else 0
 
-
-# ---------------------------------------------------------------------------
-# Simulation-throughput microbench (`repro bench --perf`)
-# ---------------------------------------------------------------------------
-
-#: Committed per-cell cycle counts the perf bench must reproduce: the
-#: simulator is only allowed to get *faster*, never to change results.
-PERF_GOLDENS_PATH = os.path.join("benchmarks", "goldens",
-                                 "perf_cycles.json")
-
-#: The timed cells: the paper's two headline protocols on the default
-#: torus.  ``(label, protocol, predictor)``.
-PERF_CELLS = (
-    ("PATCH-All", "patch", "all"),
-    ("Directory", "directory", "none"),
-)
-
-#: Fields of a perf cell that --check compares against the goldens
-#: (events_processed is recorded but not gated: eliding no-op events is
-#: a legitimate kernel optimization, changing cycle counts is not).
-PERF_CHECKED_FIELDS = ("runtime_cycles", "traffic_total_bytes",
-                       "dropped_direct_requests")
-
-
-def _kernel_pass(make_kernel, pending: int, events: int) -> float:
-    """Events/sec of one timed pass over one kernel factory's run loop.
-
-    Keeps ``pending`` self-rescheduling chains in flight so the queue
-    depth resembles a real run, then dispatches ``events`` callbacks.
-    """
-    sim = make_kernel()
-    remaining = [events]
-
-    def tick(chain: int, _sim=sim, _remaining=remaining):
-        if _remaining[0] > 0:
-            _remaining[0] -= 1
-            _sim.post((chain * 7) % 13 + 1, lambda: tick(chain))
-
-    for chain in range(pending):
-        sim.post(chain % 11, lambda c=chain: tick(c))
-    start = time.perf_counter()
-    sim.run()
-    return sim.events_processed / (time.perf_counter() - start)
-
-
-def kernel_events_per_second(pending: int = 2048, events: int = 100_000,
-                             repeats: int = 3) -> float:
-    """Raw kernel scheduling throughput (events/sec, best of repeats)."""
-    from repro.sim.kernel import Simulator
-
-    return max(_kernel_pass(Simulator, pending, events)
-               for _ in range(repeats))
-
-
-def kernel_obs_overhead(pending: int = 2048, events: int = 60_000,
-                        repeats: int = 5) -> float:
-    """Fractional kernel slowdown from the *disabled* event sink.
-
-    Times the :class:`~repro.sim.kernel.Simulator` loop — whose
-    dispatch carries one hoisted ``sink is not None`` test per event —
-    against a copy of the same loop with the guard deleted.
-    Passes are interleaved (real, bare, real, bare, ...) and each side
-    takes its best, so clock-speed drift on shared runners hits both
-    loops alike instead of whichever ran second (the PERFORMANCE.md
-    measurement rule).  Returns ``1 - real/bare``: the fraction of
-    bare-loop throughput the guard costs.  Negative values mean the
-    difference vanished into measurement noise.  CI asserts this stays
-    under the instrumentation overhead budget (docs/OBSERVABILITY.md).
-    """
-    from repro.sim.kernel import Event, SimulationError, Simulator
-
-    class BareKernel(Simulator):
-        """Simulator with the sink guard deleted — a yardstick only.
-
-        The loop body is a verbatim copy of ``Simulator.run`` minus
-        the sink lines; keep them in lockstep.
-        """
-
-        def run(self, until=None, max_events=None):
-            self._stopped = False
-            buckets = self._buckets
-            times = self._times
-            event_cls = Event
-            processed = 0
-            limit = max_events if max_events is not None else -1
-            try:
-                while times and not self._stopped:
-                    t = times[0]
-                    if until is not None and t > until:
-                        self.now = until
-                        return
-                    _heappop(times)
-                    bucket = buckets[t]
-                    if len(bucket) > 1:
-                        bucket.sort()
-                    self.now = t
-                    self._draining = t
-                    i = 0
-                    skipped = 0
-                    livelock = False
-                    try:
-                        for entry in bucket:
-                            i += 1
-                            self._drain_pos = i
-                            payload = entry[1]
-                            if payload.__class__ is event_cls:
-                                payload._sim = None
-                                if payload.cancelled:
-                                    self._cancelled -= 1
-                                    skipped += 1
-                                    continue
-                                callback = payload.callback
-                            else:
-                                callback = payload
-                            self._current_seq = entry[0]
-                            callback()
-                            processed += 1
-                            if self._stopped:
-                                break
-                            if processed == limit:
-                                livelock = True
-                                break
-                    finally:
-                        self._live -= i - skipped
-                        self._draining = -1
-                        if i < len(bucket):
-                            del bucket[:i]
-                            _heappush(times, t)
-                        else:
-                            del buckets[t]
-                    if livelock:
-                        raise SimulationError(
-                            f"exceeded max_events={max_events}; "
-                            "possible livelock")
-                if until is not None and not self._stopped:
-                    self.now = max(self.now, until)
-            finally:
-                self._draining = -1
-                self._events_processed += processed
-
-    real = bare = 0.0
-    for _ in range(repeats):
-        real = max(real, _kernel_pass(Simulator, pending, events))
-        bare = max(bare, _kernel_pass(BareKernel, pending, events))
-    return 1.0 - real / bare
-
-
-def engine_perf_cell(protocol: str, predictor: str, num_cores: int,
-                     references_per_core: int) -> Dict[str, object]:
-    """Time one in-process simulation on the default torus.
-
-    Runs outside the parallel runner and result cache on purpose: the
-    point is to time the simulation itself, and a cache hit would time
-    nothing.
-    """
-    from repro.core.system import System
-    from repro.workloads import make_workload
-
-    config = SystemConfig(num_cores=num_cores, protocol=protocol,
-                          predictor=predictor)
-    workload = make_workload("microbench", num_cores=num_cores, seed=1)
-    system = System(config, workload,
-                    references_per_core=references_per_core)
-    start = time.perf_counter()
-    result = system.run()
-    wall = time.perf_counter() - start
-    return {
-        "wall_seconds": round(wall, 6),
-        "runtime_cycles": result.runtime_cycles,
-        "events_processed": result.events_processed,
-        "events_per_second": round(result.events_processed / wall, 1),
-        "cycles_per_second": round(result.runtime_cycles / wall, 1),
-        "traffic_total_bytes": sum(result.traffic_bytes_raw.values()),
-        "dropped_direct_requests": result.dropped_direct_requests,
-    }
-
-
-def engine_perf_results(quick: bool = False) -> Dict[str, object]:
-    """The full simulation-throughput report (kernel + workload cells).
-
-    One kernel microbench rate, and one timed row per
-    :data:`PERF_CELLS` cell.
-    """
-    if quick:
-        kernel_kwargs: Dict[str, int] = {"events": 30_000, "repeats": 2}
-        cores, refs = 16, 120
-    else:
-        kernel_kwargs = {}
-        cores, refs = 16, 400
-    kernel = round(kernel_events_per_second(**kernel_kwargs), 1)
-    cells: Dict[str, Dict[str, object]] = {}
-    for label, protocol, predictor in PERF_CELLS:
-        cells[label] = {
-            "protocol": protocol,
-            "predictor": predictor,
-            "num_cores": cores,
-            "references_per_core": refs,
-            **engine_perf_cell(protocol, predictor, cores, refs),
-        }
-    return {
-        "scale": "quick" if quick else "full",
-        "kernel_events_per_second": kernel,
-        "cells": cells,
-    }
-
-
-def check_perf_goldens(perf: Dict[str, object],
-                       goldens_path: str = PERF_GOLDENS_PATH) -> List[str]:
-    """Compare measured cycle counts to the committed goldens.
-
-    Returns a list of human-readable drift descriptions (empty == ok).
-    """
-    if not os.path.exists(goldens_path):
-        return [f"perf goldens missing: {goldens_path} (regenerate with "
-                "`repro bench --perf --update-goldens`)"]
-    with open(goldens_path, encoding="utf-8") as handle:
-        goldens = json.load(handle)
-    expected = goldens.get(perf["scale"], {})
-    problems = []
-    for label, cell in perf["cells"].items():
-        golden = expected.get(label)
-        if golden is None:
-            problems.append(f"{perf['scale']}/{label}: no committed golden")
-            continue
-        for fieldname in PERF_CHECKED_FIELDS:
-            expected_value = golden.get(fieldname)
-            if cell[fieldname] != expected_value:
-                problems.append(
-                    f"{perf['scale']}/{label}: {fieldname} "
-                    f"drifted (golden {expected_value}, "
-                    f"got {cell[fieldname]})")
-    return problems
-
-
-def update_perf_goldens(goldens_path: str = PERF_GOLDENS_PATH,
-                        echo=_echo) -> Dict[str, Dict[str, object]]:
-    """Re-measure both scales and rewrite the committed golden file.
-
-    Returns the measured reports per scale name so the caller can reuse
-    them (``repro bench --perf --update-goldens`` feeds the matching
-    one straight into :func:`run_perf` instead of measuring again).
-    """
-    payload = {}
-    measured: Dict[str, Dict[str, object]] = {}
-    for quick in (False, True):
-        perf = engine_perf_results(quick=quick)
-        measured[perf["scale"]] = perf
-        payload[perf["scale"]] = {
-            label: {fieldname: cell[fieldname]
-                    for fieldname in PERF_CHECKED_FIELDS + (
-                        "events_processed",)}
-            for label, cell in perf["cells"].items()}
-    os.makedirs(os.path.dirname(goldens_path), exist_ok=True)
-    with open(goldens_path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=1, sort_keys=True)
-        handle.write("\n")
-    echo(f"wrote perf goldens -> {goldens_path}")
-    return measured
-
-
-def run_perf(quick: bool = False, out_path: str = "bench_results.json",
-             check: bool = False,
-             goldens_path: str = PERF_GOLDENS_PATH, echo=_echo,
-             perf: Optional[Dict[str, object]] = None) -> int:
-    """Run the simulation-throughput microbench; merge into ``out_path``.
-
-    The report lands under the ``engine_perf`` key of
-    ``bench_results.json`` (created if the figure suite has not run),
-    so one artifact carries both the figure timings and the simulator
-    throughput trajectory.  ``perf`` supplies an already-measured
-    report instead of measuring (used after ``--update-goldens``).
-    """
-    if perf is None:
-        perf = engine_perf_results(quick=quick)
-    echo(f"[kernel] {perf['kernel_events_per_second']:>12,.0f} events/sec "
-         f"(queue-deep scheduling microbench)")
-    for label, cell in perf["cells"].items():
-        echo(f"[{label}] {cell['wall_seconds']:8.2f}s  "
-             f"{cell['events_per_second']:>12,.0f} events/sec  "
-             f"{cell['cycles_per_second']:>12,.0f} sim-cycles/sec  "
-             f"(runtime {cell['runtime_cycles']} cycles)")
-    report: Dict[str, object] = {"schema": 1}
-    if os.path.exists(out_path):
-        try:
-            with open(out_path, encoding="utf-8") as handle:
-                report = json.load(handle)
-        except (OSError, ValueError):
-            pass  # unreadable previous report: start fresh
-    report["engine_perf"] = perf
-    with open(out_path, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    echo(f"[ total] engine_perf -> {out_path}")
-    if check:
-        problems = check_perf_goldens(perf, goldens_path)
-        if problems:
-            for problem in problems:
-                echo(f"perf drift: {problem}")
-            return 1
-        echo("perf goldens: cycle counts match")
-    return 0

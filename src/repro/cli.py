@@ -29,7 +29,6 @@ regenerates the paper's experiments from the shell:
     repro study list
     repro serve --port 8273 --jobs 4
     repro study submit examples/specs/fig4_smoke.json --server http://127.0.0.1:8273
-    repro serve-load --studies 24 --clients 8
     repro study run examples/specs/fig4_smoke.json --obs
     repro study run examples/specs/fig4_smoke.json --obs --timeline traces
     repro run --workload oltp --obs --timeline run.json
@@ -37,7 +36,6 @@ regenerates the paper's experiments from the shell:
     repro obs top prof --limit 10 --sort cumulative
     repro bench --quick --jobs 4
     repro bench --obs --quick
-    repro bench --perf --check
     repro list
     repro list-scenarios --kind pattern
     repro --version
@@ -53,13 +51,13 @@ workload profiles (see :mod:`repro.synth`; a starter corpus ships under
 protocol verification campaign — random and synthesized race scenarios
 explored under adversarial schedules on every protocol, with violations
 shrunk and saved as replayable cases (docs/VERIFICATION.md is the
-guide), ``repro bench`` regenerates the whole figure suite with
-machine-readable timings, and ``repro bench --perf`` runs the
-simulation-throughput microbench (``--check`` gates on the committed
-cycle-count goldens).  Experiment subcommands accept ``--jobs``
-(worker count, default ``REPRO_JOBS`` or the CPU count; ``--jobs 1``
-runs every cell in this process, the debugging and profiling
-setting), ``--no-cache``, and ``--cache-dir`` (default
+guide), and ``repro bench`` regenerates the whole figure suite with
+machine-readable timings (simulation throughput is measured by the
+repository benchmark, ``benchmarks/perf/run.py``, not by the CLI).
+Experiment subcommands accept ``--jobs`` (worker count, default
+``REPRO_JOBS`` or the CPU count; ``--jobs 1`` runs every cell in this
+process, the debugging and profiling setting), ``--no-cache``, and
+``--cache-dir`` (default
 ``REPRO_CACHE_DIR`` or ``~/.cache/repro``).  ``repro study run``
 additionally takes ``--resume`` / ``--max-cells`` for resumable and
 chunked grids, with ``repro study status`` reporting recorded
@@ -67,13 +65,12 @@ progress and ``repro study list`` enumerating every recorded
 manifest; both execute nothing and take only the cache flags —
 docs/EXECUTION.md is the operations guide.  ``repro serve`` runs the
 experiment service daemon (studies over HTTP with a shared warm cache
-and in-flight dedup), ``repro study submit`` sends
-a spec to one and renders the same table as a local run, and ``repro
-serve-load`` measures service latency/dedup under concurrent
-overlapping submissions — docs/SERVICE.md is that guide.  The run, study
-run, and bench subcommands accept the observability flags ``--obs``
-(run telemetry: counters and phase spans, surfaced in study status
-and the bench report), ``--timeline PATH`` (per-cell Chrome
+and in-flight dedup), and ``repro study submit`` sends a spec to one
+and renders the same table as a local run — docs/SERVICE.md is that
+guide.  The run, study run, and bench subcommands accept the
+observability flags ``--obs`` (run telemetry: counters and phase
+spans, surfaced in study status and the bench report),
+``--timeline PATH`` (per-cell Chrome
 trace-event JSON, viewable in Perfetto), and ``--profile DIR``
 (per-cell cProfile dumps); render the merged hotspot table with
 ``repro obs top DIR``, and set ``REPRO_LOG=level`` for structured
@@ -89,7 +86,7 @@ from typing import List, Optional
 
 from repro.analysis import bar_chart, format_table
 from repro.api import Session, SpecError, StudySpec
-from repro.bench import run_bench, run_perf, update_perf_goldens
+from repro.bench import run_bench
 from repro.config import PREDICTORS, PROTOCOLS, SystemConfig
 from repro.core.runner import (ADAPTIVITY_CONFIGS, PAPER_CONFIGS,
                                run_experiment)
@@ -260,15 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--check", action="store_true",
                        help="exit non-zero if the paper's headline claim "
                             "(PATCH-All within noise of Token Coherence) "
-                            "regressed; with --perf, gate instead on the "
-                            "committed perf cycle-count goldens")
-    bench.add_argument("--perf", action="store_true",
-                       help="run the simulation-throughput microbench "
-                            "instead of the figure suite (results merge "
-                            "into the --out report under 'engine_perf')")
-    bench.add_argument("--update-goldens", action="store_true",
-                       help="with --perf: re-measure and rewrite the "
-                            "committed perf cycle-count goldens")
+                            "regressed")
     bench.add_argument("--seed", type=_seed_value, default=None,
                        help="override the seed-parameterized grids "
                             "(figures 4-7, the scenario matrix, and the "
@@ -497,31 +486,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default 8273)")
     _add_exec_options(serve)
 
-    serve_load = sub.add_parser(
-        "serve-load", help="load-test the service: concurrent "
-                           "overlapping submissions against a fresh "
-                           "in-process daemon; the latency/dedup report "
-                           "merges into bench_results.json under "
-                           "'service'")
-    _add_exec_options(serve_load)
-    serve_load.add_argument("--studies", type=_positive_int, default=24,
-                            help="overlapping studies to submit "
-                                 "(default 24)")
-    serve_load.add_argument("--clients", type=_positive_int, default=8,
-                            help="concurrent client threads (default 8)")
-    serve_load.add_argument("--window", type=_positive_int, default=4,
-                            help="cells per study; adjacent studies "
-                                 "share window-1 cells (default 4)")
-    serve_load.add_argument("--refs", type=_positive_int, default=8,
-                            help="references per core per cell "
-                                 "(default 8)")
-    serve_load.add_argument("--out", default="bench_results.json",
-                            metavar="FILE",
-                            help="report file to merge the 'service' "
-                                 "block into (default "
-                                 "bench_results.json; '-' skips "
-                                 "writing)")
-
     obs_cmd = sub.add_parser(
         "obs", help="observability utilities (docs/OBSERVABILITY.md)")
     osub = obs_cmd.add_subparsers(dest="obs_command", required=True)
@@ -590,23 +554,6 @@ def cmd_run(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if args.update_goldens and not args.perf:
-        print("error: --update-goldens only applies to the perf bench; "
-              "did you mean `repro bench --perf --update-goldens`?",
-              file=sys.stderr)
-        return 2
-    if args.perf:
-        if args.seed is not None:
-            print("error: --seed only applies to the figure suite; the "
-                  "perf bench pins its own cells", file=sys.stderr)
-            return 2
-        perf = None
-        if args.update_goldens:
-            # Reuse the just-measured report rather than measuring again.
-            measured = update_perf_goldens()
-            perf = measured["quick" if args.quick else "full"]
-        return run_perf(quick=args.quick, out_path=args.out,
-                        check=args.check, perf=perf)
     return run_bench(quick=args.quick, results_dir=args.results_dir,
                      out_path=args.out, check=args.check, seed=args.seed)
 
@@ -887,7 +834,7 @@ def cmd_study(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# `repro serve` / `repro serve-load`
+# `repro serve`
 # ---------------------------------------------------------------------------
 
 def cmd_serve(args) -> int:
@@ -938,24 +885,6 @@ def cmd_serve(args) -> int:
               "(resume interrupted studies with: repro study run "
               "SPEC.json --resume)", file=sys.stderr)
     return 0
-
-
-def cmd_serve_load(args) -> int:
-    from repro.service.load import (merge_report, render_report,
-                                    run_service_load)
-    if args.no_cache:
-        print("error: the service needs a result cache (manifests, "
-              "dedup); drop --no-cache", file=sys.stderr)
-        return 2
-    report = run_service_load(studies=args.studies, clients=args.clients,
-                              window=args.window, refs=args.refs,
-                              jobs=args.jobs, cache_dir=args.cache_dir)
-    print(render_report(report))
-    if args.out != "-":
-        merge_report(report, args.out)
-        print(f"service report -> {args.out} (key 'service')",
-              file=sys.stderr)
-    return 1 if report["failures"] else 0
 
 
 # ---------------------------------------------------------------------------
@@ -1200,7 +1129,6 @@ def cmd_obs(args) -> int:
 COMMANDS = {
     "run": cmd_run,
     "serve": cmd_serve,
-    "serve-load": cmd_serve_load,
     "study": cmd_study,
     "synth": cmd_synth,
     "trace": cmd_trace,

@@ -2,7 +2,8 @@
 
 Three layers of guarantees over ``examples/specs/``:
 
-* every committed JSON file loads and validates;
+* every committed JSON file loads and validates, through the API and
+  through ``repro study validate`` / ``repro study show``;
 * each file matches the spec builder that generated it (anti-drift:
   changing a figure grid without rerunning ``examples/specs/regen.py``
   fails here);
@@ -19,6 +20,7 @@ import sys
 import pytest
 
 from repro.api import Session, StudySpec
+from repro.cli import main
 from repro.config import SystemConfig
 from repro.core.runner import PAPER_CONFIGS, run_experiment
 from repro.exec import ParallelRunner, ResultCache, comparable_result_dict
@@ -45,9 +47,14 @@ def test_spec_dir_is_populated():
 
 
 @pytest.mark.parametrize("path", SPEC_FILES, ids=lambda p: p.name)
-def test_committed_spec_loads_and_validates(path):
+def test_committed_spec_loads_and_validates(path, capsys):
     spec = StudySpec.load(path)          # load() fully validates
     assert spec.num_cells() > 0
+    # ...and so do the CLI commands a user inspects it with.
+    assert main(["study", "validate", str(path)]) == 0
+    assert capsys.readouterr().out.startswith(f"ok: {path}")
+    assert main(["study", "show", str(path)]) == 0
+    assert f"study:     {spec.name}" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("filename", sorted(REGEN.SPEC_BUILDERS))

@@ -135,9 +135,11 @@ def _documented_invocations(text):
                                  "docs/VERIFICATION.md",
                                  "docs/OBSERVABILITY.md",
                                  "benchmarks/repro_cases/README.md",
-                                 ".claude/skills/verify/SKILL.md"])
+                                 ".claude/skills/verify/SKILL.md",
+                                 ".github/workflows/ci.yml"])
 def test_documented_cli_recipes_exist(doc):
-    """Anti-drift: every `repro` invocation in the docs must parse."""
+    """Anti-drift: every `repro` invocation in the docs and in CI must
+    parse."""
     subcommands = _subcommands()
     text = (REPO_ROOT / doc).read_text(encoding="utf-8")
     checked = 0
@@ -198,35 +200,6 @@ def test_bench_obs_flag_records_study_telemetry(tmp_path, capsys,
     studies = report["obs"]["studies"]
     assert studies and all("study" in s and s["cells"] > 0
                            for s in studies)
-
-
-def test_bench_perf_command_merges_engine_report(tmp_path, monkeypatch):
-    import repro.bench as bench_mod
-
-    def tiny_perf(quick=False):
-        return {"scale": "quick" if quick else "full",
-                "kernel_events_per_second": 123.0,
-                "cells": {"PATCH-All": {
-                    "protocol": "patch", "predictor": "all",
-                    "num_cores": 4, "references_per_core": 20,
-                    "wall_seconds": 0.1, "events_per_second": 10.0,
-                    "cycles_per_second": 10.0, "runtime_cycles": 42,
-                    "events_processed": 9, "traffic_total_bytes": 7,
-                    "dropped_direct_requests": 0}}}
-
-    monkeypatch.setattr(bench_mod, "engine_perf_results", tiny_perf)
-    out = tmp_path / "bench_results.json"
-    code = main(["bench", "--perf", "--quick", "--out", str(out)])
-    assert code == 0
-    import json
-    report = json.loads(out.read_text())
-    assert report["engine_perf"] == tiny_perf(quick=True)
-
-
-def test_bench_update_goldens_requires_perf(capsys):
-    code = main(["bench", "--update-goldens"])
-    assert code == 2
-    assert "--perf" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -415,11 +388,6 @@ def test_trace_info_reports_corrupt_file_cleanly(tmp_path, capsys):
     bad.write_bytes(b"this is not a trace")
     assert main(["trace", "info", str(bad)]) == 2
     assert "magic" in capsys.readouterr().err
-
-
-def test_bench_perf_rejects_seed(capsys):
-    assert main(["bench", "--perf", "--seed", "3"]) == 2
-    assert "--seed only applies" in capsys.readouterr().err
 
 
 def test_trace_requires_subcommand():
@@ -740,14 +708,15 @@ def _profile_file(tmp_path):
 
 def test_synth_command_writes_trace_and_reports_fidelity(tmp_path,
                                                          capsys):
-    profile = _profile_file(tmp_path)
+    committed = REPO_ROOT / "examples" / "profiles" / "migratory.json"
     out = str(tmp_path / "synth.rpt")
-    assert main(["synth", "--profile", profile, "--cores", "4",
-                 "--refs", "30", "--out", out]) == 0
-    printed = capsys.readouterr().out
-    assert "fidelity" in printed and "tv-distance" in printed
-    assert main(["trace", "info", out]) == 0
-    assert "synthetic" in capsys.readouterr().out
+    for profile in (_profile_file(tmp_path), str(committed)):
+        assert main(["synth", "--profile", profile, "--cores", "4",
+                     "--refs", "30", "--out", out]) == 0
+        printed = capsys.readouterr().out
+        assert "fidelity" in printed and "tv-distance" in printed
+        assert main(["trace", "info", out]) == 0
+        assert "synthetic" in capsys.readouterr().out
 
 
 def test_synth_command_run_and_knobs(tmp_path, capsys):

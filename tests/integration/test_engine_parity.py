@@ -2,13 +2,19 @@
 
 Cycle counts are the results: every protocol's cycle counts, traffic
 meters, and drop counts must come out *bit-identical* to the committed
-goldens.  ``golden/engine_parity.json`` holds the full observable result
-of every (workload x topology x protocol) cell of the scenario matrix,
-and this suite re-runs each cell and compares field-for-field via
-:func:`system_fingerprint`.
+goldens.  Two golden files pin them:
 
-Regenerate the goldens (only when an *intentional* behaviour change
-lands, never to paper over drift) with:
+* ``golden/engine_parity.json`` holds the full observable result of
+  every (workload x topology x protocol) cell of the scenario matrix,
+  and this suite re-runs each cell and compares field-for-field via
+  :func:`system_fingerprint`;
+* ``golden/perf_cycles.json`` holds the cycle counts, total traffic and
+  drops of four larger cells: PATCH-All and Directory on the 16-core
+  default torus, ``microbench`` at seed 1, 120 (``quick``) and 400
+  (``full``) references per core.
+
+Regenerate both (only when an *intentional* behaviour change lands,
+never to paper over drift) with:
 
     PYTHONPATH=src python tests/integration/test_engine_parity.py --regen
 """
@@ -25,6 +31,8 @@ from repro.workloads.patterns import PATTERN_NAMES
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden",
                            "engine_parity.json")
+MICROBENCH_GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden",
+                                      "perf_cycles.json")
 
 PROTOCOLS = (("directory", "none"), ("patch", "all"), ("tokenb", "none"))
 TOPOLOGIES = ("torus", "mesh", "fully-connected")
@@ -38,6 +46,18 @@ CELLS = [(workload, topology, protocol, predictor)
          for workload in WORKLOADS
          for topology in TOPOLOGIES
          for protocol, predictor in PROTOCOLS]
+
+#: The 16-core microbench cells of perf_cycles.json: references per
+#: core by scale name, and (protocol, predictor) by label.
+MICROBENCH_REFS = {"full": 400, "quick": 120}
+MICROBENCH_CONFIGS = {"Directory": ("directory", "none"),
+                      "PATCH-All": ("patch", "all")}
+MICROBENCH_CELLS = [(scale, label) for scale in MICROBENCH_REFS
+                    for label in MICROBENCH_CONFIGS]
+#: The gated fields.  ``events_processed`` is recorded but not gated,
+#: for the reason :func:`system_fingerprint` gives.
+MICROBENCH_GATED = ("runtime_cycles", "traffic_total_bytes",
+                    "dropped_direct_requests")
 
 
 def cell_key(workload, topology, protocol, predictor):
@@ -91,6 +111,22 @@ def run_cell(workload, topology, protocol, predictor):
     return system_fingerprint(system, system.run())
 
 
+def run_microbench_cell(scale, label):
+    """Run one 16-core microbench cell; its perf_cycles.json entry."""
+    protocol, predictor = MICROBENCH_CONFIGS[label]
+    config = SystemConfig(num_cores=16, protocol=protocol,
+                          predictor=predictor)
+    workload = make_workload("microbench", num_cores=16, seed=1)
+    result = System(config, workload,
+                    references_per_core=MICROBENCH_REFS[scale]).run()
+    return {
+        "dropped_direct_requests": result.dropped_direct_requests,
+        "events_processed": result.events_processed,
+        "runtime_cycles": result.runtime_cycles,
+        "traffic_total_bytes": sum(result.traffic_bytes_raw.values()),
+    }
+
+
 def load_goldens():
     with open(GOLDEN_PATH, encoding="utf-8") as handle:
         return json.load(handle)
@@ -131,6 +167,24 @@ def test_engine_matches_golden(goldens, workload, topology, protocol,
             f"{key}: {name} diverged from the goldens")
 
 
+@pytest.mark.parametrize("scale,label", MICROBENCH_CELLS,
+                         ids=[f"{scale}|{label}"
+                              for scale, label in MICROBENCH_CELLS])
+def test_microbench_cell_matches_golden(scale, label):
+    with open(MICROBENCH_GOLDEN_PATH, encoding="utf-8") as handle:
+        expected = json.load(handle)[scale][label]
+    observed = run_microbench_cell(scale, label)
+    for name in MICROBENCH_GATED:
+        assert observed[name] == expected[name], (
+            f"{scale}|{label}: {name} diverged from the goldens")
+
+
+def _write_json(path, payload):
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle, indent=1, sort_keys=True)
+        handle.write("\n")
+
+
 def regenerate():  # pragma: no cover - maintenance entry point
     os.makedirs(os.path.dirname(GOLDEN_PATH), exist_ok=True)
     cells = {}
@@ -146,10 +200,14 @@ def regenerate():  # pragma: no cover - maintenance entry point
         "seed": SEED,
         "cells": cells,
     }
-    with open(GOLDEN_PATH, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=1, sort_keys=True)
-        handle.write("\n")
+    _write_json(GOLDEN_PATH, payload)
     print(f"wrote {len(cells)} cells -> {GOLDEN_PATH}")
+    microbench = {scale: {} for scale in MICROBENCH_REFS}
+    for scale, label in MICROBENCH_CELLS:
+        microbench[scale][label] = run_microbench_cell(scale, label)
+    _write_json(MICROBENCH_GOLDEN_PATH, microbench)
+    print(f"wrote {len(MICROBENCH_CELLS)} cells -> "
+          f"{MICROBENCH_GOLDEN_PATH}")
 
 
 if __name__ == "__main__":  # pragma: no cover

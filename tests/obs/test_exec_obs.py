@@ -8,7 +8,7 @@ from repro.config import SystemConfig
 from repro.exec import (ParallelRunner, ResultCache, VOLATILE_FIELDS,
                         comparable_result_dict, make_cell,
                         run_result_from_dict, run_result_to_dict)
-from repro.exec.cells import execute_cell
+from repro.exec.cells import cell_slug, execute_cell
 from repro.exec.manifest import StudyManifest, spec_digest
 
 BASE = SystemConfig(num_cores=4)
@@ -158,3 +158,9 @@ def test_backends_stay_bit_identical_under_full_instrumentation(
     # The snapshot rode back from whichever process ran the cell.
     assert all(r.telemetry is not None for r in results)
     assert all(r.wall_time_seconds > 0.0 for r in results)
+    # Whichever process ran a cell wrote its timeline and its profile.
+    slugs = sorted(cell_slug(cell) for cell in cells)
+    assert sorted(p.stem for p in (tmp_path / "traces").iterdir()
+                  if p.suffix == ".json") == slugs
+    assert sorted(p.stem for p in (tmp_path / "prof").iterdir()
+                  if p.suffix == ".pstats") == slugs

@@ -107,10 +107,22 @@ def test_execute_cell_writes_a_trace_per_cell(tmp_path, monkeypatch):
     execute_cell(cell)
     trace = tmp_path / "traces" / f"{cell_slug(cell)}.json"
     doc = json.loads(trace.read_text())
-    phases = {event["ph"] for event in doc["traceEvents"]}
+    events = doc["traceEvents"]
+    phases = {event["ph"] for event in events}
     # A real run exercises every lane kind.
     assert {"M", "C", "X", "i"} <= phases
     assert doc["otherData"]["cell"] == cell_slug(cell)
+    # The fields the trace-event format requires of each phase, so
+    # Perfetto loads the file.
+    assert doc["displayTimeUnit"] == "ms"
+    for event in events:
+        assert {"name", "ph", "pid", "tid"} <= set(event), event
+        if event["ph"] != "M":  # metadata events carry no timestamp
+            assert event["ts"] >= 0, event
+        if event["ph"] == "X":
+            assert event["dur"] >= 0, event
+        if event["ph"] == "C":
+            assert event["args"], event
 
 
 def test_tracing_leaves_results_bit_identical(tmp_path, monkeypatch):

@@ -2,9 +2,10 @@
 
 Every spec here is microbench-scale (milliseconds per cell) so the
 suite exercises real concurrency — threads, sockets, the dispatcher —
-without real simulation cost.  Overlap between specs is built the same
-way the load harness builds it: sliding seed windows over one shared
-configuration, so adjacent studies share ``window - 1`` cells.
+without real simulation cost.  Overlap between specs is built the way
+the repository benchmark's ``serve-overlap`` workload builds it:
+sliding seed windows over one shared configuration, so adjacent
+studies share ``window - 1`` cells.
 """
 
 import threading

@@ -1,17 +1,30 @@
-"""CLI surface of the service work: list, status errors, submit.
+"""CLI surface of the service work: list, status errors, submit, serve.
 
 ``repro study submit`` must print the byte-identical stdout table a
 local ``repro study run`` prints — that contract is asserted here by
-literally diffing the two captures.
+literally diffing the two captures.  ``repro serve`` runs as a real
+child process, so its bind, signal handlers and shutdown are covered
+too.
 """
 
 import json
+import os
+import pathlib
+import re
+import select
+import signal
+import subprocess
+import sys
+import urllib.request
 
 import pytest
 
 from repro.cli import main
+from repro.service import ServiceClient
 
 from tests.service.conftest import tiny_spec
+
+SRC = pathlib.Path(__file__).resolve().parents[2] / "src"
 
 
 @pytest.fixture
@@ -114,15 +127,46 @@ def test_study_submit_unreachable_server_is_error_2(cache_env, tmp_path,
     assert "cannot reach" in capsys.readouterr().err
 
 
-def test_serve_load_writes_service_block(cache_env, tmp_path, capsys):
-    out = tmp_path / "bench_results.json"
-    out.write_text(json.dumps({"engine_perf": {"kept": True}}))
-    assert main(["serve-load", "--studies", "4", "--clients", "2",
-                 "--window", "2", "--refs", "4", "--jobs", "2",
-                 "--out", str(out)]) == 0
-    captured = capsys.readouterr()
-    assert "service load: 4 studies" in captured.out
-    report = json.loads(out.read_text())
-    assert report["engine_perf"] == {"kept": True}  # preserved
-    assert report["service"]["unique_cells_executed"] == 5  # 4+2-1
-    assert report["service"]["failures"] == []
+
+def test_serve_process_serves_results_and_stops_on_sigterm(tmp_path,
+                                                           capsys):
+    """`python -m repro serve` end to end, as a deployment runs it."""
+    cache = tmp_path / "serve-cache"
+    spec_path = _write_spec(tmp_path, name="svc-process", seeds=(1, 2, 3))
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0",
+         "--jobs", "1", "--cache-dir", str(cache)],
+        stderr=subprocess.PIPE, text=True, env=env)
+    try:
+        assert select.select([proc.stderr], [], [], 30)[0], "no banner"
+        banner = proc.stderr.readline()
+        match = re.search(r"listening on (http://\S+)", banner)
+        assert match, f"no listening banner: {banner!r}"
+        url = match.group(1)
+        client = ServiceClient(url)
+        spec = json.loads(pathlib.Path(spec_path).read_text())
+        study = client.submit(spec)["study"]
+        client.wait(study, timeout=60)
+        fetched = []
+        for _ in range(2):
+            with urllib.request.urlopen(f"{url}/studies/{study}/result",
+                                        timeout=30) as reply:
+                fetched.append(reply.read())
+        assert fetched[0] == fetched[1]
+        result = json.loads(fetched[0])
+        assert len(result["runs"]) == 3 and result["wire_schema"] == 1
+
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=30) == 0
+        assert "study manifests persisted" in proc.stderr.read()
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stderr.close()
+
+    assert main(["study", "status", spec_path,
+                 "--cache-dir", str(cache)]) == 0
+    assert ("3 done, 0 pending, 0 failed of 3 cells"
+            in capsys.readouterr().out)

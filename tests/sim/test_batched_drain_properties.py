@@ -9,7 +9,9 @@ slots materializing into the bucket being drained), the dispatch order
 is the ``(time, seq)`` order — exactly what :class:`HeapScheduler`,
 a plain binary heap popped one entry at a time, produces.
 
-Hypothesis drives randomized programs through both and compares the
+Hypothesis drives randomized programs through the kernel, through
+:class:`BareKernel` (the yardstick of the disabled-observability
+budget, test_obs_overhead.py) and through the heap, and compares the
 full dispatch traces.
 """
 
@@ -19,7 +21,7 @@ from types import SimpleNamespace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.kernel import Simulator
+from repro.sim.kernel import Event, SimulationError, Simulator
 
 
 class HeapScheduler:
@@ -61,6 +63,78 @@ class HeapScheduler:
             self.now, _seq, callback = heappop(self._queue)
             callback()
             self.events_processed += 1
+
+
+class BareKernel(Simulator):
+    """:class:`Simulator` with the event-sink guard deleted.
+
+    The loop body is a verbatim copy of ``Simulator.run`` minus the two
+    sink lines.  test_obs_overhead.py times the real loop against it;
+    :func:`test_batched_drain_matches_heap_dispatch_order` checks that
+    the copy still dispatches exactly like the kernel it stands for.
+    """
+
+    def run(self, until=None, max_events=None):
+        self._stopped = False
+        buckets = self._buckets
+        times = self._times
+        event_cls = Event
+        processed = 0
+        limit = max_events if max_events is not None else -1
+        try:
+            while times and not self._stopped:
+                t = times[0]
+                if until is not None and t > until:
+                    self.now = until
+                    return
+                heappop(times)
+                bucket = buckets[t]
+                if len(bucket) > 1:
+                    bucket.sort()
+                self.now = t
+                self._draining = t
+                i = 0
+                skipped = 0
+                livelock = False
+                try:
+                    for entry in bucket:
+                        i += 1
+                        self._drain_pos = i
+                        payload = entry[1]
+                        if payload.__class__ is event_cls:
+                            payload._sim = None
+                            if payload.cancelled:
+                                self._cancelled -= 1
+                                skipped += 1
+                                continue
+                            callback = payload.callback
+                        else:
+                            callback = payload
+                        self._current_seq = entry[0]
+                        callback()
+                        processed += 1
+                        if self._stopped:
+                            break
+                        if processed == limit:
+                            livelock = True
+                            break
+                finally:
+                    self._live -= i - skipped
+                    self._draining = -1
+                    if i < len(bucket):
+                        del bucket[:i]
+                        heappush(times, t)
+                    else:
+                        del buckets[t]
+                if livelock:
+                    raise SimulationError(
+                        f"exceeded max_events={max_events}; "
+                        "possible livelock")
+            if until is not None and not self._stopped:
+                self.now = max(self.now, until)
+        finally:
+            self._draining = -1
+            self._events_processed += processed
 
 
 # A follow-up scheduled from inside a callback: its delay.  Delay 0
@@ -132,8 +206,9 @@ def _run_program(kernel_cls, program):
 @settings(max_examples=200, deadline=None)
 @given(program=_program)
 def test_batched_drain_matches_heap_dispatch_order(program):
-    assert (_run_program(Simulator, program)
-            == _run_program(HeapScheduler, program))
+    expected = _run_program(HeapScheduler, program)
+    assert _run_program(Simulator, program) == expected
+    assert _run_program(BareKernel, program) == expected
 
 
 @settings(max_examples=50, deadline=None)

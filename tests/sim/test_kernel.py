@@ -208,6 +208,24 @@ def test_events_processed_counter(sim):
     assert sim.events_processed == 7
 
 
+def test_kernel_microbench_is_deterministic_in_event_count():
+    counts = []
+    for _ in range(2):
+        sim = Simulator()
+        remaining = [500]
+
+        def tick():
+            if remaining[0] > 0:
+                remaining[0] -= 1
+                sim.post(3, tick)
+
+        for chain in range(8):
+            sim.post(chain, tick)
+        sim.run()
+        counts.append(sim.events_processed)
+    assert counts[0] == counts[1]
+
+
 def test_zero_delay_event_runs_at_current_time(sim):
     times = []
 
