@@ -17,8 +17,9 @@ events.  The layout is therefore deliberately flat (see
 docs/PERFORMANCE.md for the full anatomy):
 
 * routing comes from the topology's precomputed
-  :class:`~repro.interconnect.topology.RoutingTables` — forwarding is
-  list indexing, never per-hop arithmetic;
+  :class:`~repro.interconnect.topology.RoutingTables`, built once per
+  process and shared by every network on the same fabric shape —
+  forwarding is list indexing, never per-hop arithmetic;
 * links live in index-addressed arrays (``_first_hop[node][dest]``
   resolves source+destination straight to the first link, and
   ``_link_at[node][neighbor]`` serves multicast tree edges);
@@ -296,11 +297,12 @@ class SwitchedNetwork(NetworkInterface):
     """The detailed link-level interconnect model over any topology.
 
     Works against the :class:`~repro.interconnect.topology.Topology`
-    routing protocol only — at construction it asks the topology for its
-    :class:`~repro.interconnect.topology.RoutingTables` and its link
-    set, then flattens both into index-addressed arrays — so the same
-    bandwidth, priority, and stale-drop machinery serves the torus, the
-    mesh, and the fully-connected fabric unchanged.
+    routing protocol only — at construction it takes the topology's
+    shared :class:`~repro.interconnect.topology.RoutingTables` and its
+    link set, and flattens both into this run's index-addressed link
+    arrays — so the same bandwidth, priority, and stale-drop machinery
+    serves the torus, the mesh, and the fully-connected fabric
+    unchanged.
     """
 
     def __init__(self, sim: Simulator, topology: Topology,
@@ -318,7 +320,7 @@ class SwitchedNetwork(NetworkInterface):
         self.meter = TrafficMeter()
         self._timeline = None
         self._durations: Dict[int, int] = {}
-        self.routing = topology.build_routing()
+        self.routing = topology.routing
         n = topology.num_nodes
         self._endpoints: List[Optional[Handler]] = [None] * n
         self._links: List[_Link] = [

@@ -23,12 +23,16 @@ carries the message exactly once.
 
 Topologies register themselves by name in :data:`TOPOLOGIES`;
 :func:`make_topology` is how :class:`~repro.core.system.System` (via
-``SystemConfig.topology``) and the CLI instantiate one.
+``SystemConfig.topology``) and the CLI instantiate one.  It hands out
+one shared instance per fabric shape, so a process builds each shape's
+:class:`RoutingTables` once, however many runs it simulates.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
+import functools
+from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 Coord = Tuple[int, int]
 Link = Tuple[int, int]  # (from_node, to_node), directed
@@ -41,9 +45,13 @@ class Topology:
     the generic :meth:`route`, :meth:`hop_count`,
     :meth:`average_hop_count` and :meth:`multicast_tree` are derived
     from those (subclasses override them where closed forms exist).
+
+    A topology is never changed after construction: every network built
+    on it shares its :attr:`routing`.
     """
 
     num_nodes: int
+    _routing: Optional["RoutingTables"] = None
 
     # ------------------------------------------------------------------
     def _check(self, node: int) -> None:
@@ -116,13 +124,27 @@ class Topology:
         return sum(len(kids) for kids in children.values())
 
     # ------------------------------------------------------------------
-    def build_routing(self) -> "RoutingTables":
-        """Precompute this fabric's routing into dense per-run tables."""
-        return RoutingTables(self)
+    @property
+    def routing(self) -> "RoutingTables":
+        """This fabric's routing tables, built on first use and shared
+        by every network on this topology from then on."""
+        routing = self._routing
+        if routing is None:
+            routing = self._routing = RoutingTables(self)
+        return routing
+
+
+#: Multicast trees each :class:`RoutingTables` keeps, per node of its
+#: fabric.  The tables live as long as the process, so the memo meets
+#: every destination set that any run multicasts to; the cap bounds it
+#: while leaving room for every source's broadcast tree (the hot set of
+#: PATCH-All and TokenB) plus three sharer-set trees per node.  The
+#: most one measured cell used was 53 trees at 16 cores, 3.3 per node.
+TREES_PER_NODE = 4
 
 
 class RoutingTables:
-    """Dense routing tables for one topology, built once per run.
+    """Dense routing tables for one topology, built once per process.
 
     The per-hop routing functions above are pure: ``next_hop`` depends
     only on ``(node, dest)`` and ``multicast_tree`` only on
@@ -135,17 +157,28 @@ class RoutingTables:
       ``node`` forwards to on the way to ``dest`` (``node`` itself on
       the diagonal), an N x N list-of-lists filled eagerly from the
       topology's routing function, so forwarding is two list indexes.
-    * :meth:`multicast_tree` — fan-out trees memoized per
-      ``(src, dests)``.  Coherence protocols multicast to a small set
-      of recurring destination sets (broadcast-to-all, predicted
-      sharers), so after warm-up every multicast is one dict probe.
+    * :attr:`multicast_tree` — ``topology.multicast_tree(src, dests)``
+      memoized per ``(src, dests)``, least recently used first out once
+      :attr:`tree_cap` trees are held.  ``dests`` must be a tuple (it
+      keys the memo); destination order matters to tree construction,
+      so the key preserves it.  Coherence protocols multicast to a
+      small set of recurring destination sets (broadcast-to-all,
+      predicted sharers), so after warm-up every multicast is one memo
+      hit.
 
     Tables are *derived from* the topology's own methods, never
     reimplemented, so they are exact by construction — including
     subclass overrides like :class:`FullyConnected`'s star trees.
+    Networks in one process share one instance per topology (see
+    :attr:`Topology.routing`), possibly from several threads: nobody
+    mutates a table or a returned tree, and the memo is a
+    :func:`functools.lru_cache`, which stays coherent under concurrent
+    calls and holds no lock that a forked pool worker could inherit
+    while another thread holds it.
     """
 
-    __slots__ = ("topology", "num_nodes", "next_hop", "_trees")
+    __slots__ = ("topology", "num_nodes", "next_hop", "tree_cap",
+                 "multicast_tree")
 
     def __init__(self, topology: Topology) -> None:
         self.topology = topology
@@ -156,22 +189,9 @@ class RoutingTables:
             [hop(node, dest) if dest != node else node for dest in range(n)]
             for node in range(n)
         ]
-        self._trees: Dict[Tuple[int, Tuple[int, ...]],
-                          Dict[int, List[int]]] = {}
-
-    def multicast_tree(self, src: int,
-                       dests: Tuple[int, ...]) -> Dict[int, List[int]]:
-        """Memoized ``topology.multicast_tree(src, dests)``.
-
-        ``dests`` must be a tuple (it keys the memo); destination order
-        matters to tree construction, so the key preserves it.
-        """
-        key = (src, dests)
-        tree = self._trees.get(key)
-        if tree is None:
-            tree = self.topology.multicast_tree(src, dests)
-            self._trees[key] = tree
-        return tree
+        self.tree_cap = TREES_PER_NODE * n
+        self.multicast_tree = functools.lru_cache(maxsize=self.tree_cap)(
+            topology.multicast_tree)
 
 
 class _Grid2D(Topology):
@@ -421,11 +441,26 @@ def topology_names() -> Tuple[str, ...]:
 
 def make_topology(name: str, num_nodes: int,
                   dims: Tuple[int, int]) -> Topology:
-    """Build a registered topology for ``num_nodes`` nodes.
+    """The registered topology for ``num_nodes`` nodes.
 
     ``dims`` gives the grid shape for grid fabrics (derived from
-    ``SystemConfig.torus_dims``); non-grid fabrics ignore it.
+    ``SystemConfig.torus_dims``); non-grid fabrics ignore it.  Equal
+    arguments return the same shared instance, and with it the same
+    :class:`RoutingTables`, for as long as it stays among the
+    :data:`SHARED_TOPOLOGIES` most recently used shapes.
     """
+    return _shared_topology(name, num_nodes, tuple(dims))
+
+
+#: Fabric shapes :func:`make_topology` keeps built.  A process meets a
+#: handful (one per core count and fabric it simulates); the cap only
+#: bounds a long-lived service fed arbitrary shapes.
+SHARED_TOPOLOGIES = 32
+
+
+@functools.lru_cache(maxsize=SHARED_TOPOLOGIES)
+def _shared_topology(name: str, num_nodes: int,
+                     dims: Tuple[int, int]) -> Topology:
     try:
         spec = TOPOLOGIES[name]
     except KeyError:

@@ -315,6 +315,11 @@ class PatchCache(CacheControllerBase):
         if line is not None and not line.untenured.is_zero:
             self.stats.add("direct_ignored_untenured")   # Rule #6c
             return
+        if line is None or line.tokens.is_zero:
+            # Nearly every broadcast copy ends here: nothing to yield,
+            # and ack elision sends no reply.
+            self.stats.add("requests_ignored_no_tokens")
+            return
         if payload.mtype is MsgType.DIRECT_GETM:
             self._yield_all_tokens(payload, include_mshr=False)
         else:

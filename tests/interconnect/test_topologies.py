@@ -1,11 +1,21 @@
 """Mesh2D, FullyConnected, and the topology registry."""
 
+import itertools
+import random
+import sys
+import threading
+
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.config import SystemConfig
+from repro.core.system import System
+from repro.interconnect.network import SwitchedNetwork
 from repro.interconnect.topology import (TOPOLOGIES, FullyConnected, Mesh2D,
                                          Torus2D, make_topology,
                                          mean_hops_estimate, topology_names)
+from repro.sim.kernel import Simulator
+from repro.workloads.presets import make_workload
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +193,7 @@ def test_routing_tables_match_per_hop_routing_exactly():
     routing function on every (node, dest) pair — the switched network
     routes from the table alone."""
     for topology in _all_topologies():
-        tables = topology.build_routing()
+        tables = topology.routing
         n = topology.num_nodes
         for node in range(n):
             for dest in range(n):
@@ -193,9 +203,9 @@ def test_routing_tables_match_per_hop_routing_exactly():
                     type(topology).__name__, node, dest)
 
 
-def test_routing_tables_memoize_multicast_trees():
+def test_routing_tables_memoize_multicast_trees(monkeypatch):
     for topology in _all_topologies():
-        tables = topology.build_routing()
+        tables = topology.routing
         dests = (3, 7, 12)
         first = tables.multicast_tree(0, dests)
         assert first == topology.multicast_tree(0, dests)
@@ -205,8 +215,89 @@ def test_routing_tables_memoize_multicast_trees():
         reordered = tables.multicast_tree(0, (12, 7, 3))
         assert reordered is not first
 
+    # One fabric shape, one set of tables for every network in the
+    # process; another shape or fabric gets its own.
+    torus = make_topology("torus", 16, (4, 4))
+    networks = [SwitchedNetwork(Simulator(),
+                                make_topology("torus", 16, (4, 4)),
+                                bandwidth=16, hop_latency=2)
+                for _ in range(2)]
+    assert networks[0].routing is networks[1].routing is torus.routing
+    for other in (make_topology("torus", 16, (8, 2)),
+                  make_topology("mesh", 16, (4, 4))):
+        assert other.routing is not torus.routing
+
+    # Runs read shared trees and never change them: every tree they
+    # asked for is still memoized and still equals a fresh build.
+    memo = torus.routing.multicast_tree
+    asked = set()
+    monkeypatch.setattr(torus.routing, "multicast_tree",
+                        lambda src, dests: asked.add((src, dests))
+                        or memo(src, dests))
+    for protocol, predictor in (("patch", "all"), ("directory", "none")):
+        config = SystemConfig(num_cores=16, protocol=protocol,
+                              predictor=predictor)
+        system = System(config, make_workload("microbench", num_cores=16,
+                                              seed=3), 20)
+        system.run()
+        assert system.network.routing is torus.routing
+    monkeypatch.undo()
+    assert len(asked) >= 16  # at least every source's broadcast tree
+    hits = memo.cache_info().hits
+    for src, dests in asked:
+        assert memo(src, dests) == torus.multicast_tree(src, dests)
+    assert memo.cache_info().hits == hits + len(asked)
+
+    # The memo holds at most ``tree_cap`` trees, and past that it still
+    # answers every query right.
+    tables = Torus2D(4, 4).routing
+    pairs = list(itertools.combinations(range(1, 16), 2))
+    assert len(pairs) > tables.tree_cap
+    for dests in pairs:
+        assert tables.multicast_tree(0, dests) == Torus2D(4, 4).multicast_tree(
+            0, dests)
+    assert tables.multicast_tree.cache_info().currsize == tables.tree_cap
+
+
+def test_shared_routing_tables_stay_bounded_and_exact_across_threads():
+    """Runs in several threads of one process share the memo."""
+    tables = Torus2D(4, 4).routing
+    dest_sets = [dests for size in (2, 3)
+                 for dests in itertools.combinations(range(16), size)]
+    errors = []
+
+    def worker(seed):
+        rng = random.Random(seed)
+        try:
+            for _ in range(1500):
+                src = rng.randrange(16)
+                dests = rng.choice(dest_sets)
+                if tables.multicast_tree(src, dests) != \
+                        tables.topology.multicast_tree(src, dests):
+                    errors.append((src, dests))
+                if tables.multicast_tree.cache_info().currsize > \
+                        tables.tree_cap:
+                    errors.append("over cap")
+        except Exception as exc:  # noqa: BLE001 - reported below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(seed,))
+                   for seed in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert tables.multicast_tree.cache_info().currsize == tables.tree_cap
+
 
 def test_routing_tables_respect_subclass_tree_overrides():
     fc = make_topology("fully-connected", 8, (8, 1))
-    tables = fc.build_routing()
+    tables = fc.routing
     assert tables.multicast_tree(2, (0, 5, 7)) == {2: [0, 5, 7]}

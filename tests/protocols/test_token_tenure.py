@@ -6,8 +6,11 @@ import random
 
 import pytest
 
+from repro.coherence.messages import CoherenceMsg, MsgType
 from repro.coherence.states import CacheState
 from repro.coherence.tokens import TokenCount
+from repro.interconnect.message import Message
+from repro.stats.traffic import MsgClass
 from repro.verify.watchdog import StarvationError
 from tests.helpers import AccessDriver, make_system
 
@@ -82,9 +85,6 @@ def test_untenured_tokens_time_out_and_return_home():
     cache = system.caches[0]
     home = system.homes[100 % 2]
     # Inject stray tokens (no outstanding request, never activated).
-    from repro.coherence.messages import CoherenceMsg, MsgType
-    from repro.interconnect.message import Message
-    from repro.stats.traffic import MsgClass
     payload = CoherenceMsg(mtype=MsgType.ACK, block=100, requester=0,
                            sender=1, tokens=TokenCount(1))
     msg = Message(src=1, dests=(0,), size_bytes=8, msg_class=MsgClass.ACK,
@@ -155,20 +155,22 @@ def test_window_disabled_by_config():
 # Tenure rules at the cache (Table 3)
 # ---------------------------------------------------------------------------
 
-def test_rule6c_untenured_holder_ignores_direct_requests():
-    system = make(predictor="none", cores=2)
-    cache = system.caches[0]
-    home = system.homes[100 % 2]
-    from repro.coherence.messages import CoherenceMsg, MsgType
-    from repro.interconnect.message import Message
-    from repro.stats.traffic import MsgClass
-    entry = home.entry(100)
+def send_stray_token(system):
+    """Move one of block 100's tokens from its home to cache 0, as a
+    stray response nobody asked for, and let it land there untenured."""
+    entry = system.homes[100 % 2].entry(100)
     taken, entry.tokens = entry.tokens.take(1)
     stray = CoherenceMsg(mtype=MsgType.ACK, block=100, requester=0,
                          sender=1, tokens=taken)
     system.network.send(Message(src=1, dests=(0,), size_bytes=8,
                                 msg_class=MsgClass.ACK, payload=stray))
-    system.sim.run(until=30)   # tokens arrive, probation running
+    system.sim.run(until=30)
+
+
+def test_rule6c_untenured_holder_ignores_direct_requests():
+    system = make(predictor="none", cores=2)
+    cache = system.caches[0]
+    send_stray_token(system)   # tokens arrive, probation running
     line = cache.cache.lookup(100)
     assert line is not None and not line.untenured.is_zero
     # Direct request arrives: must be ignored (Rule #6c).
@@ -181,20 +183,87 @@ def test_rule6c_untenured_holder_ignores_direct_requests():
     assert system.caches[0].stats.value("direct_ignored_untenured") == 1
 
 
+def direct_target(state):
+    """A 2-core PATCH system whose cache 0 is in ``state`` for block 100."""
+    system = make(predictor="none", cores=2)
+    driver = AccessDriver(system)
+    cache = system.caches[0]
+    if state == "outstanding-miss":
+        cache.access(100, False, lambda: None)
+        assert cache.mshr is not None and cache.mshr.block == 100
+    elif state == "ignore-window":
+        # Short enough that the deactivation window is still open.
+        driver.access(0, 100, is_write=True, max_cycles=200)
+        assert cache.ignore_windows.active(100)
+    elif state == "untenured":
+        send_stray_token(system)
+        assert not cache.cache.lookup(100).untenured.is_zero
+    elif state == "tenured-sharer":
+        driver.access(0, 100, is_write=False)
+        driver.access(1, 100, is_write=False)  # the owner token leaves
+        line = cache.cache.lookup(100)
+        assert line.tokens.count and not line.tokens.owner
+        assert line.untenured.is_zero
+    elif state == "owner":
+        driver.access(0, 100, is_write=False)
+        assert cache.cache.lookup(100).tokens.owner
+    else:
+        assert state == "no-line"
+    if state not in ("ignore-window", "outstanding-miss"):
+        assert not cache.ignore_windows.active(100) and cache.mshr is None
+    return system
+
+
+GETS, GETM = MsgType.DIRECT_GETS, MsgType.DIRECT_GETM
+NO_TOKENS = {"requests_ignored_no_tokens": 1}
+RESPONDED = {"token_responses": 1}
+
+
+@pytest.mark.parametrize("mtype,state,delta,responses", [
+    # Counters bumped beyond direct_requests_seen, and responses sent.
+    (GETS, "no-line", NO_TOKENS, 0),
+    (GETM, "no-line", NO_TOKENS, 0),
+    (GETS, "outstanding-miss", {}, 0),
+    (GETM, "outstanding-miss", {}, 0),
+    (GETS, "ignore-window", {"direct_ignored_window": 1}, 0),
+    (GETM, "ignore-window", {"direct_ignored_window": 1}, 0),
+    (GETS, "untenured", {"direct_ignored_untenured": 1}, 0),
+    (GETM, "untenured", {"direct_ignored_untenured": 1}, 0),
+    (GETS, "tenured-sharer", NO_TOKENS, 0),  # only the owner answers reads
+    (GETM, "tenured-sharer", RESPONDED, 1),
+    (GETS, "owner", RESPONDED, 1),
+    (GETM, "owner", RESPONDED, 1),
+])
+def test_direct_request_outcomes(monkeypatch, mtype, state, delta,
+                                 responses):
+    """Every way a cache can meet a direct request, pinned by the exact
+    counters it bumps and the responses it sends."""
+    system = direct_target(state)
+    cache = system.caches[0]
+    sent = []
+    send = cache.send
+    monkeypatch.setattr(cache, "send", lambda dests, payload, **kw: (
+        sent.append(payload), send(dests, payload, **kw)))
+    before = cache.stats.as_dict()
+    direct = CoherenceMsg(mtype=mtype, block=100, requester=1, sender=1,
+                          txn_id=999,
+                          is_write=mtype is GETM)
+    cache.handle_message(Message(src=1, dests=(0,), size_bytes=8,
+                                 msg_class=MsgClass.DIRECT_REQUEST,
+                                 payload=direct))
+    after = cache.stats.as_dict()
+    assert {name: value - before.get(name, 0)
+            for name, value in after.items()
+            if value != before.get(name, 0)} == dict(
+                delta, direct_requests_seen=1)
+    assert len(sent) == responses
+
+
 def test_rule6b_untenured_holder_responds_to_forwards():
     system = make(predictor="none", cores=2)
     cache = system.caches[0]
     home = system.homes[100 % 2]
-    from repro.coherence.messages import CoherenceMsg, MsgType
-    from repro.interconnect.message import Message
-    from repro.stats.traffic import MsgClass
-    entry = home.entry(100)
-    taken, entry.tokens = entry.tokens.take(1)
-    stray = CoherenceMsg(mtype=MsgType.ACK, block=100, requester=0,
-                         sender=1, tokens=taken)
-    system.network.send(Message(src=1, dests=(0,), size_bytes=8,
-                                msg_class=MsgClass.ACK, payload=stray))
-    system.sim.run(until=30)
+    send_stray_token(system)
     fwd = CoherenceMsg(mtype=MsgType.FWD_GETM, block=100, requester=1,
                        sender=home.node_id, txn_id=999)
     system.network.send(Message(src=home.node_id, dests=(0,), size_bytes=8,

@@ -174,9 +174,27 @@ def test_t_interval_contains_true_mean_for_tight_data():
     assert ci.half_width < 0.5
 
 
+@pytest.mark.parametrize("confidence,df,critical", [
+    (0.95, 1, 12.7062047362),
+    (0.95, 4, 2.7764451052),
+    (0.95, 30, 2.0422724563),
+    (0.99, 10, 3.1692726726),
+])
+def test_t_interval_critical_value_matches_tables(confidence, df, critical):
+    samples = [float(i * i) for i in range(df + 1)]
+    mean = sum(samples) / len(samples)
+    sem = math.sqrt(sum((x - mean) ** 2 for x in samples)
+                    / df / len(samples))
+    ci = t_interval(samples, confidence)
+    assert ci.half_width / sem == pytest.approx(critical, rel=1e-9)
+
+
 def test_t_interval_requires_samples():
     with pytest.raises(ValueError):
         t_interval([])
+    for confidence in (0.0, 1.0):
+        with pytest.raises(ValueError):
+            t_interval([1.0, 2.0], confidence)
 
 
 def test_interval_overlap():
