@@ -9,9 +9,9 @@ package makes that grid a first-class value:
   cross-product or explicit-point grids; JSON round-trip with
   schema-versioned validation.  Lowers to a
   :class:`~repro.exec.cells.Cell` batch for the parallel runner.
-* :class:`~repro.api.session.Session` — owns the parallel runner and
-  result cache; ``Session().run(spec)`` executes the whole grid as one
-  batch.
+* :class:`~repro.api.session.Session` — owns the parallel runner,
+  result cache and study manifests; ``Session().run(spec)`` executes
+  the whole grid as one batch.
 * :class:`~repro.api.result.StudyResult` — runs grouped per grid
   point, with per-axis :class:`~repro.api.result.ExperimentResult`
   views, nested-dict reshaping, and confidence-interval helpers.

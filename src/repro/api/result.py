@@ -82,6 +82,37 @@ class StudyResult:
     #: :func:`repro.obs.study_telemetry`).  ``None`` when off.
     telemetry: Optional[Dict[str, Any]] = None
 
+    @classmethod
+    def from_runs(cls, spec: Any, runs: Sequence[RunResult],
+                  keys: Optional[Sequence[Sequence[str]]] = None,
+                  cache_delta: Optional[Dict[str, int]] = None,
+                  jobs: int = 1,
+                  telemetry: Optional[Dict[str, Any]] = None
+                  ) -> "StudyResult":
+        """Group a flat run list — grid order, seeds innermost, the
+        order :meth:`StudySpec.cells` produces — per grid point.
+
+        ``keys``, when given (a wire payload's), must equal
+        ``spec.keys()``.  Raises ``ValueError`` when they differ or the
+        run count is not the grid's: a mismatched or truncated list
+        must never silently attach runs to the wrong points or shrink
+        the study.
+        """
+        expected = spec.keys()
+        if keys is not None and tuple(map(tuple, keys)) != expected:
+            raise ValueError(
+                f"study {spec.name!r}: keys {[list(k) for k in keys]} "
+                f"are not the spec's grid {[list(k) for k in expected]}")
+        per_key = len(spec.seeds)
+        if len(runs) != len(expected) * per_key:
+            raise ValueError(
+                f"study {spec.name!r} has {len(runs)} runs but the "
+                f"spec's grid is {len(expected)} points x {per_key} seeds")
+        runs_by_key = {key: list(runs[i * per_key:(i + 1) * per_key])
+                       for i, key in enumerate(expected)}
+        return cls(spec=spec, keys=expected, runs_by_key=runs_by_key,
+                   cache_delta=cache_delta, jobs=jobs, telemetry=telemetry)
+
     # ------------------------------------------------------------------
     @property
     def axis_names(self) -> Tuple[str, ...]:

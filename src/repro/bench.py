@@ -45,7 +45,7 @@ from repro.api import AxisSpec, PointSpec, Session, StudySpec, \
 from repro.config import SystemConfig
 from repro.core.runner import (ADAPTIVITY_CONFIGS, PAPER_CONFIGS,
                                normalized_runtimes, normalized_traffic)
-from repro.exec import ParallelRunner, get_default_runner
+from repro.exec import ParallelRunner
 from repro.exec.serialization import comparable_result_dict
 from repro.obs import telemetry as _telemetry
 from repro.stats.counters import geometric_mean
@@ -327,8 +327,7 @@ def _note_study_telemetry(name: str, result) -> None:
 
 
 def _run_spec(spec, runner: Optional[ParallelRunner]):
-    result = Session(runner=(runner if runner is not None
-                             else get_default_runner())).run(spec)
+    result = Session(runner=runner).run(spec)
     _note_study_telemetry(spec.name, result)
     return result
 
@@ -379,8 +378,7 @@ def trace_replay_results(scale: BenchScale = FULL_SCALE,
     """
     from repro.traces import record_trace, save_trace
 
-    session = Session(runner=(runner if runner is not None
-                              else get_default_runner()))
+    session = Session(runner=runner)
     with contextlib.ExitStack() as stack:
         if trace_dir is None:
             out_dir = stack.enter_context(tempfile.TemporaryDirectory())
@@ -680,7 +678,7 @@ def run_bench(quick: bool = False,
         scale = QUICK_SCALE if quick else FULL_SCALE
     if seed is not None:
         scale = scale.with_seed(seed)
-    runner = runner if runner is not None else get_default_runner()
+    runner = Session(runner=runner).runner  # environment defaults if None
     os.makedirs(results_dir, exist_ok=True)
     del _STUDY_TELEMETRY[:]  # fresh obs block per suite run
     timings: Dict[str, float] = {}

@@ -85,13 +85,12 @@ import sys
 from typing import List, Optional
 
 from repro.analysis import bar_chart, format_table
-from repro.api import Session, SpecError, StudySpec
+from repro.api import Session, StudySpec
 from repro.bench import run_bench
 from repro.config import PREDICTORS, PROTOCOLS, SystemConfig
 from repro.core.runner import (ADAPTIVITY_CONFIGS, PAPER_CONFIGS,
                                run_experiment)
-from repro.exec import (NO_CACHE_ENV, CellExecutionError, ParallelRunner,
-                        ResultCache, code_version, set_default_runner)
+from repro.exec import CellExecutionError, code_version
 from repro.interconnect.topology import TOPOLOGIES, topology_names
 from repro.obs import (OBS_ENV, PROFILE_ENV, TIMELINE_ENV,
                        configure_logging, render_top)
@@ -179,17 +178,12 @@ def _add_obs_options(parser: argparse.ArgumentParser) -> None:
                              "(render with: repro obs top DIR)")
 
 
-def _runner_from_args(args) -> Optional[ParallelRunner]:
-    """Build the runner described by --jobs/--no-cache/--cache-dir."""
-    if not hasattr(args, "no_cache"):
-        return None
-    # --no-cache always wins; the REPRO_NO_CACHE kill switch applies
-    # unless the user explicitly asked for a cache directory.
-    no_cache = args.no_cache or (args.cache_dir is None
-                                 and bool(os.environ.get(NO_CACHE_ENV)))
-    cache = None if no_cache else ResultCache(args.cache_dir)
-    # `study status` / `study list` take only the cache flags.
-    return ParallelRunner(jobs=getattr(args, "jobs", None), cache=cache)
+def _session(args) -> Session:
+    """The one Session a command runs on, from --jobs / --cache-dir /
+    --no-cache (``study status`` / ``study list`` take only the cache
+    flags)."""
+    return Session(jobs=getattr(args, "jobs", None),
+                   cache_dir=args.cache_dir, no_cache=args.no_cache)
 
 
 def package_version() -> str:
@@ -545,17 +539,20 @@ def cmd_run(args) -> int:
                           link_bandwidth=args.bandwidth,
                           encoding_coarseness=args.coarseness,
                           best_effort_direct=not args.non_adaptive)
-    # Through the runner (not run_one) so --cache-dir / --no-cache apply.
+    # Through the session's runner (not run_one) so --jobs /
+    # --cache-dir / --no-cache apply.
     result = run_experiment(config, workload,
                             references_per_core=refs,
-                            seeds=(args.seed,), **workload_kwargs).runs[0]
+                            seeds=(args.seed,), runner=_session(args).runner,
+                            **workload_kwargs).runs[0]
     _print_run(result)
     return 0
 
 
 def cmd_bench(args) -> int:
-    return run_bench(quick=args.quick, results_dir=args.results_dir,
-                     out_path=args.out, check=args.check, seed=args.seed)
+    return run_bench(quick=args.quick, runner=_session(args).runner,
+                     results_dir=args.results_dir, out_path=args.out,
+                     check=args.check, seed=args.seed)
 
 
 def cmd_list(args) -> int:
@@ -632,13 +629,7 @@ def _cmd_study_show(args) -> int:
 
 def _cmd_study_run(args) -> int:
     spec = StudySpec.load(args.spec)
-    session = Session()
-    if (args.resume or args.max_cells is not None) \
-            and session.cache is None:
-        print("error: --resume/--max-cells record progress beside the "
-              "result cache; drop --no-cache / REPRO_NO_CACHE",
-              file=sys.stderr)
-        return 2
+    session = _session(args)
     if args.max_cells is not None:
         # Chunked execution: run a slice of the grid, report progress,
         # stop.  The table only renders once the study completes.
@@ -695,12 +686,7 @@ def _print_exec_epilogue(result) -> None:
 
 def _cmd_study_status(args) -> int:
     spec = StudySpec.load(args.spec)
-    session = Session()
-    if session.cache is None:
-        print("error: study progress is recorded beside the result "
-              "cache; drop --no-cache / REPRO_NO_CACHE",
-              file=sys.stderr)
-        return 2
+    session = _session(args)
     # strict=True: a manifest file that exists but cannot be parsed is
     # a pointed ManifestError naming the path (rendered by cmd_study),
     # never a silent "no recorded progress".
@@ -740,12 +726,7 @@ def _cmd_study_status(args) -> int:
 
 
 def _cmd_study_list(args) -> int:
-    session = Session()
-    store = session.manifest_store()
-    if store is None:
-        print("error: study manifests live beside the result cache; "
-              "drop --no-cache / REPRO_NO_CACHE", file=sys.stderr)
-        return 2
+    store = _session(args).manifest_store()
     entries = store.list()
     if not entries:
         print(f"no recorded studies under {store.root}")
@@ -801,18 +782,14 @@ _STUDY_COMMANDS = {
 
 
 def cmd_study(args) -> int:
-    from repro.exec import ManifestError
     from repro.service.client import ServiceError
     try:
         return _STUDY_COMMANDS[args.study_command](args)
-    except ManifestError as exc:
-        # A manifest file that exists but cannot be parsed: the message
-        # names the path; never a traceback, never "no progress".
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, SpecError) as exc:
-        # Missing/corrupt spec files and schema violations are user
-        # errors, not tracebacks.
+    except (OSError, ValueError) as exc:
+        # User errors, not tracebacks: missing/corrupt spec files and
+        # schema violations (SpecError), a manifest file that exists
+        # but cannot be parsed (ManifestError names the path; never
+        # "no progress"), and progress commands on an uncached session.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ServiceError as exc:
@@ -841,24 +818,23 @@ def cmd_serve(args) -> int:
     import signal
     import threading
 
-    from repro.exec import get_default_runner
     from repro.service import make_server
     from repro.service.scheduler import StudyScheduler
 
-    # main() already installed the runner described by --jobs /
-    # --cache-dir / --no-cache as the process default; the daemon
-    # simply owns it for its whole lifetime.
-    scheduler = StudyScheduler(runner=get_default_runner())
+    # The daemon owns the session described by --jobs / --cache-dir /
+    # --no-cache for its whole lifetime.
+    session = _session(args)
+    scheduler = StudyScheduler(session)
     try:
         server = make_server(args.host, args.port, scheduler)
     except OSError as exc:
         print(f"error: cannot bind {args.host}:{args.port}: {exc}",
               file=sys.stderr)
         return 2
-    cache = scheduler.cache
+    cache = session.cache
     where = str(cache.root) if cache is not None else "DISABLED"
     print(f"[service] listening on http://{args.host}:{server.port} "
-          f"(jobs={scheduler.runner.jobs}, cache={where}); "
+          f"(jobs={session.jobs}, cache={where}); "
           f"SIGINT/SIGTERM stop gracefully", file=sys.stderr)
     if cache is None:
         print("[service] warning: running --no-cache — no dedup across "
@@ -922,7 +898,8 @@ def _cmd_trace_replay(args) -> int:
                           topology=args.topology,
                           link_bandwidth=args.bandwidth)
     result = run_experiment(config, "trace", references_per_core=refs,
-                            seeds=(args.seed,), path=args.path).runs[0]
+                            seeds=(args.seed,), runner=_session(args).runner,
+                            path=args.path).runs[0]
     _print_run(result)
     return 0
 
@@ -1040,8 +1017,9 @@ def cmd_synth(args) -> int:
                                          else "none"))
         result = run_experiment(config, "synthetic",
                                 references_per_core=refs,
-                                seeds=(args.seed,), profile=args.profile,
-                                **knobs).runs[0]
+                                seeds=(args.seed,),
+                                runner=_session(args).runner,
+                                profile=args.profile, **knobs).runs[0]
         _print_run(result)
     return 0
 
@@ -1143,9 +1121,6 @@ COMMANDS = {
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     configure_logging()  # honors REPRO_LOG; no-op when unset
-    runner = _runner_from_args(args)
-    if runner is not None:
-        set_default_runner(runner)
     # The observability flags resolve through the environment, so
     # every pool worker started under this command inherits them.
     overrides = {}
@@ -1168,8 +1143,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 os.environ.pop(name, None)
             else:
                 os.environ[name] = value
-        if runner is not None:
-            set_default_runner(None)
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via console script

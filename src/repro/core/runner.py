@@ -6,7 +6,8 @@ normalizations its figures plot.
 ``repro trace replay``, ``repro synth --run``): it builds an axis-less
 :class:`~repro.api.spec.StudySpec` (:func:`experiment_spec`) and
 executes it through a :class:`~repro.api.session.Session` wrapping the
-default — or given — :class:`~repro.exec.parallel.ParallelRunner`.
+given :class:`~repro.exec.parallel.ParallelRunner` (the environment's
+defaults when none is given).
 Figure grids are defined once, as the ``*_spec`` builders in
 :mod:`repro.bench`.
 """
@@ -19,8 +20,7 @@ from repro.api import (ExperimentResult, Session, StudySpec,
                        config_overrides)
 from repro.config import SystemConfig
 from repro.core.results import RunResult
-from repro.exec import ParallelRunner, execute_cell, get_default_runner, \
-    make_cell
+from repro.exec import ParallelRunner, execute_cell, make_cell
 
 #: The six configurations of Figures 4 and 5, in the paper's order.
 PAPER_CONFIGS: Dict[str, dict] = {
@@ -77,9 +77,7 @@ def run_experiment(config: SystemConfig, workload_name: str,
     """Run one configuration across several seeds (paper methodology)."""
     spec = experiment_spec(config, workload_name, references_per_core,
                            seeds=seeds, **workload_kwargs)
-    session = Session(runner=runner if runner is not None
-                      else get_default_runner())
-    result = session.run(spec)
+    result = Session(runner=runner).run(spec)
     return result.experiment(label=label or config.describe())
 
 

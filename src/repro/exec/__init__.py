@@ -13,21 +13,20 @@ them through a :class:`~repro.exec.parallel.ParallelRunner`:
 * ``repro.exec.parallel`` — the cache-aware runner: misses run in this
   process when one worker suffices, on a local process pool otherwise.
 
-Library entry points (``run_experiment``, ``Session``, ``repro bench``)
-use the *default runner*: either one installed explicitly via
-:func:`set_default_runner` (the CLI does this from ``--jobs`` /
-``--no-cache`` / ``--cache-dir``) or one built from the environment
-(``REPRO_JOBS``, ``REPRO_CACHE_DIR``, ``REPRO_NO_CACHE``).
-docs/EXECUTION.md is the operations guide for all of it.
+Library entry points (``run_experiment``, ``repro bench``) take an
+optional runner and run through a :class:`~repro.api.session.Session`;
+without one, the session builds its runner from the environment
+(``REPRO_JOBS``, and :func:`~repro.exec.cache.open_cache`'s cache rule
+over ``REPRO_CACHE_DIR`` / ``REPRO_NO_CACHE``).  The CLI builds one
+session from ``--jobs`` / ``--cache-dir`` / ``--no-cache`` and passes
+it down.  docs/EXECUTION.md is the operations guide for all of it.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.exec.cache import (CACHE_DIR_ENV, CODE_VERSION_ENV, NO_CACHE_ENV,
                               ResultCache, cache_key, code_version,
-                              default_cache_dir)
+                              default_cache_dir, open_cache)
 from repro.exec.cells import (Cell, cell_from_dict, cell_slug, cell_to_dict,
                               execute_cell, make_cell)
 from repro.exec.manifest import (CellEntry, ManifestError, ManifestStore,
@@ -48,25 +47,7 @@ __all__ = [
     "ManifestStore", "ParallelRunner", "ResultCache", "StudyManifest",
     "cache_key", "cell_from_dict", "cell_slug", "cell_to_dict",
     "code_version", "comparable_result_dict", "default_cache_dir",
-    "default_jobs", "execute_cell", "get_default_runner", "make_cell",
+    "default_jobs", "execute_cell", "make_cell", "open_cache",
     "run_result_from_dict", "run_result_to_dict", "running_stat_from_dict",
-    "running_stat_to_dict", "set_default_runner", "spec_digest",
+    "running_stat_to_dict", "spec_digest",
 ]
-
-_default_runner: Optional[ParallelRunner] = None
-
-
-def set_default_runner(runner: Optional[ParallelRunner]) -> None:
-    """Install the runner used when library calls pass ``runner=None``.
-
-    Pass ``None`` to fall back to environment-driven construction.
-    """
-    global _default_runner
-    _default_runner = runner
-
-
-def get_default_runner() -> ParallelRunner:
-    """The installed default runner, or a fresh environment-driven one."""
-    if _default_runner is not None:
-        return _default_runner
-    return ParallelRunner.from_env()

@@ -16,8 +16,10 @@ does not grow the cache without bound.  Entries are written atomically
 directory can never leave a torn file, and unreadable entries are
 treated as misses rather than errors.
 
-The default location is ``~/.cache/repro`` (override with
-``REPRO_CACHE_DIR`` or the CLI's ``--cache-dir``).
+:func:`open_cache` is the one place that decides whether a run is
+cached and where: ``--no-cache`` wins, an explicit ``--cache-dir``
+beats ``REPRO_NO_CACHE``, and otherwise ``REPRO_NO_CACHE`` disables
+the cache while ``REPRO_CACHE_DIR`` or ``~/.cache/repro`` locates it.
 """
 
 from __future__ import annotations
@@ -38,7 +40,8 @@ from repro.exec.serialization import (SCHEMA_VERSION, run_result_from_dict,
 
 #: Environment override for the cache directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
-#: Set (to anything non-empty) to disable the default runner's cache.
+#: Set (to anything non-empty) to disable the cache unless a cache
+#: directory is given explicitly (see :func:`open_cache`).
 NO_CACHE_ENV = "REPRO_NO_CACHE"
 #: Overrides the computed source-tree fingerprint (used by tests).
 CODE_VERSION_ENV = "REPRO_CODE_VERSION"
@@ -49,6 +52,22 @@ def default_cache_dir() -> Path:
     if env:
         return Path(env)
     return Path(os.path.expanduser("~")) / ".cache" / "repro"
+
+
+def open_cache(cache_dir: Optional[os.PathLike] = None,
+               no_cache: bool = False) -> Optional[ResultCache]:
+    """The result cache the CLI flags and environment ask for, or None.
+
+    ``no_cache`` (``--no-cache``) wins; an explicit ``cache_dir``
+    (``--cache-dir``) beats ``REPRO_NO_CACHE``; otherwise
+    ``REPRO_NO_CACHE`` disables the cache, and ``REPRO_CACHE_DIR`` or
+    ``~/.cache/repro`` locates it.
+    """
+    if no_cache:
+        return None
+    if cache_dir is None and os.environ.get(NO_CACHE_ENV):
+        return None
+    return ResultCache(cache_dir)
 
 
 @functools.lru_cache(maxsize=1)

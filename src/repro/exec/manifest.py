@@ -1,7 +1,8 @@
 """Per-study manifests: resumable progress records beside the cache.
 
 A manifest is the durable answer to "how far did this study get?".
-:meth:`~repro.api.session.Session.run` writes one per study into
+:meth:`~repro.api.session.Session.run` (and the service's scheduler,
+which runs on a session) writes one per study into
 ``<cache-root>/studies/<digest>.json`` — the study's spec digest, every
 cell's identity (grid-point labels + seed) in deterministic grid order,
 and each cell's completion state — and updates it as cells finish or
@@ -255,6 +256,27 @@ class ManifestStore:
                     f"study manifest {path} is corrupt ({exc}); delete "
                     f"it and re-run the study") from exc
             return None
+
+    def open(self, spec, code_version: str,
+             resume: bool) -> StudyManifest:
+        """Continue ``spec``'s stored manifest (``resume``) or start a
+        fresh one; saves nothing.
+
+        A continued manifest must describe exactly this spec's grid;
+        its failed cells go back to pending so they retry, and it
+        follows the current ``code_version`` (cells done under an old
+        one miss the cache and re-run).  Resuming a study that was
+        never recorded simply starts fresh — resume is an intent, not
+        a precondition.
+        """
+        manifest = self.load(spec_digest(spec)) if resume else None
+        if manifest is None or not manifest.matches(spec):
+            return StudyManifest.fresh(spec, code_version)
+        for index, cell in enumerate(manifest.cells):
+            if cell.state == "failed":
+                manifest.mark(index, "pending")
+        manifest.code_version = code_version
+        return manifest
 
     def list(self) -> List[Tuple[Path, Optional[StudyManifest]]]:
         """Every manifest under the store, sorted by file name.

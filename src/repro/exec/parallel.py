@@ -28,7 +28,7 @@ from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.results import RunResult
-from repro.exec.cache import NO_CACHE_ENV, ResultCache
+from repro.exec.cache import ResultCache
 from repro.exec.cells import Cell, execute_cell
 from repro.exec.serialization import run_result_from_dict, run_result_to_dict
 from repro.obs import telemetry as _telemetry
@@ -139,15 +139,25 @@ class ParallelRunner:
         self._jobs = jobs
         self.cache = cache
 
-    @classmethod
-    def from_env(cls) -> "ParallelRunner":
-        """Runner configured purely from the environment."""
-        cache = None if os.environ.get(NO_CACHE_ENV) else ResultCache()
-        return cls(jobs=None, cache=cache)
-
     @property
     def jobs(self) -> int:
         return self._jobs if self._jobs is not None else default_jobs()
+
+    def lookup(self, cell: Cell) -> Optional[RunResult]:
+        """The cached result for ``cell``, or None on a miss or when
+        uncached.
+
+        A hit did no work now: it reports zero wall time with the
+        cached flag, never the original run's timing.
+        """
+        if self.cache is None:
+            return None
+        with _telemetry.current.span("cache.lookup"):
+            cached = self.cache.load(cell)
+        if cached is not None:
+            cached.cached = True
+            cached.wall_time_seconds = 0.0
+        return cached
 
     # ------------------------------------------------------------------
     def run_cells(self, cells: Sequence[Cell],
@@ -166,23 +176,14 @@ class ParallelRunner:
         cells = list(cells)
         results: List[Optional[RunResult]] = [None] * len(cells)
         pending: List[int] = []
-        obs = _telemetry.current
         for index, cell in enumerate(cells):
-            if self.cache is not None:
-                with obs.span("cache.lookup"):
-                    cached = self.cache.load(cell)
-            else:
-                cached = None
-            if cached is not None:
-                # A hit did no work now: report zero wall time with the
-                # cached flag, never the original run's timing.
-                cached.cached = True
-                cached.wall_time_seconds = 0.0
-                results[index] = cached
-                if on_result is not None:
-                    on_result(index, cached, False)
-            else:
+            cached = self.lookup(cell)
+            if cached is None:
                 pending.append(index)
+                continue
+            results[index] = cached
+            if on_result is not None:
+                on_result(index, cached, False)
         if limit is not None:
             pending = pending[:limit]
         if not pending:

@@ -1,15 +1,16 @@
 """The experiment service: studies over HTTP with a shared warm cache.
 
 ROADMAP item 4 — "serve results, not processes".  A long-running
-daemon (``repro serve``) owns one :class:`~repro.exec.parallel.
-ParallelRunner` and its on-disk :class:`~repro.exec.cache.ResultCache`
-and multiplexes many clients over them:
+daemon (``repro serve``) owns one :class:`~repro.api.session.Session`
+— its :class:`~repro.exec.parallel.ParallelRunner`, on-disk
+:class:`~repro.exec.cache.ResultCache` and study manifests — and
+multiplexes many clients over it:
 
-* :mod:`repro.service.scheduler` — the queueing core: study-level
-  idempotency (same grid digest → same record), **in-flight cell
-  dedup** (overlapping grids share each common cell's single
-  execution), warm-cache probes at submit, and per-study progress
-  events;
+* :mod:`repro.service.scheduler` — the queueing core over that
+  session: study-level idempotency (same grid digest → same record),
+  **in-flight cell dedup** (overlapping grids share each common cell's
+  single execution), warm-cache probes at submit, and per-study
+  progress events;
 * :mod:`repro.service.wire` — the StudyResult JSON wire format, a
   lossless round-trip so a result fetched over HTTP is field-for-field
   the result a local ``repro study run`` returns;

@@ -1,9 +1,11 @@
 """The service's queueing core: study records, cell dedup, events.
 
-One :class:`StudyScheduler` owns a single
-:class:`~repro.exec.parallel.ParallelRunner` (and therefore one warm
-:class:`~repro.exec.cache.ResultCache`) and multiplexes every
-submitted study over it.  Three invariants define it:
+One :class:`StudyScheduler` runs on a single
+:class:`~repro.api.session.Session` — one
+:class:`~repro.exec.parallel.ParallelRunner`, one warm
+:class:`~repro.exec.cache.ResultCache` and the study manifests beside
+it — and multiplexes every submitted study over it.  What it adds to
+the session is three invariants:
 
 * **Study-level idempotency** — studies are keyed by their grid
   digest (:func:`~repro.exec.manifest.spec_digest`), so resubmitting
@@ -13,11 +15,12 @@ submitted study over it.  Three invariants define it:
   share a cell wait on the *same* execution, so each unique cell is
   simulated (and stored) exactly once no matter how many clients race.
 * **Warm-cache instant hits** — every cell is probed against the
-  result cache at submit time, under the scheduler lock, so a
-  fully-cached study resolves before the submitting request returns.
+  result cache at submit time (:meth:`ParallelRunner.lookup`, the
+  runner's own probe), under the scheduler lock, so a fully-cached
+  study resolves before the submitting request returns.
 
 All state is guarded by one lock/condition.  A single dispatcher
-thread drains the queue in chunks through
+thread drains the queue in chunks through the session runner's
 :meth:`ParallelRunner.run_cells` — reusing the runner's existing
 probe/persist policy is what guarantees service results are
 bit-identical to local runs and that every fresh result is on disk the
@@ -29,16 +32,15 @@ so a daemon killed mid-study leaves a resumable record behind.
 from __future__ import annotations
 
 import itertools
-import os
 import threading
 from collections import deque
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.api.result import StudyResult
+from repro.api.session import Session
 from repro.api.spec import StudySpec
 from repro.core.results import RunResult
-from repro.exec import (NO_CACHE_ENV, CellExecutionError, ManifestStore,
-                        ParallelRunner, ResultCache, StudyManifest,
+from repro.exec import (CellExecutionError, ResultCache, StudyManifest,
                         cache_key, code_version)
 from repro.exec.cells import Cell
 from repro.exec.manifest import spec_digest
@@ -135,25 +137,19 @@ class StudyRecord:
 
 
 class StudyScheduler:
-    """Owns the runner, the queue, and every study record.
+    """Owns the queue and every study record, over one session.
 
+    ``session=None`` runs on ``Session()``, the environment defaults.
     ``autostart=False`` leaves the dispatcher thread unstarted so tests
     can submit several overlapping studies first and assert the dedup
     bookkeeping deterministically, then :meth:`start` execution.
     """
 
-    def __init__(self, runner: Optional[ParallelRunner] = None,
-                 jobs: Optional[int] = None,
-                 cache: Optional[ResultCache] = None,
-                 cache_dir: Optional[str] = None,
+    def __init__(self, session: Optional[Session] = None,
                  autostart: bool = True) -> None:
-        if runner is None:
-            if cache is None and cache_dir is not None:
-                cache = ResultCache(cache_dir)
-            elif cache is None and not os.environ.get(NO_CACHE_ENV):
-                cache = ResultCache()
-            runner = ParallelRunner(jobs=jobs, cache=cache)
-        self.runner = runner
+        self.session = session if session is not None else Session()
+        self._manifests = (self.session.manifest_store()
+                           if self.cache is not None else None)
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
         self._queue: Deque[_CellTask] = deque()
@@ -167,19 +163,15 @@ class StudyScheduler:
         self._counts = {"submissions": 0, "studies_created": 0,
                         "studies_deduped": 0, "cells_cached": 0,
                         "cells_shared": 0, "cells_queued": 0,
-                        "cells_executed": 0, "cells_failed": 0}
+                        "cells_executed": 0, "cells_failed": 0,
+                        "studies_done": 0}
         if autostart:
             self.start()
 
     # ------------------------------------------------------------------
     @property
     def cache(self) -> Optional[ResultCache]:
-        return self.runner.cache
-
-    def manifest_store(self) -> Optional[ManifestStore]:
-        if self.cache is None:
-            return None
-        return ManifestStore(self.cache.root)
+        return self.session.cache
 
     def start(self) -> None:
         """Start (idempotently) the dispatcher thread."""
@@ -252,11 +244,13 @@ class StudyScheduler:
     def _create_record(self, study_id: str,
                        spec: StudySpec) -> StudyRecord:
         cells = spec.cells()
-        record = StudyRecord(study_id, spec, cells, jobs=self.runner.jobs)
+        record = StudyRecord(study_id, spec, cells, jobs=self.session.jobs)
         self._studies[study_id] = record
         self._order.append(study_id)
         self._counts["studies_created"] += 1
-        record.manifest = self._open_manifest(spec)
+        if self._manifests is not None:
+            record.manifest = self._manifests.open(spec, code_version(),
+                                                   resume=True)
         for index, cell in enumerate(cells):
             key = cache_key(cell)
             task = self._in_flight.get(key)
@@ -269,12 +263,8 @@ class StudyScheduler:
                 self.telemetry.count("service.dedup.cell")
                 record.event("queued", index, shared=True)
                 continue
-            cached = (self.cache.load(cell)
-                      if self.cache is not None else None)
+            cached = self.session.runner.lookup(cell)
             if cached is not None:
-                # Same contract as the runner: a hit did no work now.
-                cached.cached = True
-                cached.wall_time_seconds = 0.0
                 record.cache_delta["hits"] += 1
                 self._counts["cells_cached"] += 1
                 self.telemetry.count("service.cache.hits")
@@ -294,26 +284,9 @@ class StudyScheduler:
         self._save_manifest(record)
         return record
 
-    def _open_manifest(self, spec: StudySpec) -> Optional[StudyManifest]:
-        store = self.manifest_store()
-        if store is None:
-            return None
-        manifest = store.load(spec_digest(spec))
-        if manifest is None or not manifest.matches(spec):
-            manifest = StudyManifest.fresh(spec, code_version())
-        else:
-            for index, cell in enumerate(manifest.cells):
-                if cell.state == "failed":
-                    manifest.mark(index, "pending")
-            manifest.code_version = code_version()
-        return manifest
-
     def _save_manifest(self, record: StudyRecord) -> None:
-        if record.manifest is None:
-            return
-        store = self.manifest_store()
-        if store is not None:
-            store.save(record.manifest)
+        if record.manifest is not None:
+            self._manifests.save(record.manifest)
 
     # ------------------------------------------------------------------
     # Resolution (always under the lock)
@@ -331,25 +304,12 @@ class StudyScheduler:
 
     def _finish_record(self, record: StudyRecord) -> None:
         record.state = "done"
-        groups = record.spec.cell_groups()
-        runs_by_key: Dict[Tuple[str, ...], List[RunResult]] = {}
-        cursor = 0
-        for key, group_cells in groups:
-            runs_by_key[key] = [run for run in
-                                record.results[cursor:cursor
-                                               + len(group_cells)]]
-            cursor += len(group_cells)
-        runs = [run for run in record.results]
-        record.result = StudyResult(
-            spec=record.spec,
-            keys=tuple(key for key, _ in groups),
-            runs_by_key=runs_by_key,
-            cache_delta=dict(record.cache_delta),
-            jobs=record.jobs,
+        record.result = StudyResult.from_runs(
+            record.spec, record.results,
+            cache_delta=dict(record.cache_delta), jobs=record.jobs,
             telemetry=_telemetry.study_telemetry(
-                [run.telemetry for run in runs]))
-        self._counts["studies_done"] = \
-            self._counts.get("studies_done", 0) + 1
+                [run.telemetry for run in record.results]))
+        self._counts["studies_done"] += 1
         record.event("study-done", state="done")
 
     def _task_done(self, task: _CellTask, result: RunResult,
@@ -398,7 +358,7 @@ class StudyScheduler:
                     self._cond.wait()
                 if self._stopping:
                     return
-                chunk = max(1, self.runner.jobs) * 4
+                chunk = max(1, self.session.jobs) * 4
                 batch: List[_CellTask] = []
                 while self._queue and len(batch) < chunk:
                     task = self._queue.popleft()
@@ -426,8 +386,8 @@ class StudyScheduler:
                     self._task_done(_current[i], result, fresh)
 
             try:
-                self.runner.run_cells([t.cell for t in current],
-                                      on_result=on_result)
+                self.session.runner.run_cells([t.cell for t in current],
+                                              on_result=on_result)
             except CellExecutionError as exc:
                 with self._cond:
                     blamed = [t for t in current
@@ -458,9 +418,8 @@ class StudyScheduler:
             live = [self._studies[sid].status_dict()
                     for sid in self._order]
             seen = set(self._order)
-        store = self.manifest_store()
-        if store is not None:
-            for path, manifest in store.list():
+        if self._manifests is not None:
+            for path, manifest in self._manifests.list():
                 if manifest is None or manifest.digest in seen:
                     continue
                 counts = manifest.counts()
@@ -480,7 +439,7 @@ class StudyScheduler:
             out["cells_in_flight"] = len(self._in_flight)
             out["cells_queued_now"] = len(self._queue)
             out["studies"] = len(self._studies)
-        out["jobs"] = self.runner.jobs
+        out["jobs"] = self.session.jobs
         if self.cache is not None:
             out["cache"] = self.cache.stats()
         snapshot = self.telemetry.snapshot()

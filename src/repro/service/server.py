@@ -32,6 +32,7 @@ import logging
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 
+from repro.api.session import Session
 from repro.api.spec import SpecError, StudySpec
 from repro.service.scheduler import StudyRecord, StudyScheduler
 from repro.service.wire import study_result_to_dict
@@ -67,15 +68,18 @@ class StudyServer(ThreadingHTTPServer):
 
 def make_server(host: str = "127.0.0.1", port: int = 0,
                 scheduler: Optional[StudyScheduler] = None,
-                **scheduler_kwargs: Any) -> StudyServer:
+                **session_kwargs: Any) -> StudyServer:
     """A ready-to-serve :class:`StudyServer`.
 
     ``port=0`` binds an ephemeral port (read it back from
-    ``server.port``) — the shape every in-process test uses.  Extra
-    keyword arguments construct the scheduler when one isn't passed.
+    ``server.port``) — the shape every in-process test uses.  Without a
+    ``scheduler``, the extra keyword arguments (``jobs``,
+    ``cache_dir``, ``no_cache``) build the :class:`Session` a new,
+    started scheduler runs on; a caller that needs ``autostart=False``
+    passes its own scheduler.
     """
     if scheduler is None:
-        scheduler = StudyScheduler(**scheduler_kwargs)
+        scheduler = StudyScheduler(Session(**session_kwargs))
     return StudyServer((host, port), scheduler)
 
 

@@ -44,26 +44,20 @@ def study_result_to_dict(result: StudyResult) -> Dict[str, Any]:
 def study_result_from_dict(data: Dict[str, Any]) -> StudyResult:
     """Rebuild the StudyResult a server serialized.
 
-    Raises ``ValueError`` on an unknown ``wire_schema`` or a run count
-    that does not match the spec's grid — a truncated or mismatched
-    payload must never silently produce a smaller study.
+    Raises ``ValueError`` on an unknown ``wire_schema``, on grid keys
+    that are not the spec's, or on a run count that does not match the
+    spec's grid — a truncated or mismatched payload must never silently
+    produce a smaller study or attach runs to the wrong points.
     """
     schema = data.get("wire_schema")
     if schema != WIRE_SCHEMA:
         raise ValueError(f"unsupported wire_schema {schema!r} "
                          f"(this client speaks {WIRE_SCHEMA})")
-    spec = StudySpec.from_json_dict(data["spec"])
-    keys = tuple(tuple(key) for key in data["keys"])
-    runs = [run_result_from_dict(run) for run in data["runs"]]
-    per_key = len(spec.seeds)
-    if len(runs) != len(keys) * per_key:
-        raise ValueError(
-            f"study payload has {len(runs)} runs but the spec's grid is "
-            f"{len(keys)} points x {per_key} seeds")
-    runs_by_key = {key: runs[i * per_key:(i + 1) * per_key]
-                   for i, key in enumerate(keys)}
     delta = data.get("cache_delta")
-    return StudyResult(spec=spec, keys=keys, runs_by_key=runs_by_key,
-                       cache_delta=None if delta is None else dict(delta),
-                       jobs=int(data.get("jobs", 1)),
-                       telemetry=data.get("telemetry"))
+    return StudyResult.from_runs(
+        StudySpec.from_json_dict(data["spec"]),
+        [run_result_from_dict(run) for run in data["runs"]],
+        keys=data["keys"],
+        cache_delta=None if delta is None else dict(delta),
+        jobs=int(data.get("jobs", 1)),
+        telemetry=data.get("telemetry"))

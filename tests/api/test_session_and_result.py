@@ -103,7 +103,8 @@ def test_axisless_spec_runs_and_aggregates():
 
 def test_session_cache_accounting(tmp_path):
     spec = tiny_spec(seeds=(1,))
-    session = Session(jobs=1, cache=ResultCache(tmp_path))
+    session = Session(runner=ParallelRunner(jobs=1,
+                                            cache=ResultCache(tmp_path)))
     first = session.run(spec)
     assert first.cache_delta["misses"] == spec.num_cells()
     assert first.cache_delta["stores"] == spec.num_cells()

@@ -106,13 +106,16 @@ def test_status_reports_progress_without_running(tmp_path, executed):
     assert executed == []  # status never executes
 
 
-def test_status_and_advance_require_a_cache():
+def test_status_and_advance_require_a_cache(executed):
     spec = tiny_spec()
-    session = Session(no_cache=True)
+    session = Session(no_cache=True, jobs=1)
     with pytest.raises(ValueError, match="cache"):
         session.status(spec)
     with pytest.raises(ValueError, match="cache"):
         session.advance(spec, limit=1)
+    with pytest.raises(ValueError, match="cache"):
+        session.run(spec, resume=True)
+    assert executed == []  # refused before running anything
 
 
 def test_uncached_run_still_works_without_manifest():

@@ -74,6 +74,25 @@ def test_run_command_uses_cache_dir(tmp_path, capsys):
     assert main(argv) == 0
     assert capsys.readouterr().out == first  # served from cache
 
+    # Every other experiment command hands its session down too: under
+    # the suite's REPRO_NO_CACHE=1, an explicit --cache-dir still stores.
+    trace = str(tmp_path / "t.rpt")
+    assert main(["trace", "record", "--workload", "microbench",
+                 "--cores", "4", "--refs", "10", "--out", trace]) == 0
+    profile = str(REPO_ROOT / "examples" / "profiles" / "migratory.json")
+    commands = {
+        "trace-replay": ["trace", "replay", trace],
+        "synth-run": ["synth", "--profile", profile, "--cores", "4",
+                      "--refs", "10", "--run"],
+        "study-run": ["study", "run", _tiny_spec_file(tmp_path),
+                      "--jobs", "1"],
+    }
+    for name, argv in commands.items():
+        cache = tmp_path / "caches" / name
+        assert main(argv + ["--cache-dir", str(cache)]) == 0
+        assert any(cache.glob("v-*/*/*.json")), name
+    capsys.readouterr()
+
 
 def test_run_command_with_topology(capsys):
     code = main(["run", "--protocol", "patch", "--predictor", "all",

@@ -2,6 +2,7 @@
 
 import multiprocessing
 import os
+import pathlib
 import threading
 from concurrent.futures.process import BrokenProcessPool
 
@@ -11,8 +12,8 @@ from repro.api import AxisSpec, PointSpec, Session, StudySpec
 from repro.config import SystemConfig
 from repro.core.runner import PAPER_CONFIGS, run_experiment
 from repro.exec import (CellExecutionError, ParallelRunner, ResultCache,
-                        default_jobs, get_default_runner, make_cell,
-                        comparable_result_dict, set_default_runner)
+                        default_jobs, make_cell, comparable_result_dict)
+from repro.service import make_server
 
 BASE = SystemConfig(num_cores=4)
 
@@ -170,24 +171,43 @@ def test_default_jobs_rejects_non_positive_env(monkeypatch, value):
         default_jobs()
 
 
-def test_default_runner_install_and_reset():
-    runner = ParallelRunner(jobs=1)
-    set_default_runner(runner)
-    try:
-        assert get_default_runner() is runner
-    finally:
-        set_default_runner(None)
-    assert get_default_runner() is not runner
+#: The cache rule: ``(no_cache, cache_dir, REPRO_NO_CACHE,
+#: REPRO_CACHE_DIR)`` -> where the cache lives (None: uncached).
+#: "flag", "env" and "home" name the directories the test sets up.
+CACHE_RULE = [
+    (False, None, None, None, "home"),
+    (False, None, None, "env", "env"),
+    (False, None, "1", None, None),
+    (False, None, "1", "env", None),
+    (False, "flag", None, "env", "flag"),   # --cache-dir beats the env
+    (False, "flag", "1", None, "flag"),     # ... and REPRO_NO_CACHE
+    (True, None, None, "env", None),        # --no-cache wins
+    (True, "flag", None, None, None),
+]
 
 
-def test_no_cache_env_disables_default_cache(monkeypatch):
-    monkeypatch.setenv("REPRO_NO_CACHE", "1")
-    assert ParallelRunner.from_env().cache is None
-    monkeypatch.delenv("REPRO_NO_CACHE")
-    monkeypatch.setenv("REPRO_CACHE_DIR", "/tmp/some-cache-dir")
-    cache = ParallelRunner.from_env().cache
-    assert cache is not None
-    assert str(cache.root) == "/tmp/some-cache-dir"
+def test_no_cache_env_disables_default_cache(monkeypatch, tmp_path):
+    """Every row of the cache rule holds for a Session and for the
+    scheduler ``make_server`` builds from the same keywords."""
+    dirs = {"flag": tmp_path / "flag", "env": tmp_path / "env",
+            "home": tmp_path / "home" / ".cache" / "repro"}
+    monkeypatch.setenv("HOME", str(tmp_path / "home"))
+    for no_cache, flag_dir, no_cache_env, dir_env, expected in CACHE_RULE:
+        for name, value in (("REPRO_NO_CACHE", no_cache_env),
+                            ("REPRO_CACHE_DIR", dir_env)):
+            if value is None:
+                monkeypatch.delenv(name, raising=False)
+            else:
+                monkeypatch.setenv(name, str(dirs.get(value, value)))
+        kwargs = {"no_cache": no_cache,
+                  "cache_dir": dirs[flag_dir] if flag_dir else None}
+        server = make_server(port=0, **kwargs)
+        server.server_close()
+        server.scheduler.stop(timeout=10)
+        for cache in (Session(**kwargs).cache, server.scheduler.cache):
+            where = None if cache is None else pathlib.Path(cache.root)
+            assert where == (dirs[expected] if expected else None), \
+                (kwargs, no_cache_env, dir_env)
 
 
 def test_jobs_must_be_positive():

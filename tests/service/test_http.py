@@ -15,6 +15,7 @@ from repro.api import Session, StudySpec
 from repro.exec.serialization import comparable_result_dict
 from repro.service import ServiceClient
 from repro.service.client import ServiceError
+from repro.service.scheduler import StudyScheduler
 from repro.service.server import make_server
 
 from tests.service.conftest import overlapping_pair, tiny_spec
@@ -28,6 +29,7 @@ def test_health_stats_index_and_404(live_server):
     assert client.health()["ok"] is True
     stats = client.stats()
     assert stats["submissions"] == 0
+    assert stats["studies_done"] == 0  # every counter exists from startup
     assert "cache" in stats
     assert client.studies() == {"studies": []}
     with pytest.raises(ServiceError) as err:
@@ -84,8 +86,8 @@ def test_blocking_client_full_lifecycle_and_events(live_server):
 
 def test_result_before_completion_is_409_not_partial_data(tmp_path):
     # An unstarted scheduler pins the study mid-flight deterministically.
-    server = make_server(scheduler=None, jobs=1,
-                         cache_dir=tmp_path / "cache", autostart=False)
+    server = make_server(scheduler=StudyScheduler(
+        Session(jobs=1, cache_dir=tmp_path / "cache"), autostart=False))
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:

@@ -17,7 +17,7 @@ from tests.service.conftest import overlapping_pair, tiny_spec
 
 
 def _scheduler(tmp_path, autostart=False, jobs=2):
-    return StudyScheduler(jobs=jobs, cache_dir=tmp_path / "cache",
+    return StudyScheduler(Session(jobs=jobs, cache_dir=tmp_path / "cache"),
                           autostart=autostart)
 
 

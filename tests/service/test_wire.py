@@ -52,3 +52,11 @@ def test_truncated_runs_are_rejected_not_shrunk():
     payload["runs"] = payload["runs"][:-1]
     with pytest.raises(ValueError, match="runs but the spec's grid"):
         study_result_from_dict(payload)
+
+
+def test_reordered_keys_are_rejected_not_reattached():
+    payload = study_result_to_dict(_result())
+    assert payload["keys"] == [["dir"], ["patch"]]
+    payload["keys"].reverse()
+    with pytest.raises(ValueError, match="are not the spec's grid"):
+        study_result_from_dict(payload)
