@@ -63,9 +63,11 @@ class RunResult:
                 for name in FIGURE5_ORDER}
 
     def summary(self) -> str:
-        groups = ", ".join(f"{name}={value / max(1, self.misses):.0f}B"
-                           for name, value in self.traffic_bytes.items()
-                           if value)
+        # FIGURE5_ORDER, not dict order: a cached result's dict comes
+        # back key-sorted.
+        groups = ", ".join(
+            f"{name}={self.traffic_bytes[name] / max(1, self.misses):.0f}B"
+            for name in FIGURE5_ORDER if self.traffic_bytes.get(name))
         return (f"{self.config_summary}: {self.runtime_cycles} cycles, "
                 f"{self.misses} misses "
                 f"(avg latency {self.avg_miss_latency:.0f}cy), "

@@ -59,7 +59,6 @@ class System:
         self.config = config
         self.workload = workload
         self.references_per_core = references_per_core
-        self.sim = Simulator()
         self.integrity = IntegrityChecker() if check_integrity else None
         self.audit_tokens = audit_tokens and config.protocol != "directory"
 
@@ -67,12 +66,11 @@ class System:
             topology = make_topology(config.topology, config.num_cores,
                                      config.torus_dims)
             network = SwitchedNetwork(
-                self.sim, topology, bandwidth=config.link_bandwidth,
+                Simulator(), topology, bandwidth=config.link_bandwidth,
                 hop_latency=config.hop_latency,
                 drop_age=config.direct_request_drop_age)
-        else:
-            network.sim = self.sim  # adopt our clock
         self.network = network
+        self.sim = network.sim  # a given network brings its own clock
 
         self.caches = [self._make_cache(node) for node in
                        range(config.num_cores)]
@@ -107,9 +105,8 @@ class System:
                 from repro.prediction.predictors import (
                     AllPredictor, BashThrottledPredictor)
                 inner = AllPredictor(self.config.num_cores, node)
-                utilization = getattr(self.network, "utilization",
-                                      lambda: 0.0)
-                predictor = BashThrottledPredictor(inner, utilization)
+                predictor = BashThrottledPredictor(
+                    inner, self.network.utilization)
             else:
                 predictor = make_predictor(
                     kind, self.config.num_cores, node,
@@ -171,15 +168,12 @@ class System:
     def attach_timeline(self, recorder) -> None:
         """Wire a :class:`~repro.obs.timeline.TimelineRecorder` in.
 
-        Installs the kernel's per-dispatch sink and, when the network
-        model supports it, the link-occupancy and message lanes.  Every
-        hook is observation-only, so a recorded run stays bit-identical
-        to an unrecorded one.
+        The recorder becomes the kernel's event sink and the network's
+        message sink.  Both hooks are observation-only, so a recorded
+        run stays bit-identical to an unrecorded one.
         """
         self.sim.set_event_sink(recorder.kernel_tick)
-        attach = getattr(self.network, "attach_timeline", None)
-        if attach is not None:
-            attach(recorder)
+        self.network.set_message_sink(recorder)
 
     # ------------------------------------------------------------------
     def run(self, max_cycles: int = DEFAULT_MAX_CYCLES,
@@ -238,8 +232,6 @@ class System:
             for name, value in home.stats.as_dict().items():
                 home_stats.add(name, value)
 
-        utilization = (self.network.utilization()
-                       if hasattr(self.network, "utilization") else 0.0)
         return RunResult(
             config_summary=self.config.describe(),
             runtime_cycles=self._runtime or self.sim.now,
@@ -251,7 +243,7 @@ class System:
                                for cls, value in traffic_raw.items()},
             dropped_direct_requests=dropped,
             miss_latency=latency,
-            link_utilization=utilization,
+            link_utilization=self.network.utilization(),
             cache_stats=cache_stats.as_dict(),
             home_stats=home_stats.as_dict(),
             events_processed=self.sim.events_processed,
@@ -265,8 +257,7 @@ def build_random_delay_system(config: SystemConfig,
                               max_delay: int = 80,
                               drop_prob: float = 0.0) -> System:
     """A System on the adversarial random-delay network (for tests)."""
-    sim_placeholder = Simulator()
-    network = RandomDelayNetwork(sim_placeholder, config.num_cores,
+    network = RandomDelayNetwork(Simulator(), config.num_cores,
                                  random.Random(seed), min_delay, max_delay,
                                  best_effort_drop_prob=drop_prob)
     return System(config, workload, references_per_core, network=network)

@@ -36,9 +36,7 @@ from repro.exec.parallel import (JOBS_ENV, CellExecutionError,
 from repro.exec.serialization import (VOLATILE_FIELDS,
                                       comparable_result_dict,
                                       run_result_from_dict,
-                                      run_result_to_dict,
-                                      running_stat_from_dict,
-                                      running_stat_to_dict)
+                                      run_result_to_dict)
 
 __all__ = [
     "CACHE_DIR_ENV", "CODE_VERSION_ENV", "JOBS_ENV", "NO_CACHE_ENV",
@@ -48,6 +46,5 @@ __all__ = [
     "cache_key", "cell_from_dict", "cell_slug", "cell_to_dict",
     "code_version", "comparable_result_dict", "default_cache_dir",
     "default_jobs", "execute_cell", "make_cell", "open_cache",
-    "run_result_from_dict", "run_result_to_dict", "running_stat_from_dict",
-    "running_stat_to_dict", "spec_digest",
+    "run_result_from_dict", "run_result_to_dict", "spec_digest",
 ]

@@ -24,21 +24,6 @@ SCHEMA_VERSION = 2
 VOLATILE_FIELDS = ("started_at", "wall_time_seconds", "cached", "telemetry")
 
 
-def running_stat_to_dict(stat: RunningStat) -> Dict[str, Any]:
-    return {"count": stat.count, "mean": stat._mean, "m2": stat._m2,
-            "min": stat.min, "max": stat.max}
-
-
-def running_stat_from_dict(data: Dict[str, Any]) -> RunningStat:
-    stat = RunningStat()
-    stat.count = int(data["count"])
-    stat._mean = float(data["mean"])
-    stat._m2 = float(data["m2"])
-    stat.min = None if data["min"] is None else float(data["min"])
-    stat.max = None if data["max"] is None else float(data["max"])
-    return stat
-
-
 def run_result_to_dict(result: RunResult) -> Dict[str, Any]:
     return {
         "schema": SCHEMA_VERSION,
@@ -52,7 +37,7 @@ def run_result_to_dict(result: RunResult) -> Dict[str, Any]:
         "traffic_bytes": dict(result.traffic_bytes),
         "traffic_bytes_raw": dict(result.traffic_bytes_raw),
         "dropped_direct_requests": result.dropped_direct_requests,
-        "miss_latency": running_stat_to_dict(result.miss_latency),
+        "miss_latency": result.miss_latency.to_dict(),
         "link_utilization": result.link_utilization,
         "cache_stats": dict(result.cache_stats),
         "home_stats": dict(result.home_stats),
@@ -94,7 +79,7 @@ def run_result_from_dict(data: Dict[str, Any]) -> RunResult:
         traffic_bytes_raw={str(k): int(v)
                            for k, v in data["traffic_bytes_raw"].items()},
         dropped_direct_requests=int(data["dropped_direct_requests"]),
-        miss_latency=running_stat_from_dict(data["miss_latency"]),
+        miss_latency=RunningStat.from_dict(data["miss_latency"]),
         link_utilization=float(data["link_utilization"]),
         cache_stats={str(k): int(v) for k, v in data["cache_stats"].items()},
         home_stats={str(k): int(v) for k, v in data["home_stats"].items()},

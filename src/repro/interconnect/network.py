@@ -33,7 +33,9 @@ docs/PERFORMANCE.md for the full anatomy):
   their queues are empty at transmit time;
 * event scheduling is inlined against the kernel's per-timestamp
   buckets (see :mod:`repro.sim.kernel`) — two schedules per
-  transmission make it the hottest loop of a run.
+  transmission make it the hottest loop of a run;
+* the message sink (:meth:`NetworkInterface.set_message_sink`) costs
+  one ``is not None`` test per send and per transmission when unset.
 
 :class:`RandomDelayNetwork` is an adversarial model for correctness tests:
 it delivers messages with random, unordered delays and can drop best-effort
@@ -66,15 +68,47 @@ _INNER, _FINAL_DEST, _TREE, _DELIVER, _PRIORITY, _SIZE, _CLASS = range(7)
 
 
 class NetworkInterface:
-    """Common API both network models implement."""
+    """What both network models share: the clock, the endpoint table,
+    the traffic meter and the one message-sink slot.
 
-    meter: TrafficMeter
+    A model implements :meth:`send` and :meth:`utilization`.
+    """
+
+    def __init__(self, sim: Simulator, num_nodes: int) -> None:
+        self.sim = sim
+        self.meter = TrafficMeter()
+        self._endpoints: List[Optional[Handler]] = [None] * num_nodes
+        self._sink = None
 
     def register_endpoint(self, node: int, handler: Handler) -> None:
-        raise NotImplementedError
+        if self._endpoints[node] is not None:
+            raise ValueError(f"endpoint {node} already registered")
+        self._endpoints[node] = handler
+
+    def set_message_sink(self, sink) -> None:
+        """Install (or clear, with None) the one message observer.
+
+        ``sink.message(msg)`` runs once per injected message, after
+        ``msg.inject_time`` is set.  ``sink.link_busy(src, dst, start,
+        duration, msg_class, size_bytes)`` runs once per link
+        transmission of a :class:`SwitchedNetwork`.  Observation only:
+        a sink must not send, schedule, or touch RNG, which keeps an
+        observed run bit-identical to an unobserved one.
+        """
+        self._sink = sink
 
     def send(self, msg: Message) -> None:
         raise NotImplementedError
+
+    def utilization(self) -> float:
+        """Mean fraction of elapsed cycles the links spent busy."""
+        raise NotImplementedError
+
+    def _deliver(self, msg: Message, node: int) -> None:
+        handler = self._endpoints[node]
+        if handler is None:
+            raise RuntimeError(f"no endpoint registered at node {node}")
+        handler(msg)
 
 
 class _Link:
@@ -92,7 +126,7 @@ class _Link:
                  "busy_until", "_scheduled", "_reserved_seq", "busy_cycles",
                  "meter", "hop_latency", "drop_age", "bandwidth",
                  "_durations", "_inflight", "_serve_cb", "_arrive_cb",
-                 "_forward_row", "_fanout_row", "_endpoints", "_timeline")
+                 "_forward_row", "_fanout_row", "_endpoints", "_sink")
 
     def __init__(self, network: "SwitchedNetwork", src: int, dst: int) -> None:
         self.sim = network.sim
@@ -126,9 +160,9 @@ class _Link:
         # fresh bound-method object each time.
         self._serve_cb = self._serve
         self._arrive_cb = self._arrive_next
-        # Timeline recorder (attach_timeline); None costs one check
-        # per transmission.
-        self._timeline = None
+        # Message sink (set_message_sink); None costs one check per
+        # transmission.
+        self._sink = None
 
     def enqueue(self, hop: tuple) -> None:
         sim = self.sim
@@ -222,10 +256,10 @@ class _Link:
         msg_class = hop[_CLASS]
         meter.bytes[msg_class] += size
         meter.link_traversals[msg_class] += 1
-        timeline = self._timeline
-        if timeline is not None:
-            timeline.link_busy(self.src, self.dst, now, duration,
-                               msg_class, size)
+        sink = self._sink
+        if sink is not None:
+            sink.link_busy(self.src, self.dst, now, duration,
+                           msg_class, size)
         self._inflight.append(hop)
         # Inlined posts: the arrival takes ``seq``, the follow-up serve
         # (or its reserved slot) takes ``seq + 1``.  Both times are
@@ -312,17 +346,14 @@ class SwitchedNetwork(NetworkInterface):
             raise ValueError("bandwidth must be positive")
         if hop_latency < 1:
             raise ValueError("hop_latency must be >= 1")
-        self.sim = sim
+        super().__init__(sim, topology.num_nodes)
         self.topology = topology
         self.bandwidth = bandwidth
         self.hop_latency = hop_latency
         self.drop_age = drop_age
-        self.meter = TrafficMeter()
-        self._timeline = None
         self._durations: Dict[int, int] = {}
         self.routing = topology.routing
         n = topology.num_nodes
-        self._endpoints: List[Optional[Handler]] = [None] * n
         self._links: List[_Link] = [
             _Link(self, src, dst) for src, dst in topology.links()]
         # (node, neighbor) -> link, for multicast tree edges.
@@ -346,31 +377,20 @@ class SwitchedNetwork(NetworkInterface):
             link._endpoints = self._endpoints
 
     # ------------------------------------------------------------------
-    def register_endpoint(self, node: int, handler: Handler) -> None:
-        if self._endpoints[node] is not None:
-            raise ValueError(f"endpoint {node} already registered")
-        self._endpoints[node] = handler
-
-    def attach_timeline(self, recorder) -> None:
-        """Wire the message lane and every link's occupancy lane.
-
-        Observation only — the recorder never draws sequence numbers,
-        posts events, or touches RNG, so results stay bit-identical
-        with a recorder attached.
-        """
-        self._timeline = recorder
+    def set_message_sink(self, sink) -> None:
+        # Each link keeps its own copy: one slot load per transmission.
+        super().set_message_sink(sink)
         for link in self._links:
-            link._timeline = recorder
+            link._sink = sink
 
     def send(self, msg: Message) -> None:
         """Inject a message at its source node."""
         sim = self.sim
         msg.inject_time = sim.now
         self.meter.record_message(msg.msg_class)
-        timeline = self._timeline
-        if timeline is not None:
-            timeline.message(msg.msg_class, msg.src, msg.dests,
-                             sim.now, msg.size_bytes)
+        sink = self._sink
+        if sink is not None:
+            sink.message(msg)
         dests = msg.dests
         src = msg.src
         if len(dests) == 1:
@@ -407,12 +427,6 @@ class SwitchedNetwork(NetworkInterface):
                 for child in children:
                     row[child].enqueue((msg, None, tree, deliver,
                                         priority, size, msg_class))
-
-    def _deliver(self, msg: Message, node: int) -> None:
-        handler = self._endpoints[node]
-        if handler is None:
-            raise RuntimeError(f"no endpoint registered at node {node}")
-        handler(msg)
 
     # ------------------------------------------------------------------
     def utilization(self) -> float:
@@ -455,33 +469,26 @@ class RandomDelayNetwork(NetworkInterface):
             raise ValueError("need 1 <= min_delay <= max_delay")
         if not 0.0 <= best_effort_drop_prob <= 1.0:
             raise ValueError("drop probability must be in [0, 1]")
-        self.sim = sim
+        super().__init__(sim, num_nodes)
         self.num_nodes = num_nodes
         self.rng = rng
         self.min_delay = min_delay
         self.max_delay = max_delay
         self.best_effort_drop_prob = best_effort_drop_prob
-        self.meter = TrafficMeter()
-        self._endpoints: Dict[int, Handler] = {}
-
-    def register_endpoint(self, node: int, handler: Handler) -> None:
-        if node in self._endpoints:
-            raise ValueError(f"endpoint {node} already registered")
-        self._endpoints[node] = handler
 
     def send(self, msg: Message) -> None:
-        msg.inject_time = self.sim.now
+        sim = self.sim
+        msg.inject_time = sim.now
         self.meter.record_message(msg.msg_class)
+        sink = self._sink
+        if sink is not None:
+            sink.message(msg)
         for dest in dict.fromkeys(msg.dests):
             if dest == msg.src:
                 # The local slice is reached without entering the
                 # fabric: fixed latency, no drop roll, no traffic.
-                handler = self._endpoints.get(dest)
-                if handler is None:
-                    raise RuntimeError(
-                        f"no endpoint registered at node {dest}")
-                self.sim.post(LOCAL_DELIVERY_LATENCY,
-                              lambda m=msg, h=handler: h(m))
+                sim.post(LOCAL_DELIVERY_LATENCY,
+                         lambda m=msg, d=dest: self._deliver(m, d))
                 continue
             if (msg.priority == Priority.BEST_EFFORT
                     and self.rng.random() < self.best_effort_drop_prob):
@@ -489,7 +496,8 @@ class RandomDelayNetwork(NetworkInterface):
                 continue
             delay = self.rng.randint(self.min_delay, self.max_delay)
             self.meter.record_traversal(msg.msg_class, msg.size_bytes)
-            handler = self._endpoints.get(dest)
-            if handler is None:
-                raise RuntimeError(f"no endpoint registered at node {dest}")
-            self.sim.post(delay, lambda m=msg, h=handler: h(m))
+            sim.post(delay, lambda m=msg, d=dest: self._deliver(m, d))
+
+    def utilization(self) -> float:
+        """Always 0.0: the random-delay model has no links."""
+        return 0.0

@@ -136,7 +136,7 @@ class Telemetry:
         return {
             "counters": dict(sorted(self.counters.items())),
             "gauges": dict(sorted(self.gauges.items())),
-            "spans": {name: _stat_to_dict(stat)
+            "spans": {name: stat.to_dict()
                       for name, stat in sorted(self.timings.items())},
         }
 
@@ -167,23 +167,6 @@ def for_process() -> Union[Telemetry, NullTelemetry]:
 # ----------------------------------------------------------------------
 # Snapshot aggregation
 # ----------------------------------------------------------------------
-def _stat_to_dict(stat: RunningStat) -> Dict[str, Any]:
-    # Mirrors repro.exec.serialization.running_stat_to_dict without
-    # importing the exec layer (obs sits below it).
-    return {"count": stat.count, "mean": stat._mean, "m2": stat._m2,
-            "min": stat.min, "max": stat.max}
-
-
-def _stat_from_dict(data: Dict[str, Any]) -> RunningStat:
-    stat = RunningStat()
-    stat.count = int(data["count"])
-    stat._mean = float(data["mean"])
-    stat._m2 = float(data["m2"])
-    stat.min = None if data["min"] is None else float(data["min"])
-    stat.max = None if data["max"] is None else float(data["max"])
-    return stat
-
-
 def merge_snapshots(snapshots: Iterable[Optional[Dict[str, Any]]]
                     ) -> Optional[Dict[str, Any]]:
     """Fold snapshots into one aggregate, order-independently.
@@ -211,13 +194,13 @@ def merge_snapshots(snapshots: Iterable[Optional[Dict[str, Any]]]
         for name, data in (snap.get("spans") or {}).items():
             stat = spans.get(name)
             if stat is None:
-                spans[name] = _stat_from_dict(data)
+                spans[name] = RunningStat.from_dict(data)
             else:
-                stat.merge(_stat_from_dict(data))
+                stat.merge(RunningStat.from_dict(data))
     return {
         "counters": dict(sorted(counters.items())),
         "gauges": dict(sorted(gauges.items())),
-        "spans": {name: _stat_to_dict(stat)
+        "spans": {name: stat.to_dict()
                   for name, stat in sorted(spans.items())},
     }
 

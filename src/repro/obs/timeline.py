@@ -11,8 +11,12 @@ is rendered as one microsecond):
 * **protocol messages** — an instant (``ph: "i"``) event per injected
   message, one lane per message class;
 * **kernel event density** — a counter (``ph: "C"``) lane sampling how
-  many kernel events dispatched per time bucket, fed by the kernels'
+  many kernel events dispatched per time bucket, fed by the kernel's
   event sink.
+
+The first two come through the network's message sink
+(``message`` and ``link_busy``; see
+:meth:`repro.interconnect.network.NetworkInterface.set_message_sink`).
 
 Recording is observation only: hooks never draw sequence numbers, post
 events, or touch RNG, so a recorded run is bit-identical to an
@@ -31,7 +35,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional
 
 #: Environment target for timeline capture (CLI: ``--timeline``).
 TIMELINE_ENV = "REPRO_TIMELINE"
@@ -71,7 +75,8 @@ class TimelineRecorder:
         self._kernel_counts: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
-    # Hooks (hot paths call these only when a recorder is attached)
+    # Kernel event sink and network message sink (hot paths call these
+    # only when a recorder is attached)
     # ------------------------------------------------------------------
     def kernel_tick(self, time: int) -> None:
         """Kernel event sink: bump the dispatch count of a time bucket."""
@@ -92,18 +97,18 @@ class TimelineRecorder:
             "args": {"size_bytes": size_bytes},
         })
 
-    def message(self, msg_class: Any, src: int, dests: Sequence[int],
-                time: int, size_bytes: int) -> None:
+    def message(self, msg: Any) -> None:
         """One injected message: an instant event on its class lane."""
+        name = _class_name(msg.msg_class)
         self._events.append({
-            "name": _class_name(msg_class),
+            "name": name,
             "ph": "i",
             "s": "t",
-            "ts": time,
+            "ts": msg.inject_time,
             "pid": 0,
-            "tid": self._lane(f"msg {_class_name(msg_class)}"),
-            "args": {"src": src, "dests": list(dests),
-                     "size_bytes": size_bytes},
+            "tid": self._lane(f"msg {name}"),
+            "args": {"src": msg.src, "dests": list(msg.dests),
+                     "size_bytes": msg.size_bytes},
         })
 
     # ------------------------------------------------------------------

@@ -159,7 +159,6 @@ class StudyScheduler:
         self._stopping = False
         self._started = False
         self._dispatcher: Optional[threading.Thread] = None
-        self.telemetry = _telemetry.Telemetry()
         self._counts = {"submissions": 0, "studies_created": 0,
                         "studies_deduped": 0, "cells_cached": 0,
                         "cells_shared": 0, "cells_queued": 0,
@@ -215,7 +214,6 @@ class StudyScheduler:
         study_id = spec_digest(spec)
         with self._cond:
             self._counts["submissions"] += 1
-            self.telemetry.count("service.submissions")
             existing = self._studies.get(study_id)
             if existing is not None and existing.terminal \
                     and existing.state == "failed":
@@ -227,7 +225,6 @@ class StudyScheduler:
                 existing = None
             if existing is not None:
                 self._counts["studies_deduped"] += 1
-                self.telemetry.count("service.dedup.study")
                 done = sum(1 for r in existing.results if r is not None)
                 summary = {"created": False, "hits": done,
                            "shared": len(existing.cells) - done,
@@ -260,14 +257,12 @@ class StudyScheduler:
                 task.subscribers.append((record, index))
                 record.cache_delta["shared"] += 1
                 self._counts["cells_shared"] += 1
-                self.telemetry.count("service.dedup.cell")
                 record.event("queued", index, shared=True)
                 continue
             cached = self.session.runner.lookup(cell)
             if cached is not None:
                 record.cache_delta["hits"] += 1
                 self._counts["cells_cached"] += 1
-                self.telemetry.count("service.cache.hits")
                 record.event("cached", index)
                 self._resolve_cell(record, index, cached, fresh=False)
                 continue
@@ -277,7 +272,6 @@ class StudyScheduler:
             self._queue.append(task)
             record.cache_delta["misses"] += 1
             self._counts["cells_queued"] += 1
-            self.telemetry.count("service.cells.queued")
             record.event("queued", index)
         if record.remaining == 0:
             self._finish_record(record)
@@ -318,7 +312,6 @@ class StudyScheduler:
         self._in_flight.pop(task.key, None)
         if fresh:
             self._counts["cells_executed"] += 1
-            self.telemetry.count("service.cells.executed")
             if self.cache is not None:
                 task.creator.cache_delta["stores"] += 1
         for record, index in task.subscribers:
@@ -332,7 +325,6 @@ class StudyScheduler:
         task.state = "failed"
         self._in_flight.pop(task.key, None)
         self._counts["cells_failed"] += 1
-        self.telemetry.count("service.cells.failed")
         for record, index in task.subscribers:
             record.event("failed", index, error=error)
             if record.manifest is not None:
@@ -442,9 +434,6 @@ class StudyScheduler:
         out["jobs"] = self.session.jobs
         if self.cache is not None:
             out["cache"] = self.cache.stats()
-        snapshot = self.telemetry.snapshot()
-        if snapshot:
-            out["telemetry"] = snapshot
         return out
 
     # ------------------------------------------------------------------

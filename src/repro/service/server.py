@@ -17,7 +17,7 @@ GET    ``/studies/<id>``            status + per-cell progress counts
 GET    ``/studies/<id>/result``     the full StudyResult (wire format)
 GET    ``/studies/<id>/events``     NDJSON progress stream
 GET    ``/healthz``                 liveness probe
-GET    ``/stats``                   scheduler + cache + telemetry counters
+GET    ``/stats``                   scheduler counters + cache stats
 ====== ============================ =======================================
 
 Validation failures reuse the pointed :class:`~repro.api.spec.SpecError`
@@ -28,16 +28,16 @@ vocabulary for spec mistakes.
 from __future__ import annotations
 
 import json
-import logging
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 
 from repro.api.session import Session
 from repro.api.spec import SpecError, StudySpec
+from repro.obs.logs import get_logger
 from repro.service.scheduler import StudyRecord, StudyScheduler
 from repro.service.wire import study_result_to_dict
 
-log = logging.getLogger("repro.service")
+log = get_logger("service")
 
 #: Refuse request bodies beyond this many bytes (a spec is small; a
 #: larger body is a mistake or abuse, not a study).

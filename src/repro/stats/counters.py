@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from typing import Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List, Mapping, Optional
 
 
 class Counter:
@@ -75,6 +75,22 @@ class RunningStat:
         self.count = total
         self.min = min(self.min, other.min)  # type: ignore[arg-type]
         self.max = max(self.max, other.max)  # type: ignore[arg-type]
+
+    def to_dict(self) -> Dict[str, Any]:
+        """The JSON form of the Welford state.  ``json`` round-trips
+        floats exactly, so :meth:`from_dict` restores it bit for bit."""
+        return {"count": self.count, "mean": self._mean, "m2": self._m2,
+                "min": self.min, "max": self.max}
+
+    @classmethod
+    def from_dict(cls, data: Mapping[str, Any]) -> "RunningStat":
+        stat = cls()
+        stat.count = int(data["count"])
+        stat._mean = float(data["mean"])
+        stat._m2 = float(data["m2"])
+        stat.min = None if data["min"] is None else float(data["min"])
+        stat.max = None if data["max"] is None else float(data["max"])
+        return stat
 
 
 class Ewma:

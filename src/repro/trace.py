@@ -1,7 +1,7 @@
 """Protocol traces: record, filter, and pretty-print coherence messages.
 
-A :class:`MessageTracer` hooks a system's network and records every
-injected message.  Traces make protocol behaviour testable at the
+A :class:`MessageTracer` is a system network's message sink: it records
+every injected message.  Traces make protocol behaviour testable at the
 sequence level ("a sharing miss is exactly request → forward → data →
 deactivate") and debuggable when it is not.
 
@@ -18,7 +18,7 @@ True
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.coherence.messages import CoherenceMsg, MsgType
 from repro.interconnect.message import Message, Priority
@@ -55,7 +55,11 @@ class TraceRecord:
 
 
 class MessageTracer:
-    """Records every message a system's network injects."""
+    """Records every message a system's network injects.
+
+    Installs itself as the network's message sink, which replaces any
+    sink already there (a timeline recorder, say).
+    """
 
     def __init__(self, system, block: Optional[int] = None,
                  capacity: int = 100_000) -> None:
@@ -64,29 +68,32 @@ class MessageTracer:
         self.capacity = capacity
         self.records: List[TraceRecord] = []
         self.dropped_records = 0
-        self._original_send = system.network.send
-        system.network.send = self._spy
+        system.network.set_message_sink(self)
 
     def detach(self) -> None:
-        """Stop tracing and restore the network."""
-        self.system.network.send = self._original_send
+        """Stop tracing: clear the network's message sink."""
+        self.system.network.set_message_sink(None)
 
     # ------------------------------------------------------------------
-    def _spy(self, msg: Message) -> None:
+    def message(self, msg: Message) -> None:
+        """Message-sink hook: record one injected coherence message."""
         payload = msg.payload
         if isinstance(payload, CoherenceMsg) and (
                 self.block_filter is None
                 or payload.block == self.block_filter):
             if len(self.records) < self.capacity:
                 self.records.append(TraceRecord(
-                    time=self.system.sim.now, src=msg.src, dests=msg.dests,
+                    time=msg.inject_time, src=msg.src, dests=msg.dests,
                     mtype=payload.mtype, block=payload.block,
                     requester=payload.requester, txn_id=payload.txn_id,
                     tokens=str(payload.tokens), has_data=payload.has_data,
                     priority=msg.priority, to_home=payload.to_home))
             else:
                 self.dropped_records += 1
-        self._original_send(msg)
+
+    def link_busy(self, src: int, dst: int, start: int, duration: int,
+                  msg_class: Any, size_bytes: int) -> None:
+        """Message-sink hook: link occupancy is not part of a trace."""
 
     # ------------------------------------------------------------------
     def filter(self, block: Optional[int] = None,

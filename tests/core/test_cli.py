@@ -66,32 +66,33 @@ def test_exec_options_accepted_on_experiment_commands(capsys):
 
 
 def test_run_command_uses_cache_dir(tmp_path, capsys):
-    argv = ["run", "--protocol", "directory", "--workload", "microbench",
-            "--cores", "4", "--refs", "20", "--cache-dir", str(tmp_path)]
-    assert main(argv) == 0
-    first = capsys.readouterr().out
-    assert any(tmp_path.rglob("*.json"))  # the run was cached
-    assert main(argv) == 0
-    assert capsys.readouterr().out == first  # served from cache
-
-    # Every other experiment command hands its session down too: under
-    # the suite's REPRO_NO_CACHE=1, an explicit --cache-dir still stores.
+    """Every experiment command hands its session down: under the
+    suite's REPRO_NO_CACHE=1 an explicit --cache-dir still stores, and
+    a rerun served from that cache prints the same stdout."""
     trace = str(tmp_path / "t.rpt")
     assert main(["trace", "record", "--workload", "microbench",
                  "--cores", "4", "--refs", "10", "--out", trace]) == 0
     profile = str(REPO_ROOT / "examples" / "profiles" / "migratory.json")
     commands = {
+        # PATCH-All on oltp sends Forward and Activation traffic, whose
+        # figure order differs from their sorted order.
+        "run": ["run", "--protocol", "patch", "--predictor", "all",
+                "--workload", "oltp", "--cores", "4", "--refs", "40"],
         "trace-replay": ["trace", "replay", trace],
         "synth-run": ["synth", "--profile", profile, "--cores", "4",
                       "--refs", "10", "--run"],
         "study-run": ["study", "run", _tiny_spec_file(tmp_path),
                       "--jobs", "1"],
     }
+    capsys.readouterr()
     for name, argv in commands.items():
         cache = tmp_path / "caches" / name
-        assert main(argv + ["--cache-dir", str(cache)]) == 0
+        argv = argv + ["--cache-dir", str(cache)]
+        assert main(argv) == 0
+        cold = capsys.readouterr().out
         assert any(cache.glob("v-*/*/*.json")), name
-    capsys.readouterr()
+        assert main(argv) == 0
+        assert capsys.readouterr().out == cold, name
 
 
 def test_run_command_with_topology(capsys):

@@ -4,6 +4,10 @@ import pytest
 
 from repro import System, SystemConfig, make_workload
 from repro.core.system import DEFAULT_MAX_CYCLES, build_random_delay_system
+from repro.exec import comparable_result_dict
+from repro.interconnect.network import SwitchedNetwork
+from repro.interconnect.topology import make_topology
+from repro.sim.kernel import Simulator
 from repro.verify.watchdog import StarvationError
 from repro.workloads.base import Access
 from tests.helpers import ScriptedWorkload
@@ -100,6 +104,24 @@ def test_random_delay_system_builder():
                                        drop_prob=0.5)
     result = system.run()
     assert result.total_references == 30
+
+
+def test_prebuilt_switched_network_runs_like_the_default():
+    """A given network brings its own clock.  Its links keep the
+    simulator they were built with, so System must run on that clock
+    rather than hand the network a fresh one."""
+    config = SystemConfig(num_cores=4, protocol="patch", predictor="all")
+    network = SwitchedNetwork(
+        Simulator(), make_topology(config.topology, 4, config.torus_dims),
+        bandwidth=config.link_bandwidth, hop_latency=config.hop_latency,
+        drop_age=config.direct_request_drop_age)
+    workload = make_workload("microbench", num_cores=4, seed=1)
+    prebuilt = System(config, workload, references_per_core=20,
+                      network=network)
+    assert prebuilt.sim is network.sim
+    default = build(protocol="patch", predictor="all")
+    assert (comparable_result_dict(prebuilt.run())
+            == comparable_result_dict(default.run()))
 
 
 def test_result_reports_total_references():

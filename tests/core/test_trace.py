@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro import make_workload
 from repro.coherence.messages import MsgType
+from repro.exec import comparable_result_dict
 from repro.trace import MessageTracer, sequence_matches
 from tests.helpers import AccessDriver, make_system
 
@@ -132,9 +134,40 @@ def test_capacity_bounds_recording():
 
 def test_detach_stops_tracing():
     system, tracer = traced_system()
+    driver = AccessDriver(system)
+    driver.access(0, 100, is_write=False)
+    seen = list(tracer.records)
+    assert seen
     tracer.detach()
+    driver.access(1, 200, is_write=False)
+    assert tracer.records == seen
+
+
+def test_tracer_records_on_a_random_delay_system():
+    system = make_system("directory", cores=4, adversarial=True,
+                         net_seed=3)
+    tracer = MessageTracer(system, block=100)
     AccessDriver(system).access(0, 100, is_write=False)
-    assert tracer.records == []
+    assert tracer.message_types() == [MsgType.GETS, MsgType.DATA,
+                                      MsgType.DEACT]
+    assert all(r.time >= 0 for r in tracer.records)
+
+
+@pytest.mark.parametrize("adversarial", [False, True],
+                         ids=["switched", "random-delay"])
+def test_tracing_leaves_results_bit_identical(adversarial):
+    def build():
+        return make_system("patch", cores=4, predictor="all",
+                           workload=make_workload("microbench",
+                                                  num_cores=4, seed=2),
+                           references=30, adversarial=adversarial,
+                           net_seed=5)
+
+    bare = comparable_result_dict(build().run())
+    system = build()
+    tracer = MessageTracer(system)
+    assert comparable_result_dict(system.run()) == bare
+    assert tracer.records
 
 
 def test_format_renders_lines():

@@ -6,8 +6,7 @@ import pytest
 
 from repro.config import SystemConfig
 from repro.core.runner import run_one
-from repro.exec import (run_result_from_dict, run_result_to_dict,
-                        running_stat_from_dict, running_stat_to_dict)
+from repro.exec import run_result_from_dict, run_result_to_dict
 from repro.stats.counters import RunningStat
 
 
@@ -39,7 +38,7 @@ def test_round_trip_through_json_is_lossless():
 
 def test_running_stat_round_trip_handles_empty():
     stat = RunningStat()
-    restored = running_stat_from_dict(running_stat_to_dict(stat))
+    restored = RunningStat.from_dict(stat.to_dict())
     assert restored.count == 0
     assert restored.min is None and restored.max is None
     assert restored.mean == 0.0
@@ -49,8 +48,7 @@ def test_running_stat_round_trip_exact_floats():
     stat = RunningStat()
     for value in (0.1, 7.3, 1e-9, 123456.789, 2.5):
         stat.add(value)
-    restored = running_stat_from_dict(
-        json.loads(json.dumps(running_stat_to_dict(stat))))
+    restored = RunningStat.from_dict(json.loads(json.dumps(stat.to_dict())))
     assert restored._mean == stat._mean
     assert restored._m2 == stat._m2
     assert restored.stddev == stat.stddev

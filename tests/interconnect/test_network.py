@@ -4,10 +4,12 @@ import random
 
 import pytest
 
+from repro import System, SystemConfig, make_workload
 from repro.interconnect.message import Message, Priority
 from repro.interconnect.network import (LOCAL_DELIVERY_LATENCY,
-                                        RandomDelayNetwork, TorusNetwork)
-from repro.interconnect.topology import Torus2D
+                                        RandomDelayNetwork, SwitchedNetwork,
+                                        TorusNetwork)
+from repro.interconnect.topology import Torus2D, make_topology
 from repro.sim.kernel import Simulator
 from repro.stats.traffic import MsgClass
 
@@ -284,3 +286,98 @@ def test_random_network_multicast_self_leg_immune_to_drops():
     sim.run()
     assert delivered == [0]
     assert net.meter.dropped_messages == 2
+
+
+# ---------------------------------------------------------------------------
+# The contract both models share (NetworkInterface)
+# ---------------------------------------------------------------------------
+
+def switched(sim, nodes):
+    config = SystemConfig(num_cores=nodes)
+    return SwitchedNetwork(
+        sim, make_topology(config.topology, nodes, config.torus_dims),
+        bandwidth=config.link_bandwidth, hop_latency=config.hop_latency,
+        drop_age=config.direct_request_drop_age)
+
+
+def random_delay(sim, nodes):
+    return RandomDelayNetwork(sim, nodes, random.Random(1))
+
+
+MODELS = [pytest.param(switched, id="switched"),
+          pytest.param(random_delay, id="random-delay")]
+
+
+class CountingSink:
+    """A message sink that counts what it is shown."""
+
+    def __init__(self):
+        self.messages = 0
+        self.link_bytes = 0
+
+    def message(self, msg):
+        assert msg.inject_time >= 0  # stamped before the sink runs
+        self.messages += 1
+
+    def link_busy(self, src, dst, start, duration, msg_class, size_bytes):
+        self.link_bytes += size_bytes
+
+
+@pytest.mark.parametrize("make", MODELS)
+def test_contract_rejects_a_second_endpoint_at_a_node(make):
+    net = make(Simulator(), 4)
+    net.register_endpoint(0, lambda m: None)
+    with pytest.raises(ValueError, match="endpoint 0 already registered"):
+        net.register_endpoint(0, lambda m: None)
+
+
+@pytest.mark.parametrize("make", MODELS)
+def test_contract_unregistered_destination_names_the_node(make):
+    sim = Simulator()
+    net = make(sim, 4)
+    net.register_endpoint(0, lambda m: None)
+    with pytest.raises(RuntimeError, match="no endpoint registered at node 2"):
+        net.send(msg(0, [2]))
+        sim.run()
+
+
+@pytest.mark.parametrize("make", MODELS)
+def test_contract_sink_sees_every_message_and_link_transmission(make):
+    """On a drained 16-core PATCH-All cell the sink is shown each
+    injected message once, and (SwitchedNetwork only) every metered
+    link byte through ``link_busy``."""
+    config = SystemConfig(num_cores=16, protocol="patch", predictor="all")
+    net = make(Simulator(), 16)
+    system = System(config, make_workload("microbench", num_cores=16,
+                                          seed=1), 40, network=net)
+    sink = CountingSink()
+    net.set_message_sink(sink)
+    system.run()
+    meter = net.meter
+    assert sink.messages == sum(meter.messages.values()) > 0
+    if isinstance(net, SwitchedNetwork):
+        assert sink.link_bytes == sum(meter.bytes.values()) > 0
+        assert 0.0 < net.utilization() <= 1.0
+    else:  # no links: nothing to occupy, nothing to utilize
+        assert sink.link_bytes == 0
+        assert net.utilization() == 0.0
+
+
+@pytest.mark.parametrize("make", MODELS)
+def test_contract_clearing_the_sink_stops_it(make):
+    sim = Simulator()
+    net = make(sim, 4)
+    for node in range(4):
+        net.register_endpoint(node, lambda m: None)
+    sink = CountingSink()
+    net.set_message_sink(sink)
+    net.send(msg(0, [1, 2, 3]))
+    net.send(msg(1, [1]))
+    sim.run()
+    assert sink.messages == 2
+    seen = (sink.messages, sink.link_bytes)
+    net.set_message_sink(None)
+    net.send(msg(0, [1, 2, 3]))
+    sim.run()
+    assert (sink.messages, sink.link_bytes) == seen
+    assert sum(net.meter.messages.values()) == 3

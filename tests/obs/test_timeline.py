@@ -5,6 +5,7 @@ import json
 from repro.config import SystemConfig
 from repro.exec import comparable_result_dict, make_cell
 from repro.exec.cells import cell_slug, execute_cell
+from repro.interconnect.message import Message
 from repro.obs.timeline import (KERNEL_BUCKET_CYCLES, TimelineRecorder,
                                 timeline_path, timeline_target)
 
@@ -21,7 +22,8 @@ def test_recorder_emits_the_three_lane_kinds():
     rec.kernel_tick(KERNEL_BUCKET_CYCLES + 1)
     rec.link_busy(0, 1, start=5, duration=8, msg_class="data",
                   size_bytes=64)
-    rec.message("req", src=2, dests=[0, 1], time=5, size_bytes=8)
+    rec.message(Message(src=2, dests=(0, 1), size_bytes=8, msg_class="req",
+                        inject_time=5))
     doc = rec.to_json_dict()
     events = doc["traceEvents"]
     by_phase = {}

@@ -21,16 +21,20 @@ class Probe:
         self.payload = payload
 
 
+class MessageLog(list):
+    """A network message sink that keeps every injected message."""
+
+    def message(self, msg):
+        self.append(msg)
+
+    def link_busy(self, src, dst, start, duration, msg_class, size_bytes):
+        pass
+
+
 def sent_messages(system):
-    """Capture messages by monkeypatching the network send."""
-    log = []
-    original = system.network.send
-
-    def spy(msg):
-        log.append(msg)
-        original(msg)
-
-    system.network.send = spy
+    """Capture every message the system's network injects."""
+    log = MessageLog()
+    system.network.set_message_sink(log)
     return log
 
 
