@@ -1,8 +1,8 @@
 """Golden suite for the simulation core.
 
 Cycle counts are the results: every protocol's cycle counts, traffic
-meters, and drop counts must come out *bit-identical* to the committed
-goldens.  Two golden files pin them:
+meters, drop counts and controller counters must come out
+*bit-identical* to the committed goldens.  Two golden files pin them:
 
 * ``golden/engine_parity.json`` holds the full observable result of
   every (workload x topology x protocol) cell of the scenario matrix,
@@ -97,6 +97,10 @@ def system_fingerprint(system, result) -> dict:
                                key=lambda item: item[0].value) if count},
         "dropped_messages": meter.dropped_messages,
         "dropped_bytes": meter.dropped_bytes,
+        # Every controller counter, summed over nodes: a refactor that
+        # moves a counter bump between paths shows up here.
+        "cache_stats": dict(sorted(result.cache_stats.items())),
+        "home_stats": dict(sorted(result.home_stats.items())),
     }
 
 
