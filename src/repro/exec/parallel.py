@@ -31,6 +31,7 @@ from repro.core.results import RunResult
 from repro.exec.cache import ResultCache
 from repro.exec.cells import Cell, execute_cell
 from repro.exec.serialization import run_result_from_dict, run_result_to_dict
+from repro.obs import profile_dir, timeline_target
 from repro.obs import telemetry as _telemetry
 
 #: Environment override for the worker count (CLI: ``--jobs``).
@@ -148,9 +149,13 @@ class ParallelRunner:
         uncached.
 
         A hit did no work now: it reports zero wall time with the
-        cached flag, never the original run's timing.
+        cached flag, never the original run's timing.  While a trace or
+        a profile is asked for (``REPRO_TIMELINE`` /
+        ``REPRO_PROFILE_DIR``) every cell misses, so it executes and
+        writes them; its fresh result is still stored.
         """
-        if self.cache is None:
+        if (self.cache is None or timeline_target() is not None
+                or profile_dir() is not None):
             return None
         with _telemetry.current.span("cache.lookup"):
             cached = self.cache.load(cell)

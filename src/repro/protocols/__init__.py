@@ -1,8 +1,9 @@
 """Coherence protocols: DIRECTORY (baseline), PATCH (contribution), TokenB."""
 
-from repro.protocols.base import (MSG_CLASS, CacheControllerBase,
+from repro.protocols.base import (MSG_CLASS, CacheControllerBase, DirEntry,
                                   HomeControllerBase, Memory, Mshr, Node,
-                                  ProtocolError)
+                                  ProtocolError, TokenCacheBase)
 
-__all__ = ["CacheControllerBase", "HomeControllerBase", "MSG_CLASS",
-           "Memory", "Mshr", "Node", "ProtocolError"]
+__all__ = ["CacheControllerBase", "DirEntry", "HomeControllerBase",
+           "MSG_CLASS", "Memory", "Mshr", "Node", "ProtocolError",
+           "TokenCacheBase"]

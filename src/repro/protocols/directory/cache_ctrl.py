@@ -51,11 +51,12 @@ class DirectoryCache(CacheControllerBase):
     directory state PATCH reuses verbatim for token tenure.
     """
 
+    label = "directory cache"
+
     def __init__(self, node_id, sim, network, config) -> None:
         super().__init__(node_id, sim, network, config)
         self.wb_buffer: Dict[int, WbEntry] = {}
-        # Message dispatch table, built once (handle_message is hot).
-        self._dispatch = {
+        self._handlers = {
             MsgType.FWD_GETS: self._on_fwd_gets,
             MsgType.FWD_GETM: self._on_fwd_getm,
             MsgType.INV: self._on_inv,
@@ -73,16 +74,6 @@ class DirectoryCache(CacheControllerBase):
                                txn_id=mshr.txn_id, is_write=mshr.is_write,
                                to_home=True)
         self.send([self.home_of(mshr.block)], payload)
-
-    # -- message dispatch --------------------------------------------------
-    def handle_message(self, msg) -> None:
-        payload: CoherenceMsg = msg.payload
-        handler = self._dispatch.get(payload.mtype)
-        if handler is None:
-            raise ProtocolError(
-                f"directory cache {self.node_id}: unexpected "
-                f"{payload.mtype.value}")
-        handler(payload)
 
     # -- forwarded requests -------------------------------------------------
     def _owner_source(self, block: int):
@@ -186,12 +177,12 @@ class DirectoryCache(CacheControllerBase):
         mshr.data_version = payload.data_version
         if payload.acks_expected is not None:
             mshr.acks_expected = payload.acks_expected
-        self._try_complete(mshr)
+        self._try_finish(mshr)
 
     def _on_ack(self, payload: CoherenceMsg) -> None:
         mshr = self._mshr_for(payload)
         mshr.acks_received += 1
-        self._try_complete(mshr)
+        self._try_finish(mshr)
 
     def _on_ack_count(self, payload: CoherenceMsg) -> None:
         """Owner-upgrade path: home tells us how many acks to expect."""
@@ -204,9 +195,9 @@ class DirectoryCache(CacheControllerBase):
         mshr.have_data = True
         mshr.grant_state = CacheState.M
         mshr.data_version = line.version
-        self._try_complete(mshr)
+        self._try_finish(mshr)
 
-    def _try_complete(self, mshr: Mshr) -> None:
+    def _try_finish(self, mshr: Mshr) -> None:
         if not mshr.have_data:
             return
         # Exclusive grants (writes, and migratory reads granted M) must
@@ -242,13 +233,6 @@ class DirectoryCache(CacheControllerBase):
         self.send([self.home_of(mshr.block)], deact)
         self.mshr = None
         self._finish_miss(mshr)
-
-    def _make_room(self, block: int) -> None:
-        """Evict the LRU victim if the set is full."""
-        victim = self.cache.victim_for(block)
-        if victim is None:
-            return
-        self._evict(victim)
 
     def _evict(self, line: CacheLine) -> None:
         self.cache.evict(line.block)

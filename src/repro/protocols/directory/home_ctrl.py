@@ -14,32 +14,9 @@ exclusive (GETM-like) transfers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Set
-
 from repro.coherence.messages import CoherenceMsg, MsgType
 from repro.coherence.states import CacheState
-from repro.directory_state.encodings import SharerEncoding, make_encoding
-from repro.protocols.base import HomeControllerBase, ProtocolError
-
-
-@dataclass
-class DirEntry:
-    """Directory entry: exact owner + encoded sharers + migratory state.
-
-    The per-block state of Section 5.1's directory: the owner is always
-    exact, the sharer set goes through the configured
-    :mod:`repro.directory_state.encodings` encoding (full map down to a
-    single bit, Section 7's inexactness experiments), and the migratory
-    bits drive the migratory-sharing optimization.
-    """
-
-    sharers: SharerEncoding
-    owner: Optional[int] = None          # None => memory owns the block
-    owner_txn: int = 0                   # txn that installed the owner
-    migratory: bool = False
-    pending_read_by: Optional[int] = None
-    pending_read_was_remote: bool = False
+from repro.protocols.base import DirEntry, HomeControllerBase, ProtocolError
 
 
 class DirectoryHome(HomeControllerBase):
@@ -54,28 +31,16 @@ class DirectoryHome(HomeControllerBase):
     the same core and converts migratory reads to exclusive transfers.
     """
 
+    label = "directory home"
+
     def __init__(self, node_id, sim, network, config) -> None:
         super().__init__(node_id, sim, network, config)
-        self._entries: Dict[int, DirEntry] = {}
-
-    def entry(self, block: int) -> DirEntry:
-        if block not in self._entries:
-            self._entries[block] = DirEntry(
-                sharers=make_encoding(self.config.num_cores,
-                                      self.config.encoding_coarseness))
-        return self._entries[block]
-
-    # -- message dispatch --------------------------------------------------
-    def handle_message(self, msg) -> None:
-        payload: CoherenceMsg = msg.payload
-        if payload.mtype in (MsgType.GETS, MsgType.GETM, MsgType.PUT):
-            self._enqueue_or_activate(payload)
-        elif payload.mtype is MsgType.DEACT:
-            self._on_deact(payload)
-        else:
-            raise ProtocolError(
-                f"directory home {self.node_id}: unexpected "
-                f"{payload.mtype.value}")
+        self._handlers = {
+            MsgType.GETS: self._enqueue_or_activate,
+            MsgType.GETM: self._enqueue_or_activate,
+            MsgType.PUT: self._enqueue_or_activate,
+            MsgType.DEACT: self._on_deact,
+        }
 
     def _activate(self, payload: CoherenceMsg) -> None:
         if payload.mtype is MsgType.GETS:
@@ -84,18 +49,15 @@ class DirectoryHome(HomeControllerBase):
             self._process_getm(payload)
         elif payload.mtype is MsgType.PUT:
             self._process_put(payload)
-        else:  # pragma: no cover - guarded by handle_message
+        else:  # pragma: no cover - guarded by the handler table
             raise ProtocolError(f"cannot activate {payload.mtype.value}")
 
     # -- reads ----------------------------------------------------------------
     def _process_gets(self, payload: CoherenceMsg) -> None:
         entry = self.entry(payload.block)
         requester = payload.requester
-        remote_owner = entry.owner is not None and entry.owner != requester
-        if (self.config.migratory_optimization and entry.migratory
-                and remote_owner):
+        if self._migratory_read(entry, requester):
             # Migratory read: transfer exclusively, invalidating sharers.
-            self.stats.add("migratory_reads")
             self._transfer_exclusive(payload, entry, migratory=True)
         elif entry.owner is None:
             self._respond_from_memory_read(payload, entry)
@@ -105,11 +67,6 @@ class DirectoryHome(HomeControllerBase):
                                txn_id=payload.txn_id, acks_expected=0)
             self.send([entry.owner], fwd)
             self.stats.add("read_forwards")
-        # Migratory-pattern tracking: two reads in a row break the pattern.
-        if entry.pending_read_by is not None:
-            entry.migratory = False
-        entry.pending_read_by = requester
-        entry.pending_read_was_remote = remote_owner
 
     def _respond_from_memory_read(self, payload: CoherenceMsg,
                                   entry: DirEntry) -> None:
@@ -130,14 +87,7 @@ class DirectoryHome(HomeControllerBase):
     # -- writes ---------------------------------------------------------------
     def _process_getm(self, payload: CoherenceMsg) -> None:
         entry = self.entry(payload.block)
-        requester = payload.requester
-        # Migratory-pattern tracking: read-then-write by the same core on a
-        # remotely sourced block marks the block migratory.
-        if (entry.pending_read_by == requester
-                and entry.pending_read_was_remote):
-            entry.migratory = True
-            self.stats.add("migratory_detected")
-        entry.pending_read_by = None
+        self._note_write(entry, payload.requester)
         self._transfer_exclusive(payload, entry, migratory=False)
 
     def _transfer_exclusive(self, payload: CoherenceMsg, entry: DirEntry,
@@ -212,12 +162,7 @@ class DirectoryHome(HomeControllerBase):
 
     # -- deactivation --------------------------------------------------------
     def _on_deact(self, payload: CoherenceMsg) -> None:
-        entry = self.entry(payload.block)
-        active = self.active_request(payload.block)
-        if active is None or active.txn_id != payload.txn_id:
-            raise ProtocolError(
-                f"DEACT for txn {payload.txn_id} does not match the active "
-                f"request at home {self.node_id}")
+        entry = self._deact_entry(payload)
         requester = payload.requester
         report = payload.state_report
         old_owner = entry.owner

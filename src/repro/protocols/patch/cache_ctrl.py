@@ -1,34 +1,37 @@
 """PATCH cache controller.
 
 PATCH's cache side is a token-counting controller grafted onto the
-DIRECTORY request flow (paper Section 5.2):
+DIRECTORY request flow (paper Section 5.2).  The token-counting rules
+it shares with TokenB (completion by token counting, answering
+requests without zero-token acks, stray absorb and token writeback)
+live in :class:`~repro.protocols.base.TokenCacheBase`.  This module
+adds what PATCH alone has:
 
 * Misses always send an indirect request to the home; the predictor may
   add best-effort direct requests to other caches.
-* Completion is by token counting: a read needs valid data plus >= 1
-  token, a write needs all T tokens (Table 1, Rules #2/#3).  No
-  zero-token acknowledgements are ever sent.
 * Token tenure (Table 3): tokens arriving while we are not the active
   requester are untenured and ride a probation timer; on expiry they are
   discarded to the home.  The activation message from the home tenures
   everything.  After deactivation, direct requests are ignored for one
   probation window.
+* Zombies: a miss that completed on direct responses before the home
+  activated it waits for its activation only to deactivate.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
-from repro.cache.array import CacheLine
 from repro.coherence.messages import CoherenceMsg, MsgType
 from repro.coherence.states import CacheState, state_from_tokens
 from repro.coherence.tokens import ZERO, TokenCount
 from repro.interconnect.message import Priority
-from repro.protocols.base import CacheControllerBase, Mshr, ProtocolError
+from repro.protocols.base import (IGNORED, MIGRATORY, Mshr, ProtocolError,
+                                  TokenCacheBase)
 from repro.protocols.patch.tenure import IgnoreWindows, ProbationTimers
 
 
-class PatchCache(CacheControllerBase):
+class PatchCache(TokenCacheBase):
     """Cache controller for PATCH, the paper's contribution (Section 5).
 
     Token counting grafted onto the DIRECTORY request flow: every miss
@@ -41,10 +44,11 @@ class PatchCache(CacheControllerBase):
     direct requests can never break the directory's invariants.
     """
 
+    label = "patch cache"
+
     def __init__(self, node_id, sim, network, config, predictor) -> None:
         super().__init__(node_id, sim, network, config)
         self.predictor = predictor
-        self.total_tokens = config.tokens_per_block
         self.probation = ProbationTimers(
             sim, self.rtt_ewma, config.tenure_timeout_multiplier,
             config.tenure_timeout_floor, self._on_probation_expired)
@@ -54,8 +58,7 @@ class PatchCache(CacheControllerBase):
         # paper calls activation "typically not on the critical path"
         # (Section 5.2); these entries only wait to deactivate.
         self.zombies: Dict[int, Mshr] = {}
-        # Message dispatch table, built once (handle_message is hot).
-        self._dispatch = {
+        self._handlers = {
             MsgType.DATA: self._on_tokens,
             MsgType.ACK: self._on_tokens,
             MsgType.ACTIVATION: self._on_activation,
@@ -91,18 +94,6 @@ class PatchCache(CacheControllerBase):
             self.stats.add("direct_requests_sent", len(dests))
 
     # ------------------------------------------------------------------
-    # Message dispatch
-    # ------------------------------------------------------------------
-    def handle_message(self, msg) -> None:
-        payload: CoherenceMsg = msg.payload
-        handler = self._dispatch.get(payload.mtype)
-        if handler is None:
-            raise ProtocolError(
-                f"patch cache {self.node_id}: unexpected "
-                f"{payload.mtype.value}")
-        handler(payload)
-
-    # ------------------------------------------------------------------
     # Token arrival (DATA / ACK)
     # ------------------------------------------------------------------
     def _on_tokens(self, payload: CoherenceMsg) -> None:
@@ -115,9 +106,18 @@ class PatchCache(CacheControllerBase):
             self._apply_activation_flag(payload)
         mshr = self.mshr
         if mshr is not None and mshr.block == payload.block:
-            self._gather_for_mshr(mshr, payload)
+            self._gather(mshr, payload)
+            if not mshr.activated and not payload.tokens.is_zero:
+                self.probation.arm(mshr.block)  # Rules #2 and #4
+            # Once activated, Rule #3 tenures everything.
+            self._try_complete(mshr)
             return
-        self._absorb_stray(payload)
+        line = self._absorb_stray(payload)
+        if line is None:
+            self.stats.add("stray_bounced")   # zero-length probation
+            return
+        line.untenured = line.untenured.add(payload.tokens)  # Rule #2
+        self.probation.arm(payload.block)
 
     def _apply_activation_flag(self, payload: CoherenceMsg) -> None:
         mshr = self.mshr
@@ -134,44 +134,6 @@ class PatchCache(CacheControllerBase):
             # Deactivate via the regular path once the tokens land; the
             # token payload itself is handled by the stray-absorb path.
             self._activate_zombie(zombie)
-
-    def _gather_for_mshr(self, mshr: Mshr, payload: CoherenceMsg) -> None:
-        mshr.tokens = mshr.tokens.add(payload.tokens)
-        if payload.has_data:
-            mshr.have_data = True
-            mshr.data_version = payload.data_version
-            if payload.tokens.owner and payload.tokens.dirty:
-                mshr.data_dirty = True
-        if mshr.activated:
-            pass  # Rule #3: the active requester tenures everything.
-        elif not payload.tokens.is_zero:
-            self.probation.arm(mshr.block)  # Rules #2 and #4
-        self._try_complete(mshr)
-
-    def _absorb_stray(self, payload: CoherenceMsg) -> None:
-        """Tokens for a block with no outstanding miss (stale responses,
-        home redirects that raced our completion)."""
-        block = payload.block
-        line = self.cache.lookup(block)
-        if line is None:
-            if self.cache.victim_for(block) is not None:
-                # No free way: bounce straight home (zero-length probation).
-                self._send_tokens_home(block, payload.tokens,
-                                       payload.has_data,
-                                       payload.data_version,
-                                       CacheState.I)
-                self.stats.add("stray_bounced")
-                return
-            line = self.cache.allocate(block)
-        line.tokens = line.tokens.add(payload.tokens)
-        line.untenured = line.untenured.add(payload.tokens)  # Rule #2
-        if payload.has_data:
-            line.valid_data = True   # Rule #5: data + token arrived
-            line.version = payload.data_version
-        line.state = state_from_tokens(line.tokens, self.total_tokens,
-                                       line.valid_data)
-        self.probation.arm(block)
-        self.stats.add("stray_tokens")
 
     # ------------------------------------------------------------------
     # Activation / completion / deactivation
@@ -211,43 +173,14 @@ class PatchCache(CacheControllerBase):
             self.probation.arm(block)
         self._send_deact(zombie)
 
-    def _line_tokens(self, block: int) -> TokenCount:
-        line = self.cache.lookup(block)
-        return line.tokens if line is not None else ZERO
-
-    def _try_complete(self, mshr: Mshr) -> None:
-        held = mshr.tokens.add(self._line_tokens(mshr.block))
-        line = self.cache.lookup(mshr.block)
-        have_data = mshr.have_data or (line is not None and line.valid_data)
-        if not have_data:
-            return
-        if mshr.is_write:
-            if not held.is_all(self.total_tokens):
-                return
-        elif held.is_zero:
-            return
-        self._fill_and_complete(mshr)
-
-    def _fill_and_complete(self, mshr: Mshr) -> None:
-        self._make_room(mshr.block)
-        line = self.cache.allocate(mshr.block)
-        line.tokens = line.tokens.add(mshr.tokens)
-        if mshr.have_data:
-            line.valid_data = True
-            line.version = mshr.data_version
+    def _complete(self, mshr: Mshr) -> None:
+        moved = mshr.tokens
+        line = self._fill(mshr)
         if mshr.activated:
             line.untenured = ZERO
             self.probation.cancel(mshr.block)
         else:
-            line.untenured = line.untenured.add(mshr.tokens)
-        mshr.tokens = ZERO
-        mshr.complete = True
-        if mshr.is_write:
-            self._commit_write(line)
-        else:
-            line.state = state_from_tokens(line.tokens, self.total_tokens,
-                                           line.valid_data)
-            self._observe_read(line)
+            line.untenured = line.untenured.add(moved)
         self._finish_miss(mshr)
         self.stats.add("write_completions" if mshr.is_write
                        else "read_completions")
@@ -280,7 +213,7 @@ class PatchCache(CacheControllerBase):
         self.zombies.pop(mshr.txn_id, None)
 
     # ------------------------------------------------------------------
-    # Responding to forwarded requests (Rules #1b, #6a, #6b)
+    # Responding to forwarded and direct requests (Rules #1b, #6a-c)
     # ------------------------------------------------------------------
     def _on_forward(self, payload: CoherenceMsg) -> None:
         if payload.requester == self.node_id:
@@ -288,15 +221,11 @@ class PatchCache(CacheControllerBase):
         self.predictor.record_foreign_request(payload.block,
                                               payload.requester)
         mshr = self.mshr
-        mshr_here = mshr is not None and mshr.block == payload.block
-        if mshr_here and mshr.activated:
+        if (mshr is not None and mshr.block == payload.block
+                and mshr.activated):
             self.stats.add("forwards_hoarded")   # Rule #6a
             return
-        want_all = payload.mtype is MsgType.FWD_GETM
-        if want_all:
-            self._yield_all_tokens(payload, include_mshr=mshr_here)
-        else:
-            self._yield_ownership(payload, include_mshr=mshr_here)
+        self._answer(payload)
 
     def _on_direct(self, payload: CoherenceMsg) -> None:
         # Pre-bound counter: this handler runs once per broadcast copy,
@@ -320,104 +249,20 @@ class PatchCache(CacheControllerBase):
             # and ack elision sends no reply.
             self.stats.add("requests_ignored_no_tokens")
             return
-        if payload.mtype is MsgType.DIRECT_GETM:
-            self._yield_all_tokens(payload, include_mshr=False)
-        else:
-            self._yield_ownership(payload, include_mshr=False)
+        self._answer(payload)
 
-    # -- token yielding helpers -------------------------------------------
-    def _yield_all_tokens(self, payload: CoherenceMsg,
-                          include_mshr: bool) -> None:
-        """Send every token we hold for the block to the requester."""
-        block = payload.block
-        tokens = ZERO
-        version = 0
-        has_data = False
-        line = self.cache.lookup(block)
-        if line is not None and not line.tokens.is_zero:
-            tokens = tokens.add(line.tokens)
-            if line.valid_data:
-                version = line.version
-                has_data = True
-            self._drop_line(line)
-        if include_mshr and self.mshr is not None and not self.mshr.tokens.is_zero:
-            tokens = tokens.add(self.mshr.tokens)
-            if self.mshr.have_data:
-                version = self.mshr.data_version
-                has_data = True
-            self.mshr.tokens = ZERO
-            self.mshr.have_data = False
-        if tokens.is_zero:
+    def _answer(self, payload: CoherenceMsg) -> None:
+        """Yield what we hold for the request and count the outcome."""
+        answer = self._yield_tokens(payload)
+        if answer == IGNORED:
             self.stats.add("requests_ignored_no_tokens")  # ack elision
             return
-        has_data = has_data and tokens.owner  # only the owner sends data
-        self._respond(payload.requester, block, payload.txn_id, tokens,
-                      has_data, version)
-
-    def _yield_ownership(self, payload: CoherenceMsg,
-                         include_mshr: bool) -> None:
-        """Read request: transfer the owner token (+ data), keep the rest.
-
-        Exception: a dirty-exclusive (M) holding transfers *all* tokens —
-        the classic token-coherence migratory-sharing policy.  Without it
-        a reader of migratory data would be left collecting the remaining
-        T-1 tokens on its subsequent write, defeating 2-hop direct
-        requests on exactly the pattern they help most.
-        """
-        block = payload.block
-        line = self.cache.lookup(block)
-        if (self.config.migratory_optimization
-                and line is not None and line.tokens.dirty
-                and line.tokens.is_all(self.total_tokens)):
-            self._yield_all_tokens(payload, include_mshr)
-            self.stats.add("migratory_full_transfers")
-            return
-        if line is not None and line.tokens.owner:
-            if not line.valid_data:
-                raise ProtocolError(
-                    f"owner token without data at cache {self.node_id}")
-            taken, remaining = line.tokens.take(1, take_owner=True)
-            line.tokens = remaining
-            if not line.untenured.is_zero:
-                # The owner token leaves; clamp untenured to what remains.
-                keep = min(line.untenured.count - (1 if line.untenured.owner
-                                                   else 0),
-                           remaining.count)
-                line.untenured = TokenCount(max(0, keep), False, False)
-            version = line.version
-            if remaining.is_zero:
-                self._drop_line(line)
-            else:
-                line.state = state_from_tokens(line.tokens,
-                                               self.total_tokens,
-                                               line.valid_data)
-            self._respond(payload.requester, block, payload.txn_id, taken,
-                          True, version)
-            return
-        if (include_mshr and self.mshr is not None
-                and self.mshr.tokens.owner and self.mshr.have_data):
-            taken, remaining = self.mshr.tokens.take(1, take_owner=True)
-            self.mshr.tokens = remaining
-            version = self.mshr.data_version
-            if remaining.is_zero:
-                self.mshr.have_data = False
-            self._respond(payload.requester, block, payload.txn_id, taken,
-                          True, version)
-            return
-        self.stats.add("requests_ignored_no_tokens")
-
-    def _respond(self, dest: int, block: int, txn_id: int,
-                 tokens: TokenCount, has_data: bool, version: int) -> None:
-        mtype = MsgType.DATA if has_data else MsgType.ACK
-        response = CoherenceMsg(mtype=mtype, block=block, requester=dest,
-                                sender=self.node_id, txn_id=txn_id,
-                                tokens=tokens, has_data=has_data,
-                                data_version=version)
-        self.send([dest], response, delay=self.config.cache_latency)
         self.stats.add("token_responses")
+        if answer == MIGRATORY:
+            self.stats.add("migratory_full_transfers")
 
     # ------------------------------------------------------------------
-    # Probation expiry, eviction, and token writeback
+    # Probation expiry (Rule #4)
     # ------------------------------------------------------------------
     def _on_probation_expired(self, block: int) -> None:
         """Rule #4: discard untenured tokens to the home."""
@@ -461,48 +306,5 @@ class PatchCache(CacheControllerBase):
         self._send_tokens_home(block, discarded, has_data, version, remaining)
         self.stats.add("probation_discards")
 
-    def _drop_line(self, line: CacheLine) -> None:
-        line.tokens = ZERO
-        line.untenured = ZERO
-        line.valid_data = False
-        line.state = CacheState.I
-        self.cache.evict(line.block)
-        self.probation.cancel(line.block)
-
-    def _make_room(self, block: int) -> None:
-        victim = self.cache.victim_for(block)
-        if victim is None:
-            return
-        self._evict(victim)
-
-    def _evict(self, line: CacheLine) -> None:
-        """All PATCH evictions are non-silent token writebacks (Rule #1)."""
-        tokens = line.tokens
-        has_data = tokens.owner and line.valid_data
-        version = line.version
-        block = line.block
-        self._drop_line(line)
-        self.stats.add("evictions")
-        if tokens.is_zero:
-            return
-        self._send_tokens_home(block, tokens, has_data, version, CacheState.I)
-        self.stats.add("token_writebacks")
-
-    def _send_tokens_home(self, block: int, tokens: TokenCount,
-                          has_data: bool, version: int,
-                          remaining_state: CacheState) -> None:
-        """Discard tokens to the home (eviction or Rule #4 timeout).
-
-        ``remaining_state`` tells the home whether we kept any (tenured)
-        tokens: only an I report may remove us from the sharers set, or
-        the directory would stop being a superset of tenured holders
-        (Rule #1b).
-        """
-        if tokens.owner and tokens.dirty and not has_data:
-            raise ProtocolError("dirty owner token going home without data")
-        wb = CoherenceMsg(mtype=MsgType.TOKEN_WB, block=block,
-                          requester=self.node_id, sender=self.node_id,
-                          tokens=tokens, has_data=has_data,
-                          data_version=version, state_report=remaining_state,
-                          to_home=True)
-        self.send([self.home_of(block)], wb)
+    def _line_dropped(self, block: int) -> None:
+        self.probation.cancel(block)

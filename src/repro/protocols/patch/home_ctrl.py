@@ -1,8 +1,9 @@
 """PATCH home controller.
 
 The home keeps DIRECTORY's per-block serialization (busy + FIFO) and
-directory entry (exact owner, encoded sharers), and adds a token holding
-for memory.  Its tenure-specific duties (Table 3):
+directory entry (exact owner, encoded sharers), and its memory holds
+tokens (:class:`~repro.protocols.base.Memory`).  Its tenure-specific
+duties (Table 3):
 
 * Rule #1a: fairly activate one request at a time per block; tell the
   requester with an explicit ACTIVATION message; respond with any tokens
@@ -22,40 +23,18 @@ behind PATCH's graceful scaling under coarse sharer encodings (§7).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional
-
 from repro.coherence.messages import CoherenceMsg, MsgType
 from repro.coherence.states import CacheState
-from repro.coherence.tokens import ZERO, TokenCount, initial_tokens
-from repro.directory_state.encodings import SharerEncoding, make_encoding
-from repro.protocols.base import HomeControllerBase, ProtocolError
-
-
-@dataclass
-class PatchDirEntry:
-    """Directory entry plus memory's token holding for the block.
-
-    PATCH reuses DIRECTORY's entry unchanged (owner + encoded sharers)
-    and only adds the token count memory holds — Table 2's observation
-    that the directory protocol's state already encodes everything
-    token counting needs at the home.
-    """
-
-    sharers: SharerEncoding
-    tokens: TokenCount                  # held by this memory module
-    owner: Optional[int] = None         # cache believed to hold ownership
-    migratory: bool = False
-    pending_read_by: Optional[int] = None
-    pending_read_was_remote: bool = False
+from repro.coherence.tokens import TokenCount
+from repro.protocols.base import DirEntry, HomeControllerBase, ProtocolError
 
 
 class PatchHome(HomeControllerBase):
     """Home controller for PATCH: the token-tenure arbiter (Table 3).
 
-    Keeps DIRECTORY's per-block serialization and directory entry, adds
-    a token holding for memory, and implements the home-side tenure
-    rules: activate one requester at a time with an explicit ACTIVATION
+    Keeps DIRECTORY's per-block serialization and directory entry, lets
+    memory hold tokens, and implements the home-side tenure rules:
+    activate one requester at a time with an explicit ACTIVATION
     (Rule #1a), forward activated requests to a superset of tenured
     token holders (Rule #1b), and redirect tokens discarded on tenure
     timeout or eviction to the active requester (Rule #5).  Because
@@ -63,32 +42,17 @@ class PatchHome(HomeControllerBase):
     the property that lets PATCH scale under inexact sharer encodings.
     """
 
+    label = "patch home"
+
     def __init__(self, node_id, sim, network, config) -> None:
         super().__init__(node_id, sim, network, config)
-        self._entries: Dict[int, PatchDirEntry] = {}
         self.total_tokens = config.tokens_per_block
-
-    def entry(self, block: int) -> PatchDirEntry:
-        if block not in self._entries:
-            self._entries[block] = PatchDirEntry(
-                sharers=make_encoding(self.config.num_cores,
-                                      self.config.encoding_coarseness),
-                tokens=initial_tokens(self.total_tokens))
-        return self._entries[block]
-
-    # -- message dispatch ---------------------------------------------------
-    def handle_message(self, msg) -> None:
-        payload: CoherenceMsg = msg.payload
-        if payload.mtype in (MsgType.GETS, MsgType.GETM):
-            self._enqueue_or_activate(payload)
-        elif payload.mtype is MsgType.DEACT:
-            self._on_deact(payload)
-        elif payload.mtype is MsgType.TOKEN_WB:
-            self._on_token_wb(payload)
-        else:
-            raise ProtocolError(
-                f"patch home {self.node_id}: unexpected "
-                f"{payload.mtype.value}")
+        self._handlers = {
+            MsgType.GETS: self._enqueue_or_activate,
+            MsgType.GETM: self._enqueue_or_activate,
+            MsgType.DEACT: self._on_deact,
+            MsgType.TOKEN_WB: self._on_token_wb,
+        }
 
     # -- activation (Rule #1) -------------------------------------------------
     def _activate(self, payload: CoherenceMsg) -> None:
@@ -110,31 +74,22 @@ class PatchHome(HomeControllerBase):
             self.send([payload.requester], activation)
 
     def _activate_read(self, payload: CoherenceMsg,
-                       entry: PatchDirEntry) -> None:
-        requester = payload.requester
-        remote_owner = entry.owner is not None and entry.owner != requester
-        if (self.config.migratory_optimization and entry.migratory
-                and remote_owner):
-            self.stats.add("migratory_reads")
+                       entry: DirEntry) -> None:
+        if self._migratory_read(entry, payload.requester):
             self._forward_exclusive(payload, entry)
         else:
             self._supply_owner_token(payload, entry)
-        if entry.pending_read_by is not None:
-            entry.migratory = False
-        entry.pending_read_by = requester
-        entry.pending_read_was_remote = remote_owner
 
     def _supply_owner_token(self, payload: CoherenceMsg,
-                            entry: PatchDirEntry) -> None:
+                            entry: DirEntry) -> None:
         """Read: hand over ownership, mirroring DIRECTORY's owner transfer."""
         requester = payload.requester
-        if entry.tokens.owner:
+        held = self.memory.held(payload.block)
+        if held.owner:
             others = entry.sharers.sharers() - {requester}
-            if entry.tokens.count == self.total_tokens and not others:
-                taken, remaining = entry.tokens.take_all()   # grant E
-            else:
-                taken, remaining = entry.tokens.take(1, take_owner=True)
-            entry.tokens = remaining
+            exclusive = held.count == self.total_tokens and not others
+            taken = self.memory.take(payload.block,
+                                     owner_only=not exclusive)  # E if all
             self._send_memory_tokens(payload, taken)
         elif entry.owner is not None and entry.owner != requester:
             self._forward(payload, [entry.owner], MsgType.FWD_GETS)
@@ -148,22 +103,17 @@ class PatchHome(HomeControllerBase):
             self.stats.add("tokens_in_flight_waits")
 
     def _activate_write(self, payload: CoherenceMsg,
-                        entry: PatchDirEntry) -> None:
-        requester = payload.requester
-        if (entry.pending_read_by == requester
-                and entry.pending_read_was_remote):
-            entry.migratory = True
-            self.stats.add("migratory_detected")
-        entry.pending_read_by = None
+                        entry: DirEntry) -> None:
+        self._note_write(entry, payload.requester)
         self._forward_exclusive(payload, entry)
 
     def _forward_exclusive(self, payload: CoherenceMsg,
-                           entry: PatchDirEntry) -> None:
+                           entry: DirEntry) -> None:
         """Write (or migratory read): memory contributes all of its tokens;
         forward to the owner + sharers superset (Rule #1b)."""
         requester = payload.requester
-        if not entry.tokens.is_zero:
-            taken, entry.tokens = entry.tokens.take_all()
+        taken = self.memory.take(payload.block)
+        if not taken.is_zero:
             self._send_memory_tokens(payload, taken)
         targets = entry.sharers.sharers() - {requester}
         if entry.owner is not None and entry.owner != requester:
@@ -181,19 +131,11 @@ class PatchHome(HomeControllerBase):
     def _send_memory_tokens(self, payload: CoherenceMsg,
                             tokens: TokenCount) -> None:
         """Send memory-held tokens to the activated requester."""
-        block = payload.block
-        has_data = tokens.owner
-        if has_data and not self.memory.is_valid(block):
-            raise ProtocolError(
-                f"memory owns block {block} but its data is invalid")
-        response = CoherenceMsg(
-            mtype=MsgType.DATA if has_data else MsgType.ACK, block=block,
-            requester=payload.requester, sender=self.node_id,
-            txn_id=payload.txn_id, tokens=tokens, has_data=has_data,
-            activation=True,
-            data_version=self.memory.version(block) if has_data else 0)
+        response = self.memory.response(payload.block, tokens,
+                                        payload.requester, self.node_id,
+                                        payload.txn_id, activation=True)
         self._activation_piggybacked = True
-        delay = self.config.dram_latency if has_data else 0
+        delay = self.config.dram_latency if response.has_data else 0
         self.send([payload.requester], response, delay=delay)
         self.stats.add("memory_token_grants")
 
@@ -205,15 +147,7 @@ class PatchHome(HomeControllerBase):
             entry.sharers.remove(payload.sender)
         if entry.owner == payload.sender and payload.tokens.owner:
             entry.owner = None
-        tokens = payload.tokens
-        if tokens.owner:
-            # Rule #1: memory receives the owner token -> set it clean;
-            # Rule #5: memory data becomes valid.
-            if payload.has_data:
-                self.memory.write(payload.block, payload.data_version)
-            else:
-                self.memory.set_valid(payload.block, True)
-            tokens = tokens.mark_clean()
+        tokens = self.memory.write_back(payload)
         active = self.active_request(payload.block)
         if active is not None:
             # Rule #5 is unconditional: even tokens the active requester
@@ -221,29 +155,20 @@ class PatchHome(HomeControllerBase):
             # still in flight) are sent back to it.
             self._redirect(active, tokens)
         else:
-            entry.tokens = entry.tokens.add(tokens)
+            self.memory.absorb(payload.block, tokens)
             self.stats.add("tokens_absorbed")
 
     def _redirect(self, active: CoherenceMsg, tokens: TokenCount) -> None:
         """Funnel discarded tokens to the block's active requester."""
-        block = active.block
-        has_data = tokens.owner
-        response = CoherenceMsg(
-            mtype=MsgType.DATA if has_data else MsgType.ACK, block=block,
-            requester=active.requester, sender=self.node_id,
-            txn_id=active.txn_id, tokens=tokens, has_data=has_data,
-            data_version=self.memory.version(block) if has_data else 0)
-        self.send([active.requester], response)
+        self.send([active.requester],
+                  self.memory.response(active.block, tokens,
+                                       active.requester, self.node_id,
+                                       active.txn_id))
         self.stats.add("tokens_redirected")
 
     # -- deactivation (Rule #7 bookkeeping) -----------------------------------
     def _on_deact(self, payload: CoherenceMsg) -> None:
-        entry = self.entry(payload.block)
-        active = self.active_request(payload.block)
-        if active is None or active.txn_id != payload.txn_id:
-            raise ProtocolError(
-                f"DEACT for txn {payload.txn_id} does not match the active "
-                f"request at home {self.node_id}")
+        entry = self._deact_entry(payload)
         requester = payload.requester
         report = payload.state_report
         old_owner = entry.owner

@@ -10,21 +10,23 @@ interconnect; token counting guarantees safety.  Forward progress uses:
   all present and future tokens for the block to the starving requester.
 
 This is the Table-4 baseline: broadcast-based, reissues, per-processor
-persistent-request table state.
+persistent-request table state.  The token-counting rules it shares
+with PATCH (completion, answering requests without zero-token acks,
+stray absorb and token writeback) live in
+:class:`~repro.protocols.base.TokenCacheBase`; this module adds the
+broadcast issue path, reissues and the persistent-request table.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.cache.array import CacheLine
 from repro.coherence.messages import CoherenceMsg, MsgType
-from repro.coherence.states import CacheState, state_from_tokens
-from repro.coherence.tokens import ZERO, TokenCount
-from repro.protocols.base import CacheControllerBase, Mshr, ProtocolError
+from repro.protocols.base import Mshr, TokenCacheBase
 
 
-class TokenBCache(CacheControllerBase):
+class TokenBCache(TokenCacheBase):
     """Cache controller for broadcast token coherence (TokenB, Section 2).
 
     The paper's token-counting baseline (Martin et al.): every miss
@@ -36,14 +38,14 @@ class TokenBCache(CacheControllerBase):
     up in the directory instead.
     """
 
+    label = "tokenb cache"
+
     def __init__(self, node_id, sim, network, config) -> None:
         super().__init__(node_id, sim, network, config)
-        self.total_tokens = config.tokens_per_block
         # Persistent-request table: block -> starving requester node.
         self.persistent_table: Dict[int, int] = {}
         self._retry_generation = 0
-        # Message dispatch table, built once (handle_message is hot).
-        self._dispatch = {
+        self._handlers = {
             MsgType.GETS: self._on_transient,
             MsgType.GETM: self._on_transient,
             MsgType.DATA: self._on_tokens,
@@ -128,120 +130,19 @@ class TokenBCache(CacheControllerBase):
         self.send([self.home_of(mshr.block)], payload)
 
     # ------------------------------------------------------------------
-    # Message dispatch
-    # ------------------------------------------------------------------
-    def handle_message(self, msg) -> None:
-        payload: CoherenceMsg = msg.payload
-        handler = self._dispatch.get(payload.mtype)
-        if handler is None:
-            raise ProtocolError(
-                f"tokenb cache {self.node_id}: unexpected "
-                f"{payload.mtype.value}")
-        handler(payload)
-
-    # ------------------------------------------------------------------
-    # Responding to transient requests
+    # Requests and token arrival
     # ------------------------------------------------------------------
     def _on_transient(self, payload: CoherenceMsg) -> None:
         if payload.requester == self.node_id:
             return
-        block = payload.block
-        if block in self.persistent_table:
+        if payload.block in self.persistent_table:
             return  # tokens reserved for the starver
         # TokenB processes incoming transient requests against its current
         # holdings even while it has its own request outstanding — tokens
         # collected so far can be stolen, which is exactly why TokenB needs
         # reissues and persistent requests for forward progress.
-        if payload.mtype is MsgType.GETM:
-            self._yield_everything(payload.requester, block, payload.txn_id)
-        else:
-            self._yield_ownership(payload.requester, block, payload.txn_id)
+        self._yield_tokens(payload)
 
-    def _yield_everything(self, dest: int, block: int, txn_id: int) -> None:
-        """GETM: hand over every token we hold (line and MSHR)."""
-        from repro.coherence.tokens import ZERO as _ZERO
-        tokens = _ZERO
-        has_data = False
-        version = 0
-        line = self.cache.lookup(block)
-        if line is not None and not line.tokens.is_zero:
-            tokens = tokens.add(line.tokens)
-            if line.valid_data:
-                has_data = True
-                version = line.version
-            self._drop_line(line)
-        mshr = self.mshr
-        if mshr is not None and mshr.block == block and not mshr.tokens.is_zero:
-            tokens = tokens.add(mshr.tokens)
-            if mshr.have_data:
-                has_data = True
-                version = mshr.data_version
-            mshr.tokens = _ZERO
-            mshr.have_data = False
-        if tokens.is_zero:
-            return  # token counting: no zero-token acks
-        has_data = has_data and tokens.owner
-        self._respond(dest, block, txn_id, tokens, has_data, version)
-
-    def _yield_ownership(self, dest: int, block: int, txn_id: int) -> None:
-        """GETS: transfer the owner token (+ data), keep the rest.
-
-        A dirty-exclusive (M) holding transfers everything — TokenB's
-        migratory-sharing response policy."""
-        line = self.cache.lookup(block)
-        if (self.config.migratory_optimization
-                and line is not None and line.tokens.dirty
-                and line.tokens.is_all(self.total_tokens)):
-            self._yield_all(line, dest, txn_id)
-            return
-        if line is not None and line.tokens.owner:
-            self._yield_owner(line, dest, txn_id)
-            return
-        mshr = self.mshr
-        if (mshr is not None and mshr.block == block
-                and mshr.tokens.owner and mshr.have_data):
-            taken, remaining = mshr.tokens.take(1, take_owner=True)
-            mshr.tokens = remaining
-            version = mshr.data_version
-            if remaining.is_zero:
-                mshr.have_data = False
-            self._respond(dest, block, txn_id, taken, True, version)
-
-    def _yield_all(self, line: CacheLine, dest: int, txn_id: int) -> None:
-        tokens = line.tokens
-        has_data = tokens.owner and line.valid_data
-        version = line.version
-        self._drop_line(line)
-        self._respond(dest, line.block, txn_id, tokens, has_data, version)
-
-    def _yield_owner(self, line: CacheLine, dest: int, txn_id: int) -> None:
-        if not line.tokens.owner:
-            return
-        if not line.valid_data:
-            raise ProtocolError(
-                f"owner token without data at tokenb cache {self.node_id}")
-        taken, remaining = line.tokens.take(1, take_owner=True)
-        line.tokens = remaining
-        version = line.version
-        if remaining.is_zero:
-            self._drop_line(line)
-        else:
-            line.state = state_from_tokens(line.tokens, self.total_tokens,
-                                           line.valid_data)
-        self._respond(dest, line.block, txn_id, taken, True, version)
-
-    def _respond(self, dest: int, block: int, txn_id: int,
-                 tokens: TokenCount, has_data: bool, version: int) -> None:
-        mtype = MsgType.DATA if has_data else MsgType.ACK
-        response = CoherenceMsg(mtype=mtype, block=block, requester=dest,
-                                sender=self.node_id, txn_id=txn_id,
-                                tokens=tokens, has_data=has_data,
-                                data_version=version)
-        self.send([dest], response, delay=self.config.cache_latency)
-
-    # ------------------------------------------------------------------
-    # Token arrival
-    # ------------------------------------------------------------------
     def _on_tokens(self, payload: CoherenceMsg) -> None:
         block = payload.block
         starver = self.persistent_table.get(block)
@@ -252,66 +153,16 @@ class TokenBCache(CacheControllerBase):
             return
         mshr = self.mshr
         if mshr is not None and mshr.block == block:
-            mshr.tokens = mshr.tokens.add(payload.tokens)
-            if payload.has_data:
-                mshr.have_data = True
-                mshr.data_version = payload.data_version
+            self._gather(mshr, payload)
             self._try_complete(mshr)
             return
         self._absorb_stray(payload)
 
-    def _absorb_stray(self, payload: CoherenceMsg) -> None:
-        block = payload.block
-        line = self.cache.lookup(block)
-        if line is None:
-            if self.cache.victim_for(block) is not None:
-                self._send_tokens_home(block, payload.tokens,
-                                       payload.has_data,
-                                       payload.data_version)
-                return
-            line = self.cache.allocate(block)
-        line.tokens = line.tokens.add(payload.tokens)
-        if payload.has_data:
-            line.valid_data = True
-            line.version = payload.data_version
-        line.state = state_from_tokens(line.tokens, self.total_tokens,
-                                       line.valid_data)
-        self.stats.add("stray_tokens")
-
-    # ------------------------------------------------------------------
-    # Completion
-    # ------------------------------------------------------------------
-    def _try_complete(self, mshr: Mshr) -> None:
-        line = self.cache.lookup(mshr.block)
-        held = mshr.tokens.add(line.tokens if line is not None else ZERO)
-        have_data = mshr.have_data or (line is not None and line.valid_data)
-        if not have_data:
-            return
-        if mshr.is_write and not held.is_all(self.total_tokens):
-            return
-        if not mshr.is_write and held.is_zero:
-            return
-        self._fill_and_complete(mshr)
-
-    def _fill_and_complete(self, mshr: Mshr) -> None:
-        self._make_room(mshr.block)
-        line = self.cache.allocate(mshr.block)
-        line.tokens = line.tokens.add(mshr.tokens)
-        if mshr.have_data:
-            line.valid_data = True
-            line.version = mshr.data_version
-        mshr.tokens = ZERO
-        mshr.complete = True
-        if mshr.is_write:
-            self._commit_write(line)
-        else:
-            line.state = state_from_tokens(line.tokens, self.total_tokens,
-                                           line.valid_data)
-            self._observe_read(line)
-        was_persistent = mshr.persistent
+    def _complete(self, mshr: Mshr) -> None:
+        self._fill(mshr)
         self.mshr = None
         self._finish_miss(mshr)
-        if was_persistent:
+        if mshr.persistent:
             done = CoherenceMsg(mtype=MsgType.PERSISTENT_DEACTIVATE,
                                 block=mshr.block, requester=self.node_id,
                                 sender=self.node_id, txn_id=mshr.txn_id,
@@ -327,10 +178,11 @@ class TokenBCache(CacheControllerBase):
         self.persistent_table[block] = starver
         if starver == self.node_id:
             return  # we hoard
-        # Forward everything we currently hold for the block.
+        # Forward everything we currently hold for the block: the line's
+        # tokens and the MSHR's go as two responses.
         line = self.cache.lookup(block)
         if line is not None and not line.tokens.is_zero:
-            self._yield_all(line, starver, payload.txn_id)
+            self._hand_over(line, starver, payload.txn_id)
         mshr = self.mshr
         if (mshr is not None and mshr.block == block
                 and not mshr.tokens.is_zero):
@@ -344,42 +196,20 @@ class TokenBCache(CacheControllerBase):
     def _on_persistent_deactivate(self, payload: CoherenceMsg) -> None:
         self.persistent_table.pop(payload.block, None)
 
-    # ------------------------------------------------------------------
-    # Eviction
-    # ------------------------------------------------------------------
-    def _make_room(self, block: int) -> None:
-        victim = self.cache.victim_for(block)
-        if victim is not None:
-            self._evict(victim)
-
     def _evict(self, line: CacheLine) -> None:
+        starver = self.persistent_table.get(line.block)
+        if starver is None or starver == self.node_id:
+            super()._evict(line)
+            return
+        # The table sends the starver every token, evicted ones too.
+        self.stats.add("evictions")
+        self._hand_over(line, starver, 0)
+
+    def _hand_over(self, line: CacheLine, dest: int, txn_id: int) -> None:
+        """Drop the line and send its whole holding to ``dest``."""
         tokens = line.tokens
         has_data = tokens.owner and line.valid_data
-        version = line.version
-        block = line.block
         self._drop_line(line)
-        self.stats.add("evictions")
-        if tokens.is_zero:
-            return
-        starver = self.persistent_table.get(block)
-        if starver is not None and starver != self.node_id:
-            self._respond(starver, block, 0, tokens, has_data, version)
-            return
-        self._send_tokens_home(block, tokens, has_data, version)
-        self.stats.add("token_writebacks")
-
-    def _drop_line(self, line: CacheLine) -> None:
-        line.tokens = ZERO
-        line.valid_data = False
-        line.state = CacheState.I
-        self.cache.evict(line.block)
-
-    def _send_tokens_home(self, block: int, tokens: TokenCount,
-                          has_data: bool, version: int) -> None:
-        if tokens.owner and tokens.dirty and not has_data:
-            raise ProtocolError("dirty owner token going home without data")
-        wb = CoherenceMsg(mtype=MsgType.TOKEN_WB, block=block,
-                          requester=self.node_id, sender=self.node_id,
-                          tokens=tokens, has_data=has_data,
-                          data_version=version, to_home=True)
-        self.send([self.home_of(block)], wb)
+        if not tokens.is_zero:
+            self._respond(dest, line.block, txn_id, tokens, has_data,
+                          line.version)

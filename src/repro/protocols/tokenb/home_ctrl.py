@@ -8,11 +8,11 @@ per-block arbiter for persistent requests (paper Section 2, Table 4:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.coherence.messages import CoherenceMsg, MsgType
-from repro.coherence.tokens import TokenCount, ZERO, initial_tokens
-from repro.protocols.base import HomeControllerBase, Node, ProtocolError
+from repro.coherence.tokens import TokenCount
+from repro.protocols.base import Memory, Node, ProtocolError
 
 
 class TokenBHome(Node):
@@ -25,38 +25,22 @@ class TokenBHome(Node):
     centralized piece of TokenB's forward-progress story.
     """
 
+    label = "tokenb home"
+
     def __init__(self, node_id, sim, network, config) -> None:
         super().__init__(node_id, sim, network, config)
-        from repro.protocols.base import Memory
-        self.memory = Memory()
+        self.memory = Memory(config.tokens_per_block)
         self.total_tokens = config.tokens_per_block
-        self._tokens: Dict[int, TokenCount] = {}
         # Persistent arbitration: one active starver per block + FIFO.
         self._active: Dict[int, CoherenceMsg] = {}
         self._queues: Dict[int, List[CoherenceMsg]] = {}
-        # Message dispatch table, built once (handle_message is hot).
-        self._dispatch = {
+        self._handlers = {
             MsgType.GETS: self._on_request,
             MsgType.GETM: self._on_request,
             MsgType.TOKEN_WB: self._on_token_wb,
             MsgType.PERSISTENT_REQ: self._on_persistent_req,
             MsgType.PERSISTENT_DEACTIVATE: self._on_persistent_done,
         }
-
-    def tokens_at(self, block: int) -> TokenCount:
-        if block not in self._tokens:
-            self._tokens[block] = initial_tokens(self.total_tokens)
-        return self._tokens[block]
-
-    # -- message dispatch ---------------------------------------------------
-    def handle_message(self, msg) -> None:
-        payload: CoherenceMsg = msg.payload
-        handler = self._dispatch.get(payload.mtype)
-        if handler is None:
-            raise ProtocolError(
-                f"tokenb home {self.node_id}: unexpected "
-                f"{payload.mtype.value}")
-        handler(payload)
 
     # -- transient requests ---------------------------------------------------
     def _on_request(self, payload: CoherenceMsg) -> None:
@@ -66,34 +50,22 @@ class TokenBHome(Node):
             # anyone else are ignored until deactivation.
             if self._active[block].requester != payload.requester:
                 return
-        held = self.tokens_at(block)
+        held = self.memory.held(block)
         if held.is_zero:
             return  # token counting: nothing to contribute, no ack
-        if payload.mtype is MsgType.GETM:
-            taken, remaining = held.take_all()
-        elif held.owner:
-            if held.count == self.total_tokens:
-                taken, remaining = held.take_all()      # exclusive grant
-            else:
-                taken, remaining = held.take(1, take_owner=True)
-        else:
+        write = payload.mtype is MsgType.GETM
+        if not (write or held.owner):
             return  # read request: only the owner-token holder responds
-        self._tokens[block] = remaining
+        # A read of memory's full holding is an exclusive grant.
+        exclusive = write or held.count == self.total_tokens
+        taken = self.memory.take(block, owner_only=not exclusive)
         self._grant(payload.requester, block, payload.txn_id, taken)
 
     def _grant(self, dest: int, block: int, txn_id: int,
                tokens: TokenCount) -> None:
-        has_data = tokens.owner
-        if has_data and not self.memory.is_valid(block):
-            raise ProtocolError(
-                f"memory grants owner token for block {block} "
-                "but data is invalid")
-        response = CoherenceMsg(
-            mtype=MsgType.DATA if has_data else MsgType.ACK, block=block,
-            requester=dest, sender=self.node_id, txn_id=txn_id,
-            tokens=tokens, has_data=has_data,
-            data_version=self.memory.version(block) if has_data else 0)
-        delay = (self.config.dram_latency if has_data
+        response = self.memory.response(block, tokens, dest, self.node_id,
+                                        txn_id)
+        delay = (self.config.dram_latency if response.has_data
                  else self.config.directory_latency)
         self.send([dest], response, delay=delay)
         self.stats.add("memory_token_grants")
@@ -101,20 +73,14 @@ class TokenBHome(Node):
     # -- token writebacks -----------------------------------------------------
     def _on_token_wb(self, payload: CoherenceMsg) -> None:
         block = payload.block
-        tokens = payload.tokens
-        if tokens.owner:
-            if payload.has_data:
-                self.memory.write(block, payload.data_version)
-            else:
-                self.memory.set_valid(block, True)
-            tokens = tokens.mark_clean()
+        tokens = self.memory.write_back(payload)
         active = self._active.get(block)
         if active is not None and active.requester != payload.sender:
             # The starver has priority over memory for arriving tokens.
             self._grant(active.requester, block, active.txn_id, tokens)
             self.stats.add("tokens_redirected")
             return
-        self._tokens[block] = self.tokens_at(block).add(tokens)
+        self.memory.absorb(block, tokens)
         self.stats.add("tokens_absorbed")
 
     # -- persistent arbitration ------------------------------------------------
@@ -135,9 +101,8 @@ class TokenBHome(Node):
                                 is_write=payload.is_write)
         self.send(sorted(range(self.config.num_cores)), activate)
         # Memory immediately contributes everything it holds.
-        held = self.tokens_at(block)
-        if not held.is_zero:
-            taken, self._tokens[block] = held.take_all()
+        taken = self.memory.take(block)
+        if not taken.is_zero:
             self._grant(payload.requester, block, payload.txn_id, taken)
 
     def _on_persistent_done(self, payload: CoherenceMsg) -> None:

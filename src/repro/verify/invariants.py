@@ -76,26 +76,12 @@ def audit_token_conservation(system) -> None:
         if cache.mshr is not None:
             fold(cache.mshr.block, cache.mshr.tokens)
     for home in system.homes:
-        if hasattr(home, "_entries"):          # PATCH home
-            for block, entry in home._entries.items():
-                if hasattr(entry, "tokens"):
-                    fold(block, entry.tokens)
-        if hasattr(home, "_tokens"):           # TokenB home
-            for block, tokens in home._tokens.items():
-                fold(block, tokens)
+        for block, tokens in home.memory.tokens.items():
+            fold(block, tokens)
 
-    touched = set(census)
-    for home in system.homes:
-        if hasattr(home, "_entries"):
-            touched.update(home._entries.keys())
-        if hasattr(home, "_tokens"):
-            touched.update(home._tokens.keys())
-    for block in touched:
-        tokens = census.get(block)
-        if tokens is None:
-            # All tokens back at a home that lazily materializes entries;
-            # entry() would recreate the initial holding.
-            continue
+    # Blocks memory never touched stay out of the census: memory still
+    # holds all T tokens for them and no cache holds any.
+    for block, tokens in census.items():
         if tokens.count != total or not tokens.owner:
             raise CoherenceViolation(
                 f"block {block}: census {tokens} != {total} tokens "

@@ -24,8 +24,7 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Dict, List
 
-from repro.coherence.states import CacheState
-from repro.verify.invariants import CoherenceViolation
+from repro.verify.invariants import CoherenceViolation, audit_single_writer
 
 
 class LiveAuditor:
@@ -72,19 +71,15 @@ class LiveAuditor:
 
     def _check_owner_uniqueness(self) -> None:
         self.checks += 1
+        homes = self.system.homes
         for block, holders in self._holdings().items():
             owners = [node for node, line in holders if line.tokens.owner]
-            # The home may also hold the owner token; caches + memory
-            # combined can still only have one.
-            for home in self.system.homes:
-                entry = getattr(home, "_entries", {}).get(block)
-                if entry is not None and getattr(entry, "tokens",
-                                                 None) is not None:
-                    if entry.tokens.owner:
-                        owners.append(f"home{home.node_id}")
-                tokens = getattr(home, "_tokens", {}).get(block)
-                if tokens is not None and tokens.owner:
-                    owners.append(f"home{home.node_id}")
+            # The home's memory may also hold the owner token; caches +
+            # memory combined can still only have one.
+            home = homes[block % len(homes)]
+            memory_tokens = home.memory.tokens.get(block)
+            if memory_tokens is not None and memory_tokens.owner:
+                owners.append(f"home{home.node_id}")
             if len(owners) > 1:
                 raise CoherenceViolation(
                     f"t={self.system.sim.now}: block {block} owner token "
@@ -103,23 +98,11 @@ class LiveAuditor:
 
     def _check_single_writer(self) -> None:
         self.checks += 1
-        writers: Dict[int, List[int]] = defaultdict(list)
-        readers: Dict[int, List[int]] = defaultdict(list)
-        for cache in self.system.caches:
-            for line in cache.cache.lines():
-                if line.state in (CacheState.M, CacheState.E):
-                    writers[line.block].append(cache.node_id)
-                elif line.state is not CacheState.I and line.valid_data:
-                    readers[line.block].append(cache.node_id)
-        for block, nodes in writers.items():
-            if len(nodes) > 1:
-                raise CoherenceViolation(
-                    f"t={self.system.sim.now}: block {block} writable at "
-                    f"{nodes}")
-            if block in readers:
-                raise CoherenceViolation(
-                    f"t={self.system.sim.now}: block {block} writable at "
-                    f"{nodes[0]} and readable at {readers[block]}")
+        try:
+            audit_single_writer(self.system)
+        except CoherenceViolation as exc:
+            raise CoherenceViolation(
+                f"t={self.system.sim.now}: {exc}") from None
 
     def _check_tenured_holders_in_sharers(self) -> None:
         """Rule #1b's precondition: sharers ⊇ tenured holders when the
@@ -134,7 +117,7 @@ class LiveAuditor:
                                          % self.system.config.num_cores]
                 if home.is_busy(line.block):
                     continue  # mid-transaction: directory update pending
-                entry = home._entries.get(line.block)
+                entry = home.entries.get(line.block)
                 if entry is None:
                     raise CoherenceViolation(
                         f"t={self.system.sim.now}: cache {cache.node_id} "

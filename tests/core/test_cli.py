@@ -1,6 +1,7 @@
 """CLI tests: every subcommand runs and prints sane output."""
 
 import argparse
+import json
 import pathlib
 import re
 
@@ -93,6 +94,20 @@ def test_run_command_uses_cache_dir(tmp_path, capsys):
         assert any(cache.glob("v-*/*/*.json")), name
         assert main(argv) == 0
         assert capsys.readouterr().out == cold, name
+
+
+def test_timeline_is_written_on_a_warm_cache(tmp_path, capsys):
+    """A cell served from the result cache would write no trace, so an
+    observed run executes: the warm run writes its timeline and prints
+    what the cold run printed."""
+    argv = ["run", "--workload", "oltp", "--cores", "4", "--refs", "30",
+            "--cache-dir", str(tmp_path / "cache")]
+    assert main(argv) == 0
+    cold = capsys.readouterr().out
+    timeline = tmp_path / "t2.json"
+    assert main(argv + ["--timeline", str(timeline)]) == 0
+    assert capsys.readouterr().out == cold
+    assert json.loads(timeline.read_text())["traceEvents"]
 
 
 def test_run_command_with_topology(capsys):

@@ -1,10 +1,41 @@
 """Edge-case protocol scenarios across all three protocols."""
 
+from types import SimpleNamespace
+
 import pytest
 
+from repro.coherence.messages import CoherenceMsg, MsgType
 from repro.coherence.states import CacheState
 from repro.coherence.tokens import ZERO
+from repro.protocols.base import ProtocolError
 from tests.helpers import AccessDriver, make_system
+
+
+# ---------------------------------------------------------------------------
+# Dispatch: every controller rejects a message type it has no handler for
+# ---------------------------------------------------------------------------
+
+#: (protocol, side, the controller's name, a type it does not handle).
+UNHANDLED = [
+    ("directory", "caches", "directory cache", MsgType.GETS),
+    ("directory", "homes", "directory home", MsgType.DATA),
+    ("patch", "caches", "patch cache", MsgType.INV),
+    ("patch", "homes", "patch home", MsgType.PUT),
+    ("tokenb", "caches", "tokenb cache", MsgType.FWD_GETM),
+    ("tokenb", "homes", "tokenb home", MsgType.DEACT),
+]
+
+
+@pytest.mark.parametrize("protocol,side,name,mtype", UNHANDLED,
+                         ids=[row[2].replace(" ", "-") for row in UNHANDLED])
+def test_unhandled_message_names_controller_and_type(protocol, side, name,
+                                                     mtype):
+    system = make_system(protocol, cores=2)
+    controller = getattr(system, side)[0]
+    payload = CoherenceMsg(mtype=mtype, block=0, requester=1, sender=1)
+    with pytest.raises(ProtocolError,
+                       match=f"^{name} 0: unexpected {mtype.value}$"):
+        controller.handle_message(SimpleNamespace(payload=payload))
 
 
 # ---------------------------------------------------------------------------
@@ -59,8 +90,7 @@ def test_patch_eviction_of_untenured_line_discards_to_home():
     from repro.coherence.messages import CoherenceMsg, MsgType
     from repro.interconnect.message import Message
     from repro.stats.traffic import MsgClass
-    entry = home.entry(0)
-    taken, entry.tokens = entry.tokens.take(1)
+    taken, home.memory.tokens[0] = home.memory.held(0).take(1)
     stray = CoherenceMsg(mtype=MsgType.ACK, block=0, requester=0, sender=1,
                          tokens=taken)
     system.network.send(Message(src=1, dests=(0,), size_bytes=8,
@@ -72,7 +102,7 @@ def test_patch_eviction_of_untenured_line_discards_to_home():
     AccessDriver(system).access(0, sets, is_write=False)  # same set as 0
     AccessDriver(system).drain(100_000)
     # Token was not lost: conservation holds at the home.
-    assert home.entry(0).tokens.count == system.config.tokens_per_block
+    assert home.memory.held(0).count == system.config.tokens_per_block
 
 
 def test_patch_sequential_writers_round_robin():

@@ -125,13 +125,12 @@ def test_patch_home_redirects_token_wb_to_active_requester():
 def test_patch_home_absorbs_token_wb_when_idle():
     system, home = patch_home()
     total = system.config.tokens_per_block
-    entry = home.entry(0)
-    taken, entry.tokens = entry.tokens.take(2)
+    taken, home.memory.tokens[0] = home.memory.held(0).take(2)
     wb = CoherenceMsg(mtype=MsgType.TOKEN_WB, block=0, requester=2,
                       sender=2, tokens=taken, to_home=True,
                       state_report=CacheState.I)
     home.handle_message(Probe(wb))
-    assert home.entry(0).tokens.count == total
+    assert home.memory.held(0).count == total
     assert home.stats.value("tokens_absorbed") == 1
 
 
@@ -169,7 +168,7 @@ def test_patch_home_forwards_to_sharers_superset_on_write():
     entry.owner = 2
     entry.sharers.add(2)
     entry.sharers.add(3)
-    entry.tokens = ZERO   # pretend all tokens are out in caches
+    home.memory.tokens[0] = ZERO   # pretend all tokens are out in caches
     log = sent_messages(system)
     home.handle_message(Probe(getm(0, 1, 10)))
     system.sim.run(until=2000)
@@ -189,7 +188,7 @@ def test_patch_home_read_forwards_to_owner_only():
     entry.owner = 2
     entry.sharers.add(2)
     entry.sharers.add(3)
-    entry.tokens = ZERO
+    home.memory.tokens[0] = ZERO
     log = sent_messages(system)
     home.handle_message(Probe(gets(0, 1, 10)))
     system.sim.run(until=2000)

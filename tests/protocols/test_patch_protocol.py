@@ -228,9 +228,9 @@ def test_clean_eviction_returns_tokens_to_home():
     driver.access(0, 100 + sets, is_write=False)   # evicts block 100
     driver.drain(50_000)
     assert system.caches[0].stats.value("token_writebacks") >= 1
-    entry = system.homes[100 % 2].entry(100)
-    assert entry.tokens.count == system.config.tokens_per_block
-    assert entry.tokens.owner
+    held = system.homes[100 % 2].memory.held(100)
+    assert held.count == system.config.tokens_per_block
+    assert held.owner
 
 
 def test_dirty_eviction_carries_data_home():

@@ -90,13 +90,12 @@ def test_untenured_tokens_time_out_and_return_home():
     msg = Message(src=1, dests=(0,), size_bytes=8, msg_class=MsgClass.ACK,
                   payload=payload)
     # First remove a token from home's holding so conservation is kept.
-    entry = home.entry(100)
-    taken, entry.tokens = entry.tokens.take(1)
+    taken, home.memory.tokens[100] = home.memory.held(100).take(1)
     system.network.send(msg)
     system.sim.run(until=200_000)
     assert cache.stats.value("probation_discards") >= 1
     assert cache.cache.lookup(100) is None
-    assert home.entry(100).tokens.count == system.config.tokens_per_block
+    assert home.memory.held(100).count == system.config.tokens_per_block
 
 
 def test_activation_tenures_tokens_no_timeout():
@@ -158,8 +157,8 @@ def test_window_disabled_by_config():
 def send_stray_token(system):
     """Move one of block 100's tokens from its home to cache 0, as a
     stray response nobody asked for, and let it land there untenured."""
-    entry = system.homes[100 % 2].entry(100)
-    taken, entry.tokens = entry.tokens.take(1)
+    memory = system.homes[100 % 2].memory
+    taken, memory.tokens[100] = memory.held(100).take(1)
     stray = CoherenceMsg(mtype=MsgType.ACK, block=100, requester=0,
                          sender=1, tokens=taken)
     system.network.send(Message(src=1, dests=(0,), size_bytes=8,

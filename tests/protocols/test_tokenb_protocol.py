@@ -88,8 +88,8 @@ def test_no_directory_state_at_home():
     driver.access(0, 100, is_write=True)
     home = system.homes[100 % 4]
     # TokenB homes hold tokens only: no sharer/owner bookkeeping.
-    assert not hasattr(home, "_entries")
-    assert home.tokens_at(100).is_zero
+    assert not hasattr(home, "entries")
+    assert home.memory.held(100).is_zero
 
 
 def test_eviction_returns_tokens_to_memory():
@@ -100,8 +100,8 @@ def test_eviction_returns_tokens_to_memory():
     driver.access(0, 100 + sets, is_write=True)
     driver.drain(50_000)
     home = system.homes[100 % 2]
-    assert home.tokens_at(100).count == system.config.tokens_per_block
-    assert home.tokens_at(100).owner
+    assert home.memory.held(100).count == system.config.tokens_per_block
+    assert home.memory.held(100).owner
 
 
 def test_racing_writers_complete_via_retries():

@@ -136,6 +136,22 @@ def test_live_auditor_detects_duplicate_owner():
         auditor.audit_now()
 
 
+@pytest.mark.parametrize("protocol,predictor", [("patch", "all"),
+                                                ("tokenb", "none")])
+def test_live_auditor_sees_the_owner_token_in_memory(protocol, predictor):
+    system = make_live_system(protocol, predictor)
+    total = system.config.tokens_per_block
+    home = system.homes[50 % 4]
+    home.memory.tokens[50] = TokenCount(total - 1, owner=True)
+    line = system.caches[1].cache.allocate(50)
+    line.tokens = TokenCount(1, owner=True)   # T tokens, two owners
+    line.valid_data = True
+    line.state = CacheState.F
+    auditor = LiveAuditor(system, period=100)
+    with pytest.raises(CoherenceViolation, match="owner token"):
+        auditor.audit_now()
+
+
 def test_live_auditor_detects_token_overflow():
     system = make_live_system()
     line = system.caches[0].cache.allocate(50)

@@ -81,6 +81,20 @@ def test_token_audit_detects_duplicated_tokens():
         audit_token_conservation(system)
 
 
+@pytest.mark.parametrize("protocol", ["patch", "tokenb"])
+def test_token_audit_counts_memory_held_tokens(protocol):
+    system = make_system(protocol, cores=4)
+    driver = AccessDriver(system)
+    driver.access(0, 100, is_write=True)
+    driver.drain(100_000)
+    home = system.homes[100 % 4]
+    audit_token_conservation(system)   # memory's ZERO holding is counted
+    # Forge one extra token at the home's memory.
+    home.memory.tokens[100] = home.memory.held(100).add(TokenCount(1))
+    with pytest.raises(CoherenceViolation, match="block 100"):
+        audit_token_conservation(system)
+
+
 # ---------------------------------------------------------------------------
 # Single-writer audit
 # ---------------------------------------------------------------------------
