@@ -49,7 +49,12 @@ class CacheLine:
 
 
 class CacheArray:
-    """``num_sets`` x ``assoc`` array indexed by block number."""
+    """``num_sets`` x ``assoc`` array indexed by block number.
+
+    ``_sets[block % num_sets]`` maps a resident block to its line.
+    ``PatchCache._on_direct`` inlines :meth:`lookup` against it, once
+    per broadcast copy, so the two must change together.
+    """
 
     def __init__(self, num_sets: int, assoc: int) -> None:
         if num_sets < 1 or assoc < 1:
@@ -117,7 +122,8 @@ class CacheArray:
     def lines(self):
         """Iterate over all resident lines (invariant checking)."""
         for cache_set in self._sets:
-            yield from cache_set.values()
+            if cache_set:   # most sets of a short run stay empty
+                yield from cache_set.values()
 
     def resident_blocks(self) -> List[int]:
         return [line.block for line in self.lines()]

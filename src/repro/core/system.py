@@ -130,25 +130,34 @@ class System:
         raise ValueError(f"unknown protocol {protocol!r}")
 
     def _make_endpoint(self, node: int) -> Callable[[Message], None]:
-        # Bind the per-node controllers once: this closure runs for
-        # every delivered message, and a captured local is cheaper than
-        # two attribute hops plus a list index.
+        # This closure runs for every delivered message, so it indexes
+        # the controller's handler table itself.  ``handle_message`` is
+        # left only to raise the controller-named error for a type the
+        # table lacks.
         is_tokenb = self.config.protocol == "tokenb"
         num_cores = self.config.num_cores
         home = self.homes[node]
         cache = self.caches[node]
+        home_handlers = home._handlers
+        cache_handlers = cache._handlers
 
         def handler(msg: Message) -> None:
             payload = msg.payload
+            mtype = payload.mtype
             if payload.to_home:
-                home.handle_message(msg)
+                if mtype in home_handlers:
+                    home_handlers[mtype](payload)
+                else:
+                    home.handle_message(msg)
                 return
-            if (is_tokenb
-                    and payload.mtype in (MsgType.GETS, MsgType.GETM)
+            if (is_tokenb and mtype in (MsgType.GETS, MsgType.GETM)
                     and node == payload.block % num_cores):
                 # TokenB broadcasts reach the block's memory module too.
                 home.handle_message(msg)
-            cache.handle_message(msg)
+            if mtype in cache_handlers:
+                cache_handlers[mtype](payload)
+            else:
+                cache.handle_message(msg)
 
         return handler
 

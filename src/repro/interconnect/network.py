@@ -26,14 +26,21 @@ docs/PERFORMANCE.md for the full anatomy):
 * endpoints dispatch through a list indexed by node id;
 * a message in flight is a plain 7-tuple *hop* ``(inner, final_dest,
   tree, deliver_set, priority, size_bytes, msg_class)``: no object
-  construction per hop, index loads instead of attribute loads;
+  construction per hop, index loads instead of attribute loads.  A hop
+  is immutable, so a multicast builds one at the source and every edge
+  of its tree queues that same tuple;
 * links keep their own references to the clock and meter, share one
   memo of serialization durations per message size (all links share
   one bandwidth), and schedule no follow-up ``_serve`` event when
   their queues are empty at transmit time;
 * event scheduling is inlined against the kernel's per-timestamp
   buckets (see :mod:`repro.sim.kernel`) — two schedules per
-  transmission make it the hottest loop of a run;
+  transmission make it the hottest loop of a run.  A post under a
+  fresh sequence number appends, even to the bucket being drained;
+  only a reserved serve slot materializing at ``now`` bisects;
+* a hop that reaches its destination calls the endpoint ``System``
+  registered there, which dispatches straight into the controller's
+  handler table;
 * the message sink (:meth:`NetworkInterface.set_message_sink`) costs
   one ``is not None`` test per send and per transmission when unset.
 
@@ -201,7 +208,9 @@ class _Link:
                     bucket.append((reserved, self._serve_cb))
                 sim._live += 1
                 return
-        # Inlined post at max(busy, now).
+        # Inlined post at max(busy, now).  A fresh seq sorts after
+        # every queued entry, so an append is right even for the bucket
+        # being drained.
         time = busy if busy > now else now
         seq = sim._seq
         sim._seq = seq + 1
@@ -210,8 +219,6 @@ class _Link:
         if bucket is None:
             buckets[time] = [(seq, self._serve_cb)]
             _heappush(sim._times, time)
-        elif time == sim._draining:
-            insort(bucket, (seq, self._serve_cb), sim._drain_pos)
         else:
             bucket.append((seq, self._serve_cb))
         sim._live += 1
@@ -317,14 +324,11 @@ class _Link:
             handler(hop[_INNER])
         children = tree.get(node)
         if children:
-            # Children share the original message but get their own hop
-            # per tree edge, so bandwidth is charged once per edge.
-            inner, deliver = hop[_INNER], hop[_DELIVER]
-            priority, size, msg_class = hop[_PRIORITY], hop[_SIZE], hop[_CLASS]
+            # Every tree edge queues the same immutable hop; each link
+            # transmits it, so bandwidth is charged once per edge.
             row = self._fanout_row
             for child in children:
-                row[child].enqueue((inner, None, tree, deliver,
-                                    priority, size, msg_class))
+                row[child].enqueue(hop)
 
 
 class SwitchedNetwork(NetworkInterface):
@@ -418,15 +422,13 @@ class SwitchedNetwork(NetworkInterface):
                  msg.priority, msg.size_bytes, msg.msg_class))
         else:
             tree = self.routing.multicast_tree(src, tuple(remote))
-            deliver = frozenset(remote)
-            priority, size = msg.priority, msg.size_bytes
-            msg_class = msg.msg_class
             children = tree.get(src)
             if children:
+                hop = (msg, None, tree, frozenset(remote), msg.priority,
+                       msg.size_bytes, msg.msg_class)
                 row = self._link_at[src]
                 for child in children:
-                    row[child].enqueue((msg, None, tree, deliver,
-                                        priority, size, msg_class))
+                    row[child].enqueue(hop)
 
     # ------------------------------------------------------------------
     def utilization(self) -> float:

@@ -17,9 +17,10 @@ topology-agnostic and protocols can be compared across fabrics:
   (every unicast is one hop), the idealized fabric that isolates
   protocol effects from routing effects.
 
-Multicast trees merge the per-destination unicast paths, yielding the
-classic "row then column" fan-out tree on grids where every tree edge
-carries the message exactly once.
+Multicast trees merge the per-destination unicast paths, walked in the
+dense next-hop table of :class:`RoutingTables`, yielding the classic
+"row then column" fan-out tree on grids where every tree edge carries
+the message exactly once.
 
 Topologies register themselves by name in :data:`TOPOLOGIES`;
 :func:`make_topology` is how :class:`~repro.core.system.System` (via
@@ -105,18 +106,25 @@ class Topology:
 
         Every edge appears once no matter how many destinations lie past
         it, modelling the paper's bandwidth-efficient fan-out multicast.
+        The paths are walked in :attr:`routing`'s dense next-hop table,
+        so they are the :meth:`route` paths without per-hop routing
+        arithmetic.
         """
+        self._check(src)
+        next_hop = self.routing.next_hop
         children: Dict[int, List[int]] = {}
         in_tree = {src}
         for dest in dests:
             if dest == src:
                 continue
-            path = self.route(src, dest)
-            for parent, child in zip(path, path[1:]):
-                if child in in_tree:
-                    continue
-                children.setdefault(parent, []).append(child)
-                in_tree.add(child)
+            self._check(dest)
+            node = src
+            while node != dest:
+                child = next_hop[node][dest]
+                if child not in in_tree:
+                    children.setdefault(node, []).append(child)
+                    in_tree.add(child)
+                node = child
         return children
 
     @staticmethod
@@ -159,7 +167,8 @@ class RoutingTables:
       topology's routing function, so forwarding is two list indexes.
     * :attr:`multicast_tree` — ``topology.multicast_tree(src, dests)``
       memoized per ``(src, dests)``, least recently used first out once
-      :attr:`tree_cap` trees are held.  ``dests`` must be a tuple (it
+      :attr:`tree_cap` trees are held.  The base builder merges paths
+      walked in :attr:`next_hop`.  ``dests`` must be a tuple (it
       keys the memo); destination order matters to tree construction,
       so the key preserves it.  Coherence protocols multicast to a
       small set of recurring destination sets (broadcast-to-all,

@@ -16,7 +16,7 @@ cache-side token-counting rules PATCH and TokenB share
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cache.array import CacheArray, CacheLine
 from repro.coherence.messages import CoherenceMsg, MsgType
@@ -618,6 +618,12 @@ class HomeControllerBase(Node):
 
     def active_request(self, block: int) -> Optional[CoherenceMsg]:
         return self._busy.get(block)
+
+    def in_flight(self) -> List[Tuple[int, str, CoherenceMsg]]:
+        """``(block, state, request)`` for each request being served,
+        for stall diagnosis (:func:`~repro.verify.watchdog.describe_stall`)."""
+        return [(block, "busy on", payload)
+                for block, payload in self._busy.items()]
 
     def _enqueue_or_activate(self, payload: CoherenceMsg) -> None:
         block = payload.block

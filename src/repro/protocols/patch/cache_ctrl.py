@@ -26,6 +26,7 @@ from repro.coherence.messages import CoherenceMsg, MsgType
 from repro.coherence.states import CacheState, state_from_tokens
 from repro.coherence.tokens import ZERO, TokenCount
 from repro.interconnect.message import Priority
+from repro.prediction.predictors import Predictor
 from repro.protocols.base import (IGNORED, MIGRATORY, Mshr, ProtocolError,
                                   TokenCacheBase)
 from repro.protocols.patch.tenure import IgnoreWindows, ProbationTimers
@@ -67,7 +68,18 @@ class PatchCache(TokenCacheBase):
             MsgType.DIRECT_GETS: self._on_direct,
             MsgType.DIRECT_GETM: self._on_direct,
         }
+        # What _on_direct, run once per broadcast copy, reads without a
+        # call: the counters it bumps (requests_ignored_no_tokens is
+        # bound on first use, so a run that ignores no copy reports no
+        # such key), whether the predictor learns from requests at all,
+        # and the ignore windows' and cache sets' dicts.
         self._direct_seen_counter = self.stats.counter("direct_requests_seen")
+        self._no_tokens_counter = None
+        self._records_requests = (type(predictor).record_foreign_request
+                                  is not Predictor.record_foreign_request)
+        self._ignore_deadlines = self.ignore_windows._deadlines
+        self._cache_sets = self.cache._sets
+        self._num_sets = self.cache.num_sets
 
     # ------------------------------------------------------------------
     # Miss issue
@@ -228,28 +240,39 @@ class PatchCache(TokenCacheBase):
         self._answer(payload)
 
     def _on_direct(self, payload: CoherenceMsg) -> None:
-        # Pre-bound counter: this handler runs once per broadcast copy,
-        # the highest-frequency protocol event in PATCH-All runs.
+        # The highest-frequency protocol event of PATCH-All runs, so the
+        # ignore-window probe (IgnoreWindows.active) and the cache-set
+        # probe (CacheArray.lookup) are inlined: an ignored copy makes
+        # no call past this one.
         self._direct_seen_counter.value += 1
-        self.predictor.record_foreign_request(payload.block,
-                                              payload.requester)
-        mshr = self.mshr
         block = payload.block
+        if self._records_requests:
+            self.predictor.record_foreign_request(block, payload.requester)
+        mshr = self.mshr
         if mshr is not None and mshr.block == block:
             return  # outstanding miss: always ignore direct requests
-        if self.ignore_windows.active(block):
-            self.stats.add("direct_ignored_window")
-            return
-        line = self.cache.lookup(block)
-        if line is not None and not line.untenured.is_zero:
-            self.stats.add("direct_ignored_untenured")   # Rule #6c
-            return
-        if line is None or line.tokens.is_zero:
-            # Nearly every broadcast copy ends here: nothing to yield,
-            # and ack elision sends no reply.
-            self.stats.add("requests_ignored_no_tokens")
-            return
-        self._answer(payload)
+        deadlines = self._ignore_deadlines
+        if block in deadlines:
+            if self.sim.now < deadlines[block]:
+                self.stats.add("direct_ignored_window")
+                return
+            del deadlines[block]   # the window has closed
+        cache_set = self._cache_sets[block % self._num_sets]
+        if block in cache_set:
+            line = cache_set[block]
+            if line.untenured.count:
+                self.stats.add("direct_ignored_untenured")   # Rule #6c
+                return
+            if line.tokens.count:
+                self._answer(payload)
+                return
+        # Nearly every broadcast copy ends here: nothing to yield, and
+        # ack elision sends no reply.
+        counter = self._no_tokens_counter
+        if counter is None:
+            counter = self._no_tokens_counter = self.stats.counter(
+                "requests_ignored_no_tokens")
+        counter.value += 1
 
     def _answer(self, payload: CoherenceMsg) -> None:
         """Yield what we hold for the request and count the outcome."""

@@ -74,6 +74,10 @@ class IgnoreWindows:
     that window the processor ignores direct (but not forwarded) requests,
     giving the home a clear shot at routing tokens to the next active
     requester (paper Section 5.2).
+
+    ``PatchCache._on_direct`` inlines :meth:`active` against
+    ``_deadlines`` (block -> first cycle the window is closed), so the
+    two must change together.
     """
 
     def __init__(self, sim: Simulator) -> None:

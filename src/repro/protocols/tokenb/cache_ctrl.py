@@ -194,7 +194,10 @@ class TokenBCache(TokenCacheBase):
                           has_data, version)
 
     def _on_persistent_deactivate(self, payload: CoherenceMsg) -> None:
-        self.persistent_table.pop(payload.block, None)
+        # On an unordered network one starver's deactivate can land
+        # after the next starver's activation; the entry is not its own.
+        if self.persistent_table.get(payload.block) == payload.requester:
+            del self.persistent_table[payload.block]
 
     def _evict(self, line: CacheLine) -> None:
         starver = self.persistent_table.get(line.block)

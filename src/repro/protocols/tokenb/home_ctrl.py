@@ -8,7 +8,7 @@ per-block arbiter for persistent requests (paper Section 2, Table 4:
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Set, Tuple
 
 from repro.coherence.messages import CoherenceMsg, MsgType
 from repro.coherence.tokens import TokenCount
@@ -34,6 +34,9 @@ class TokenBHome(Node):
         # Persistent arbitration: one active starver per block + FIFO.
         self._active: Dict[int, CoherenceMsg] = {}
         self._queues: Dict[int, List[CoherenceMsg]] = {}
+        # (block, requester, txn_id) of deactivates that overtook their
+        # own request: that request is dropped when it arrives.
+        self._finished_early: Set[Tuple[int, int, int]] = set()
         self._handlers = {
             MsgType.GETS: self._on_request,
             MsgType.GETM: self._on_request,
@@ -86,6 +89,12 @@ class TokenBHome(Node):
     # -- persistent arbitration ------------------------------------------------
     def _on_persistent_req(self, payload: CoherenceMsg) -> None:
         block = payload.block
+        key = (block, payload.requester, payload.txn_id)
+        if key in self._finished_early:
+            # Its miss completed from tokens already in flight, and the
+            # deactivate got here first: nothing is left to arbitrate.
+            self._finished_early.remove(key)
+            return
         if block in self._active:
             self._queues.setdefault(block, []).append(payload)
             return
@@ -108,10 +117,10 @@ class TokenBHome(Node):
     def _on_persistent_done(self, payload: CoherenceMsg) -> None:
         block = payload.block
         active = self._active.get(block)
-        if active is None or active.requester != payload.requester:
-            raise ProtocolError(
-                f"persistent deactivate from {payload.requester} but "
-                f"no matching activation at home {self.node_id}")
+        if (active is None or active.requester != payload.requester
+                or active.txn_id != payload.txn_id):
+            self._done_before_activation(payload)
+            return
         del self._active[block]
         deactivate = CoherenceMsg(mtype=MsgType.PERSISTENT_DEACTIVATE,
                                   block=block, requester=payload.requester,
@@ -123,3 +132,40 @@ class TokenBHome(Node):
             if not queue:
                 del self._queues[block]
             self._start_persistent(nxt)
+
+    def _done_before_activation(self, payload: CoherenceMsg) -> None:
+        """A requester finished a persistent request this home never
+        activated.
+
+        A miss that escalated can still complete from tokens already in
+        flight.  Its deactivate then finds the request queued, or, on an
+        unordered network, not yet arrived.  Either way the request must
+        never activate.
+        """
+        block = payload.block
+        queue = self._queues.get(block, [])
+        for index, queued in enumerate(queue):
+            if (queued.requester == payload.requester
+                    and queued.txn_id == payload.txn_id):
+                del queue[index]
+                if not queue:
+                    del self._queues[block]
+                return
+        key = (block, payload.requester, payload.txn_id)
+        if key in self._finished_early:
+            raise ProtocolError(
+                f"second persistent deactivate from {payload.requester} "
+                f"(txn {payload.txn_id}) with no matching activation at "
+                f"home {self.node_id}")
+        self._finished_early.add(key)
+
+    # -- diagnosis ---------------------------------------------------------
+    def in_flight(self) -> List[Tuple[int, str, CoherenceMsg]]:
+        """``(block, state, request)`` for each persistent request the
+        arbiter holds: the active one per block, then its queue."""
+        held = [(block, "active on", payload)
+                for block, payload in self._active.items()]
+        held.extend((block, "queued on", payload)
+                    for block, queue in self._queues.items()
+                    for payload in queue)
+        return held

@@ -13,16 +13,19 @@ Bucket entries are ``(seq, payload)`` pairs.  Because the sequence
 number is unique, sorting never reaches the payload — the kernel never
 calls back into Python-level comparison.  Buckets are sorted once at
 drain start (entries arrive almost sorted: posts draw monotonically
-increasing sequence numbers).  Posts *into the bucket being drained*
-(delay-0 posts, reserved sequence numbers materializing at ``now``)
-insert in sorted position within the bucket's undrained suffix, and
-the drain loop — a plain ``for`` over the bucket list — picks them up
-because list iterators re-check the length every step.  The
-``lo=_drain_pos`` bound matters twice over: inserting *before* the
-cursor would shift the list under the iterator and re-dispatch the
-current entry, and a reserved seq smaller than the current one
-(claimed before the draining event was posted) must run *next*, not
-retroactively earlier.
+increasing sequence numbers).  The drain loop is a plain ``for`` over
+the bucket list, so it picks up entries added *to the bucket being
+drained* because list iterators re-check the length every step.  An
+entry that draws a fresh sequence number there (a delay-0 post or
+schedule) is appended: a fresh number is larger than every queued one,
+so the bucket stays sorted.  Only a reserved sequence number
+materializing at ``now`` (:meth:`Simulator.post_reserved`) can be
+smaller than queued ones, and it alone is inserted in sorted position
+within the bucket's undrained suffix.  The ``lo=_drain_pos`` bound
+matters twice over: inserting *before* the cursor would shift the list
+under the iterator and re-dispatch the current entry, and a reserved
+seq smaller than the current one (claimed before the draining event
+was posted) must run *next*, not retroactively earlier.
 
 Two scheduling entry points share the buckets:
 
@@ -132,7 +135,7 @@ class Simulator:
         self._seq = seq + 1
         event = Event(time, seq, callback)
         event._sim = self
-        self._insert(time, seq, event)
+        self._append(time, (seq, event))
         return event
 
     def post(self, delay: int, callback: Callable[[], None]) -> None:
@@ -146,12 +149,10 @@ class Simulator:
         seq = self._seq
         self._seq = seq + 1
         time = self.now + int(delay)
-        bucket = self._buckets.get(time)
+        bucket = self._buckets.get(time)  # inlined _append
         if bucket is None:
             self._buckets[time] = [(seq, callback)]
             _heappush(self._times, time)
-        elif time == self._draining:
-            insort(bucket, (seq, callback), self._drain_pos)
         else:
             bucket.append((seq, callback))
         self._live += 1
@@ -177,7 +178,17 @@ class Simulator:
         if time < self.now:
             raise SimulationError(
                 f"cannot schedule in the past (t={time} < now={self.now})")
-        self._insert(time, seq, callback)
+        bucket = self._buckets.get(time)
+        if bucket is None:
+            self._buckets[time] = [(seq, callback)]
+            _heappush(self._times, time)
+        elif time == self._draining:
+            # An old seq may sort before queued entries; keep it behind
+            # the drain cursor (see the module docstring).
+            insort(bucket, (seq, callback), self._drain_pos)
+        else:
+            bucket.append((seq, callback))
+        self._live += 1
 
     def schedule_at(self, time: int, callback: Callable[[], None]) -> Event:
         """Schedule ``callback`` at an absolute time (>= now)."""
@@ -207,15 +218,16 @@ class Simulator:
         """Number of live (non-cancelled) events still queued (O(1))."""
         return self._live
 
-    def _insert(self, time: int, seq: int, payload) -> None:
+    def _append(self, time: int, entry: tuple) -> None:
+        """Queue an entry whose seq was drawn just now.  It is larger
+        than every queued seq, so it goes last, even in the bucket being
+        drained."""
         bucket = self._buckets.get(time)
         if bucket is None:
-            self._buckets[time] = [(seq, payload)]
+            self._buckets[time] = [entry]
             _heappush(self._times, time)
-        elif time == self._draining:
-            insort(bucket, (seq, payload), self._drain_pos)
         else:
-            bucket.append((seq, payload))
+            bucket.append(entry)
         self._live += 1
 
     def _note_cancelled(self) -> None:

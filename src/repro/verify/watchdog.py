@@ -27,19 +27,18 @@ def describe_stall(system) -> str:
                 f"cache {cache.node_id}: MSHR block={mshr.block} "
                 f"write={mshr.is_write} tokens={mshr.tokens} "
                 f"data={mshr.have_data} activated={mshr.activated} "
+                f"retries={mshr.retries} persistent={mshr.persistent} "
                 f"age={system.sim.now - mshr.issue_time}")
         zombies = getattr(cache, "zombies", None)
         if zombies:
             lines.append(f"cache {cache.node_id}: zombies "
                          f"{sorted(z.block for z in zombies.values())}")
     for home in system.homes:
-        busy = getattr(home, "_busy", None)
-        if busy:
-            for block, payload in busy.items():
-                lines.append(
-                    f"home {home.node_id}: block {block} busy on "
-                    f"{payload.mtype.value} from {payload.requester} "
-                    f"(txn {payload.txn_id})")
+        for block, state, payload in home.in_flight():
+            lines.append(
+                f"home {home.node_id}: block {block} {state} "
+                f"{payload.mtype.value} from {payload.requester} "
+                f"(txn {payload.txn_id})")
     return "\n".join(lines)
 
 

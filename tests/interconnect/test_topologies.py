@@ -203,6 +203,50 @@ def test_routing_tables_match_per_hop_routing_exactly():
                     type(topology).__name__, node, dest)
 
 
+def _merged_route_tree(topology, src, dests):
+    """The multicast tree by definition: the :meth:`route` paths to
+    every destination, each edge kept the first time it reaches a node
+    not yet in the tree."""
+    children, in_tree = {}, {src}
+    for dest in dests:
+        if dest == src:
+            continue
+        path = topology.route(src, dest)
+        for parent, child in zip(path, path[1:]):
+            if child not in in_tree:
+                children.setdefault(parent, []).append(child)
+                in_tree.add(child)
+    return children
+
+
+@pytest.mark.parametrize("name", topology_names())
+@pytest.mark.parametrize("dims", [(4, 4), (8, 2), (5, 3)],
+                         ids=lambda dims: f"{dims[0]}x{dims[1]}")
+def test_table_built_trees_match_merged_route_paths(name, dims):
+    """Trees walked in the dense next-hop table equal the merged
+    ``route()`` paths on every registered fabric: each source's
+    broadcast tree, and random destination sets in random order."""
+    n = dims[0] * dims[1]
+    topology = TOPOLOGIES[name].factory(n, dims)
+    rng = random.Random(f"{name}-{dims}")
+    queries = [(src, tuple(d for d in range(n) if d != src))
+               for src in range(n)]
+    queries += [(rng.randrange(n), tuple(rng.sample(range(n),
+                                                    rng.randint(1, n))))
+                for _ in range(100)]
+    for src, dests in queries:
+        expected = _merged_route_tree(topology, src, dests)
+        assert topology.multicast_tree(src, dests) == expected
+        assert topology.routing.multicast_tree(src, dests) == expected
+
+
+def test_multicast_tree_rejects_nodes_outside_the_fabric():
+    torus = Torus2D(4, 4)
+    for src, dests in ((16, [1]), (0, [3, 16]), (0, [-1])):
+        with pytest.raises(ValueError, match="outside topology"):
+            torus.multicast_tree(src, dests)
+
+
 def test_routing_tables_memoize_multicast_trees(monkeypatch):
     for topology in _all_topologies():
         tables = topology.routing

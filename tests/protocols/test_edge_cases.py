@@ -30,12 +30,18 @@ UNHANDLED = [
                          ids=[row[2].replace(" ", "-") for row in UNHANDLED])
 def test_unhandled_message_names_controller_and_type(protocol, side, name,
                                                      mtype):
+    """Both ways in name the controller: its own ``handle_message``, and
+    the network endpoint ``System`` registers, which indexes the
+    controller's handler table itself."""
     system = make_system(protocol, cores=2)
     controller = getattr(system, side)[0]
-    payload = CoherenceMsg(mtype=mtype, block=0, requester=1, sender=1)
-    with pytest.raises(ProtocolError,
-                       match=f"^{name} 0: unexpected {mtype.value}$"):
-        controller.handle_message(SimpleNamespace(payload=payload))
+    endpoint = system.network._endpoints[0]
+    payload = CoherenceMsg(mtype=mtype, block=0, requester=1, sender=1,
+                           to_home=side == "homes")
+    for deliver in (controller.handle_message, endpoint):
+        with pytest.raises(ProtocolError,
+                           match=f"^{name} 0: unexpected {mtype.value}$"):
+            deliver(SimpleNamespace(payload=payload))
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +169,9 @@ def test_tokenb_two_queued_persistent_requests_serialize():
 
 
 def test_tokenb_mismatched_persistent_done_rejected():
+    """A deactivate the arbiter never activated may have overtaken its
+    request, so the home remembers it; a second one for the same
+    transaction matches nothing and is rejected."""
     system = make_system("tokenb", cores=4)
     home = system.homes[0]
     from repro.coherence.messages import CoherenceMsg, MsgType
@@ -174,8 +183,71 @@ def test_tokenb_mismatched_persistent_done_rejected():
 
     done = CoherenceMsg(mtype=MsgType.PERSISTENT_DEACTIVATE, block=0,
                         requester=9, sender=9, txn_id=1, to_home=True)
+    home.handle_message(Probe(done))
     with pytest.raises(ProtocolError, match="no matching activation"):
         home.handle_message(Probe(done))
+
+
+def _persistent(mtype, requester, txn, block=0):
+    return SimpleNamespace(payload=CoherenceMsg(
+        mtype=mtype, block=block, requester=requester, sender=requester,
+        txn_id=txn, is_write=True, to_home=True))
+
+
+@pytest.mark.parametrize("done_first", [False, True],
+                         ids=["request-then-done", "done-then-request"])
+def test_tokenb_persistent_done_in_either_arrival_order(done_first):
+    """A miss that escalated can complete from tokens already in flight;
+    on an unordered network its deactivate may reach the home before
+    its request.  Either order leaves the arbiter idle, and a request
+    that arrives after its own deactivate never activates."""
+    system = make_system("tokenb", cores=4)
+    home = system.homes[0]
+    request = _persistent(MsgType.PERSISTENT_REQ, 1, 10)
+    done = _persistent(MsgType.PERSISTENT_DEACTIVATE, 1, 10)
+    for msg in ((done, request) if done_first else (request, done)):
+        home.handle_message(msg)
+    assert home.in_flight() == []
+    assert home.stats.value("persistent_activations") == (
+        0 if done_first else 1)
+    # The arbiter serves the next starver as usual.
+    home.handle_message(_persistent(MsgType.PERSISTENT_REQ, 2, 11))
+    assert [(block, state, msg.requester)
+            for block, state, msg in home.in_flight()] == [
+                (0, "active on", 2)]
+
+
+def test_tokenb_persistent_done_unqueues_its_waiting_request():
+    system = make_system("tokenb", cores=4)
+    home = system.homes[0]
+    home.handle_message(_persistent(MsgType.PERSISTENT_REQ, 1, 10))
+    home.handle_message(_persistent(MsgType.PERSISTENT_REQ, 2, 11))
+    home.handle_message(_persistent(MsgType.PERSISTENT_DEACTIVATE, 2, 11))
+    assert [(state, msg.requester)
+            for _block, state, msg in home.in_flight()] == [
+                ("active on", 1)]
+    home.handle_message(_persistent(MsgType.PERSISTENT_DEACTIVATE, 1, 10))
+    assert home.in_flight() == []
+    assert home.stats.value("persistent_activations") == 1
+
+
+def test_tokenb_stale_deactivate_keeps_the_next_starvers_entry():
+    """The home deactivates starver 1 and then activates starver 2; a
+    cache that sees the two broadcasts reordered keeps 2's entry."""
+    system = make_system("tokenb", cores=4)
+    cache = system.caches[0]
+
+    def broadcast(mtype, requester, txn):
+        cache.handle_message(SimpleNamespace(payload=CoherenceMsg(
+            mtype=mtype, block=0, requester=requester, sender=0,
+            txn_id=txn)))
+
+    broadcast(MsgType.PERSISTENT_ACTIVATE, 1, 10)
+    broadcast(MsgType.PERSISTENT_ACTIVATE, 2, 11)
+    broadcast(MsgType.PERSISTENT_DEACTIVATE, 1, 10)   # late
+    assert cache.persistent_table == {0: 2}
+    broadcast(MsgType.PERSISTENT_DEACTIVATE, 2, 11)
+    assert cache.persistent_table == {}
 
 
 # ---------------------------------------------------------------------------

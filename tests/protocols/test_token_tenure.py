@@ -258,6 +258,31 @@ def test_direct_request_outcomes(monkeypatch, mtype, state, delta,
     assert len(sent) == responses
 
 
+def test_ignored_copy_counter_appears_on_first_use():
+    """``requests_ignored_no_tokens`` is bound on first use, so a cell
+    whose caches ignore no direct copy reports no such key.  The goldens
+    cannot tell: every golden PATCH cell ignores some copy."""
+    from repro.workloads.base import Access
+    from tests.helpers import ScriptedWorkload
+    # Both cores write one block at once: each copy lands while its
+    # target's own miss is outstanding, and the home's forward finds
+    # the tokens.
+    workload = ScriptedWorkload({0: [Access(100, True, 0)],
+                                 1: [Access(100, True, 0)]})
+    result = make(cores=2, workload=workload, references=1).run()
+    assert result.cache_stats["direct_requests_seen"] == 2
+    assert "requests_ignored_no_tokens" not in result.cache_stats
+    # One ignored copy creates the key.
+    system = direct_target("no-line")
+    assert "requests_ignored_no_tokens" not in system.caches[0].stats.names()
+    direct = CoherenceMsg(mtype=MsgType.DIRECT_GETS, block=100, requester=1,
+                          sender=1, txn_id=999)
+    system.network._endpoints[0](Message(
+        src=1, dests=(0,), size_bytes=8, msg_class=MsgClass.DIRECT_REQUEST,
+        payload=direct))
+    assert system.caches[0].stats.value("requests_ignored_no_tokens") == 1
+
+
 def test_rule6b_untenured_holder_responds_to_forwards():
     system = make(predictor="none", cores=2)
     cache = system.caches[0]

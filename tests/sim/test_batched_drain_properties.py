@@ -4,10 +4,11 @@
 timestamp in one pass over a sorted bucket instead of popping them one
 at a time.  The contract is that this is *unobservable*: for any
 program of schedules, posts, cancellations, reserved sequence numbers,
-and callback-time follow-ups (including delay-0 posts and reserved
-slots materializing into the bucket being drained), the dispatch order
-is the ``(time, seq)`` order — exactly what :class:`HeapScheduler`,
-a plain binary heap popped one entry at a time, produces.
+and callback-time follow-ups (including delay-0 posts and schedules,
+and reserved slots materializing into the bucket being drained), the
+dispatch order is the ``(time, seq)`` order — exactly what
+:class:`HeapScheduler`, a plain binary heap popped one entry at a time,
+produces.
 
 Hypothesis drives randomized programs through the kernel, through
 :class:`BareKernel` (the yardstick of the disabled-observability
@@ -137,9 +138,11 @@ class BareKernel(Simulator):
             self._events_processed += processed
 
 
-# A follow-up scheduled from inside a callback: its delay.  Delay 0
-# lands in the bucket currently being drained.
-_followup = st.integers(0, 3)
+# A follow-up scheduled from inside a callback: its delay, and which
+# fresh-sequence entry point queues it.  Delay 0 lands in the bucket
+# currently being drained, where both append behind the cursor.
+_followup = st.tuples(st.integers(0, 3), st.sampled_from(["post",
+                                                          "schedule"]))
 
 # One top-level operation:
 #   kind        — how the event enters the queue
@@ -178,10 +181,11 @@ def _run_program(kernel_cls, program):
             if reserved_slot is not None:
                 sim.post_reserved(sim.now, reserved_slot,
                                   make_callback(f"{label}.r", ()))
-            for delay in followups:
+            for delay, entry_point in followups:
                 child = counter[0]
                 counter[0] += 1
-                sim.post(delay, make_callback(f"{label}.f{child}", ()))
+                getattr(sim, entry_point)(
+                    delay, make_callback(f"{label}.f{child}", ()))
         return fire
 
     deferred = []

@@ -79,8 +79,11 @@ def test_kernel_microbench_dispatches_all_events():
 
 def test_disabled_sink_overhead_is_a_small_fraction():
     """Shape only: both loops dispatch the same work, so the ratio is
-    near 1.  The budget itself is the smoke test below."""
-    overhead = disabled_sink_overhead(pending=32, events=2_000, repeats=2)
+    near 1.  The budget itself is the smoke test below.  A pass is about
+    a millisecond, so one preempted pass can halve a side's rate; the
+    best of 20 per side kept all of 200 calls in range on two vCPUs
+    shared with two busy loops (best of 2 left 40 out)."""
+    overhead = disabled_sink_overhead(pending=32, events=2_000, repeats=20)
     assert -0.9 < overhead < 0.9
 
 

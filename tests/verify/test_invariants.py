@@ -1,13 +1,17 @@
 """Verification layer tests: the checkers must actually catch violations."""
 
+from types import SimpleNamespace
+
 import pytest
 
+from repro.coherence.messages import CoherenceMsg, MsgType
 from repro.coherence.states import CacheState
 from repro.coherence.tokens import TokenCount, ZERO
 from repro.verify.invariants import (CoherenceViolation, IntegrityChecker,
                                      audit_single_writer,
                                      audit_token_conservation)
-from repro.verify.watchdog import StarvationError, check_all_done
+from repro.verify.watchdog import (StarvationError, check_all_done,
+                                   describe_stall)
 from tests.helpers import AccessDriver, make_system
 
 
@@ -145,6 +149,35 @@ def test_watchdog_raises_with_diagnostics():
     system.cores[0].quota = 5   # pretend it still has work
     with pytest.raises(StarvationError, match="core 0"):
         check_all_done(system, 1000)
+
+
+def test_stall_dump_lists_tokenb_persistent_arbitration():
+    """A TokenB stall names the home's active and queued persistent
+    requests, and the MSHR line shows the retry count and whether the
+    miss went persistent."""
+    system = make_system("tokenb", cores=2)
+    system.caches[1].access(100, True, lambda: None)
+    home = system.homes[100 % 2]
+    for requester, txn in ((1, 777), (0, 778)):
+        home.handle_message(SimpleNamespace(payload=CoherenceMsg(
+            mtype=MsgType.PERSISTENT_REQ, block=100, requester=requester,
+            sender=requester, txn_id=txn, is_write=True, to_home=True)))
+    dump = describe_stall(system).splitlines()
+    assert "home 0: block 100 active on PERSISTENT_REQ from 1 (txn 777)" \
+        in dump
+    assert "home 0: block 100 queued on PERSISTENT_REQ from 0 (txn 778)" \
+        in dump
+    (mshr_line,) = [line for line in dump if "MSHR" in line]
+    assert mshr_line.startswith("cache 1: MSHR block=100 write=True")
+    assert "retries=0 persistent=False" in mshr_line
+
+
+def test_stall_dump_lists_busy_directory_blocks():
+    system = make_system("directory", cores=2)
+    system.caches[1].access(100, True, lambda: None)
+    system.sim.run(until=50)   # at its home, not yet answered
+    assert any(line.startswith("home 0: block 100 busy on GETM from 1")
+               for line in describe_stall(system).splitlines())
 
 
 def test_integrity_catches_protocol_data_bugs_end_to_end():
