@@ -31,7 +31,8 @@ def main() -> None:
     # shorter run.
     spec = bandwidth_spec(workload, replace(FULL_SCALE, bw_refs=REFERENCES,
                                             bw_seeds=(1,)))
-    sweep = Session().run(spec).nested()
+    with Session() as session:
+        sweep = session.run(spec).nested()
 
     print(f"{'B/1000cy':>9}  {'Directory':>9}  {'PATCH-All-NA':>12}  "
           f"{'PATCH-All':>9}")

@@ -37,8 +37,9 @@ def main() -> None:
     # core count.
     scale = replace(FULL_SCALE, enc_refs={cores: REFERENCES},
                     enc_table_blocks={cores: 6 * cores})
-    sweep = Session().run(encoding_spec(cores, True, scale)).nested(
-        order=("protocol", "coarseness"))
+    with Session() as session:
+        sweep = session.run(encoding_spec(cores, True, scale)).nested(
+            order=("protocol", "coarseness"))
 
     labels = [f"1:{k}" for k in points]
     header = "".join(f"  {label:<7}" for label in labels)

@@ -45,7 +45,8 @@ def main() -> None:
         FULL_SCALE, scenario_workloads=WORKLOADS,
         scenario_topologies=TOPOLOGIES, scenario_cores=CORES,
         scenario_refs=REFERENCES, scenario_seeds=(1,)))
-    results = Session().run(spec).nested()
+    with Session() as session:
+        results = session.run(spec).nested()
     text, ratio, fabric = render_scenarios(results, WORKLOADS, TOPOLOGIES)
     print(text)
 

@@ -34,6 +34,10 @@ Construction mirrors the CLI's execution flags::
     Session(no_cache=True)         # never touch the on-disk cache
     Session(cache_dir="/tmp/c")    # explicit cache location
     Session(runner=my_runner)      # wrap an existing runner verbatim
+
+A session that built its runner owns the runner's worker pool:
+:meth:`Session.close` (or leaving a ``with Session() as session:``
+block) shuts it down.  A runner passed in stays its caller's to close.
 """
 
 from __future__ import annotations
@@ -64,6 +68,7 @@ class Session:
                  jobs: Optional[int] = None,
                  cache_dir: Optional[os.PathLike] = None,
                  no_cache: bool = False) -> None:
+        self._owns_runner = runner is None
         if runner is None:
             runner = ParallelRunner(jobs=jobs,
                                     cache=open_cache(cache_dir, no_cache))
@@ -71,6 +76,21 @@ class Session:
             raise ValueError("pass either 'runner' or the "
                              "jobs/cache_dir/no_cache knobs, not both")
         self.runner = runner
+
+    def close(self) -> None:
+        """Shut down the worker pool of the runner this session built.
+
+        Idempotent, and a no-op for a runner passed in; a later run
+        forks a new pool.
+        """
+        if self._owns_runner:
+            self.runner.close()
+
+    def __enter__(self) -> "Session":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
     # ------------------------------------------------------------------
     @property

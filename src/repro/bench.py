@@ -327,7 +327,8 @@ def _note_study_telemetry(name: str, result) -> None:
 
 
 def _run_spec(spec, runner: Optional[ParallelRunner]):
-    result = Session(runner=runner).run(spec)
+    with Session(runner=runner) as session:
+        result = session.run(spec)
     _note_study_telemetry(spec.name, result)
     return result
 
@@ -378,8 +379,8 @@ def trace_replay_results(scale: BenchScale = FULL_SCALE,
     """
     from repro.traces import record_trace, save_trace
 
-    session = Session(runner=runner)
     with contextlib.ExitStack() as stack:
+        session = stack.enter_context(Session(runner=runner))
         if trace_dir is None:
             out_dir = stack.enter_context(tempfile.TemporaryDirectory())
         else:
@@ -674,11 +675,16 @@ def run_bench(quick: bool = False,
     a miniature suite); ``seed`` (the CLI's ``--seed``) pins the
     seed-parameterized grids — see :meth:`BenchScale.with_seed`.
     """
+    if runner is None:
+        # The environment's defaults, with one worker pool for the
+        # whole suite.
+        with Session() as session:
+            return run_bench(quick, session.runner, results_dir, out_path,
+                             check, scale, seed, echo)
     if scale is None:
         scale = QUICK_SCALE if quick else FULL_SCALE
     if seed is not None:
         scale = scale.with_seed(seed)
-    runner = Session(runner=runner).runner  # environment defaults if None
     os.makedirs(results_dir, exist_ok=True)
     del _STUDY_TELEMETRY[:]  # fresh obs block per suite run
     timings: Dict[str, float] = {}

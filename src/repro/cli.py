@@ -181,7 +181,8 @@ def _add_obs_options(parser: argparse.ArgumentParser) -> None:
 def _session(args) -> Session:
     """The one Session a command runs on, from --jobs / --cache-dir /
     --no-cache (``study status`` / ``study list`` take only the cache
-    flags)."""
+    flags).  Commands use it as a context manager, so its worker pool
+    ends with the command."""
     return Session(jobs=getattr(args, "jobs", None),
                    cache_dir=args.cache_dir, no_cache=args.no_cache)
 
@@ -541,18 +542,20 @@ def cmd_run(args) -> int:
                           best_effort_direct=not args.non_adaptive)
     # Through the session's runner (not run_one) so --jobs /
     # --cache-dir / --no-cache apply.
-    result = run_experiment(config, workload,
-                            references_per_core=refs,
-                            seeds=(args.seed,), runner=_session(args).runner,
-                            **workload_kwargs).runs[0]
+    with _session(args) as session:
+        result = run_experiment(config, workload,
+                                references_per_core=refs,
+                                seeds=(args.seed,), runner=session.runner,
+                                **workload_kwargs).runs[0]
     _print_run(result)
     return 0
 
 
 def cmd_bench(args) -> int:
-    return run_bench(quick=args.quick, runner=_session(args).runner,
-                     results_dir=args.results_dir, out_path=args.out,
-                     check=args.check, seed=args.seed)
+    with _session(args) as session:
+        return run_bench(quick=args.quick, runner=session.runner,
+                         results_dir=args.results_dir, out_path=args.out,
+                         check=args.check, seed=args.seed)
 
 
 def cmd_list(args) -> int:
@@ -629,23 +632,24 @@ def _cmd_study_show(args) -> int:
 
 def _cmd_study_run(args) -> int:
     spec = StudySpec.load(args.spec)
-    session = _session(args)
-    if args.max_cells is not None:
-        # Chunked execution: run a slice of the grid, report progress,
-        # stop.  The table only renders once the study completes.
-        manifest = session.advance(spec, limit=args.max_cells,
-                                   validate=False)
-        # Progress chatter goes to stderr so stdout stays
-        # machine-parseable; only the summary line is the result here.
-        print(f"[exec] workers={session.jobs}", file=sys.stderr)
-        print(f"study {spec.name}: {manifest.summary()}")
-        if not manifest.complete:
-            print(f"(continue with: repro study run {args.spec} "
-                  f"--resume or more --max-cells chunks)",
-                  file=sys.stderr)
-        return 0
-    result = session.run(spec, validate=False,  # load() validated
-                         resume=args.resume)
+    with _session(args) as session:
+        if args.max_cells is not None:
+            # Chunked execution: run a slice of the grid, report
+            # progress, stop.  The table only renders once the study
+            # completes.
+            manifest = session.advance(spec, limit=args.max_cells,
+                                       validate=False)
+            # Progress chatter goes to stderr so stdout stays
+            # machine-parseable; only the summary line is the result.
+            print(f"[exec] workers={session.jobs}", file=sys.stderr)
+            print(f"study {spec.name}: {manifest.summary()}")
+            if not manifest.complete:
+                print(f"(continue with: repro study run {args.spec} "
+                      f"--resume or more --max-cells chunks)",
+                      file=sys.stderr)
+            return 0
+        result = session.run(spec, validate=False,  # load() validated
+                             resume=args.resume)
     _print_study_table(result)
     _print_exec_epilogue(result)
     return 0
@@ -685,15 +689,15 @@ def _print_exec_epilogue(result) -> None:
 
 
 def _cmd_study_status(args) -> int:
+    from repro.exec.manifest import spec_digest
     spec = StudySpec.load(args.spec)
-    session = _session(args)
-    # strict=True: a manifest file that exists but cannot be parsed is
-    # a pointed ManifestError naming the path (rendered by cmd_study),
-    # never a silent "no recorded progress".
-    manifest = session.status(spec, strict=True)
-    if manifest is None:
-        from repro.exec.manifest import spec_digest
+    with _session(args) as session:
+        # strict=True: a manifest file that exists but cannot be parsed
+        # is a pointed ManifestError naming the path (rendered by
+        # cmd_study), never a silent "no recorded progress".
+        manifest = session.status(spec, strict=True)
         expected = session.manifest_store().path_for(spec_digest(spec))
+    if manifest is None:
         print(f"study {spec.name}: no recorded progress — no manifest "
               f"at {expected} (run it with: repro study run {args.spec})")
         return 0
@@ -726,7 +730,8 @@ def _cmd_study_status(args) -> int:
 
 
 def _cmd_study_list(args) -> int:
-    store = _session(args).manifest_store()
+    with _session(args) as session:
+        store = session.manifest_store()
     entries = store.list()
     if not entries:
         print(f"no recorded studies under {store.root}")
@@ -822,15 +827,17 @@ def cmd_serve(args) -> int:
     from repro.service.scheduler import StudyScheduler
 
     # The daemon owns the session described by --jobs / --cache-dir /
-    # --no-cache for its whole lifetime.
+    # --no-cache, and with it one worker pool, for its whole lifetime;
+    # scheduler.stop() closes it.
     session = _session(args)
-    scheduler = StudyScheduler(session)
+    scheduler = StudyScheduler(session, autostart=False)
     try:
         server = make_server(args.host, args.port, scheduler)
     except OSError as exc:
         print(f"error: cannot bind {args.host}:{args.port}: {exc}",
               file=sys.stderr)
         return 2
+    scheduler.start()
     cache = session.cache
     where = str(cache.root) if cache is not None else "DISABLED"
     print(f"[service] listening on http://{args.host}:{server.port} "
@@ -853,9 +860,9 @@ def cmd_serve(args) -> int:
         for sig, handler in previous.items():
             signal.signal(sig, handler)
         server.server_close()
-        # Finishes the in-flight batch and leaves queued cells pending
-        # in their manifests — `repro study run SPEC --resume` picks
-        # any interrupted study back up.
+        # Finishes the in-flight batch, leaves queued cells pending in
+        # their manifests — `repro study run SPEC --resume` picks any
+        # interrupted study back up — and stops the workers.
         scheduler.stop()
         print("[service] stopped; study manifests persisted "
               "(resume interrupted studies with: repro study run "
@@ -897,9 +904,10 @@ def _cmd_trace_replay(args) -> int:
                                      if args.protocol == "patch" else "none"),
                           topology=args.topology,
                           link_bandwidth=args.bandwidth)
-    result = run_experiment(config, "trace", references_per_core=refs,
-                            seeds=(args.seed,), runner=_session(args).runner,
-                            path=args.path).runs[0]
+    with _session(args) as session:
+        result = run_experiment(config, "trace", references_per_core=refs,
+                                seeds=(args.seed,), runner=session.runner,
+                                path=args.path).runs[0]
     _print_run(result)
     return 0
 
@@ -1015,11 +1023,12 @@ def cmd_synth(args) -> int:
         config = SystemConfig(num_cores=cores, protocol=args.protocol,
                               predictor=("all" if args.protocol == "patch"
                                          else "none"))
-        result = run_experiment(config, "synthetic",
-                                references_per_core=refs,
-                                seeds=(args.seed,),
-                                runner=_session(args).runner,
-                                profile=args.profile, **knobs).runs[0]
+        with _session(args) as session:
+            result = run_experiment(config, "synthetic",
+                                    references_per_core=refs,
+                                    seeds=(args.seed,),
+                                    runner=session.runner,
+                                    profile=args.profile, **knobs).runs[0]
         _print_run(result)
     return 0
 

@@ -77,7 +77,8 @@ def run_experiment(config: SystemConfig, workload_name: str,
     """Run one configuration across several seeds (paper methodology)."""
     spec = experiment_spec(config, workload_name, references_per_core,
                            seeds=seeds, **workload_kwargs)
-    result = Session(runner=runner).run(spec)
+    with Session(runner=runner) as session:
+        result = session.run(spec)
     return result.experiment(label=label or config.describe())
 
 

@@ -16,6 +16,17 @@ does not grow the cache without bound.  Entries are written atomically
 directory can never leave a torn file, and unreadable entries are
 treated as misses rather than errors.
 
+A cache also remembers, weakly, the run it last decoded or stored under
+each key.  While anything still holds that run — a study record in
+``repro serve``, a figure grid being aggregated — a load of the same
+key returns a shallow copy of it instead of reading and decoding the
+file again, so many studies sharing a cell share one decoded run.  The
+copy's own ``cached`` and wall-time fields can be set independently;
+its inner dicts and latency stat are shared, which is safe because
+nothing mutates a finished run's contents.  A live run answers even if
+its file has since been deleted or corrupted: the key content-addresses
+a deterministic result, so the file could only have held the same run.
+
 :func:`open_cache` is the one place that decides whether a run is
 cached and where: ``--no-cache`` wins, an explicit ``--cache-dir``
 beats ``REPRO_NO_CACHE``, and otherwise ``REPRO_NO_CACHE`` disables
@@ -24,12 +35,14 @@ the cache while ``REPRO_CACHE_DIR`` or ``~/.cache/repro`` locates it.
 
 from __future__ import annotations
 
+import copy
 import functools
 import hashlib
 import json
 import os
 import shutil
 import tempfile
+import weakref
 from pathlib import Path
 from typing import Any, Dict, Optional
 
@@ -202,13 +215,18 @@ class ResultCache:
         self.stores = 0
         self.store_errors = 0
         self._pruned = False
+        #: Key -> the run last decoded or stored under it, while alive.
+        self._live: "weakref.WeakValueDictionary[str, RunResult]" = \
+            weakref.WeakValueDictionary()
 
     # ------------------------------------------------------------------
     def generation_dir(self) -> Path:
         return self.root / f"v-{code_version()}"
 
     def path_for(self, cell: Cell) -> Path:
-        key = cache_key(cell)
+        return self._entry_path(cache_key(cell))
+
+    def _entry_path(self, key: str) -> Path:
         return self.generation_dir() / key[:2] / f"{key}.json"
 
     def _prune_stale_generations(self) -> None:
@@ -230,16 +248,27 @@ class ResultCache:
             shutil.rmtree(path, ignore_errors=True)
 
     def load(self, cell: Cell) -> Optional[RunResult]:
-        """Return the cached result for ``cell``, or None on a miss."""
-        path = self.path_for(cell)
+        """Return the cached result for ``cell``, or None on a miss.
+
+        A run still alive from an earlier load or store of the same key
+        comes back as a shallow copy, without touching the file (see
+        the module docstring).
+        """
+        key = cache_key(cell)
+        live = self._live.get(key)
+        if live is not None:
+            self.hits += 1
+            return copy.copy(live)
         try:
-            with open(path, "r", encoding="utf-8") as handle:
+            with open(self._entry_path(key), "r",
+                      encoding="utf-8") as handle:
                 entry = json.load(handle)
             result = run_result_from_dict(entry["result"])
         except (OSError, ValueError, KeyError, TypeError):
             self.misses += 1
             return None
         self.hits += 1
+        self._live[key] = result
         return result
 
     def store(self, cell: Cell, result: RunResult) -> Optional[Path]:
@@ -251,11 +280,12 @@ class ResultCache:
         counted in ``store_errors`` (returning ``None``).
         """
         try:
-            path = self.path_for(cell)
+            key = cache_key(cell)
+            path = self._entry_path(key)
             path.parent.mkdir(parents=True, exist_ok=True)
             self._prune_stale_generations()
             entry = {
-                "key": path.stem,
+                "key": key,
                 "cell": cell_to_dict(cell),
                 "result": run_result_to_dict(result),
             }
@@ -274,6 +304,7 @@ class ResultCache:
             self.store_errors += 1
             return None
         self.stores += 1
+        self._live[key] = result
         return path
 
     # ------------------------------------------------------------------

@@ -10,6 +10,17 @@ setting for debugging and profiling, where breakpoints and profilers
 see the simulation directly), and on a
 ``concurrent.futures.ProcessPoolExecutor`` otherwise.
 
+The runner keeps one pool of ``jobs`` workers across batches, so a
+long-lived caller (the ``repro serve`` dispatcher, a figure suite)
+forks its workers once rather than once per batch.  Forked workers
+carry the parent's state as it was at the fork, so before each batch
+the runner compares what they inherited — the worker count, the
+``REPRO_*`` environment (``--obs`` / ``--timeline`` / ``--profile``
+reach workers only through it) and the workload and topology
+registries — and forks a fresh pool when any of it changed.
+:meth:`ParallelRunner.close` (or leaving a ``with`` block) shuts the
+workers down; a later batch forks a new pool.
+
 Both paths are bit-identical by construction: the kernel is
 deterministic per (seed, config), every cell runs through
 :func:`execute_cell_payload`, and every result round-trips the same
@@ -18,7 +29,8 @@ JSON serialization the cache uses.
 A cell that raises — or a pool worker that dies outright — fails the
 whole batch promptly with a :class:`CellExecutionError` naming the
 offending cell; results completed before the failure are already
-cached, so a retry resumes where the batch died.
+cached, so a retry resumes where the batch died.  The failed batch's
+pool is shut down without waiting, and the next batch forks a new one.
 """
 
 from __future__ import annotations
@@ -87,10 +99,23 @@ def default_jobs() -> int:
     return os.cpu_count() or 1
 
 
-def _run_on_pool(items: Sequence[Tuple[int, Cell]], workers: int,
+def _fork_state(workers: int) -> Tuple[Any, ...]:
+    """What a forked worker inherits that a later batch may change:
+    the worker count, the ``REPRO_*`` environment, and how many
+    workloads and topologies are registered (``register_workload`` /
+    ``register_topology`` only ever add)."""
+    from repro.interconnect.topology import TOPOLOGIES
+    from repro.workloads.registry import registered_count
+    environment = {name: value for name, value in os.environ.items()
+                   if name.startswith("REPRO_")}
+    return workers, environment, registered_count(), len(TOPOLOGIES)
+
+
+def _run_on_pool(pool: ProcessPoolExecutor,
+                 items: Sequence[Tuple[int, Cell]],
                  finish: Callable[[int, Dict[str, Any]], None]) -> None:
-    """Run ``(index, cell)`` items on a process pool, calling ``finish``
-    as each completes.
+    """Run ``(index, cell)`` items on ``pool``, calling ``finish`` as
+    each completes.
 
     A cell that raises, or a worker that dies (``BrokenProcessPool``),
     fails the batch with a :class:`CellExecutionError`; nothing waits
@@ -98,39 +123,34 @@ def _run_on_pool(items: Sequence[Tuple[int, Cell]], workers: int,
     harvested first, so completed simulations reach the cache before
     the batch aborts.
     """
-    pool = ProcessPoolExecutor(max_workers=workers)
-    try:
-        futures = {pool.submit(execute_cell_payload, cell): (index, cell)
-                   for index, cell in items}
-        not_done = set(futures)
-        while not_done:
-            done, not_done = wait(not_done, return_when=FIRST_EXCEPTION)
-            first_failure = None
-            for future in done:
-                index, cell = futures[future]
-                try:
-                    payload = future.result()
-                except Exception as exc:
-                    if first_failure is None:
-                        first_failure = (cell, exc)
-                    continue
-                finish(index, payload)
-            if first_failure is not None:
-                cell, exc = first_failure
-                raise CellExecutionError(cell, exc) from exc
-    except BaseException:
-        # Fail fast: drop queued work and don't wait for stragglers.
-        pool.shutdown(wait=False, cancel_futures=True)
-        raise
-    pool.shutdown(wait=True)
+    futures = {pool.submit(execute_cell_payload, cell): (index, cell)
+               for index, cell in items}
+    not_done = set(futures)
+    while not_done:
+        done, not_done = wait(not_done, return_when=FIRST_EXCEPTION)
+        first_failure = None
+        for future in done:
+            index, cell = futures[future]
+            try:
+                payload = future.result()
+            except Exception as exc:
+                if first_failure is None:
+                    first_failure = (cell, exc)
+                continue
+            finish(index, payload)
+        if first_failure is not None:
+            cell, exc = first_failure
+            raise CellExecutionError(cell, exc) from exc
 
 
 class ParallelRunner:
     """Runs batches of experiment cells, cache-aware.
 
-    ``jobs`` is the maximum worker count (``None`` resolves via
-    ``REPRO_JOBS`` / ``os.cpu_count()``); ``cache=None`` disables
-    result caching.
+    ``jobs`` is the worker count (``None`` resolves via ``REPRO_JOBS``
+    / ``os.cpu_count()``); ``cache=None`` disables result caching.  The
+    first batch that needs a pool forks ``jobs`` workers, and later
+    batches reuse them; :meth:`close` — or leaving a ``with`` block —
+    shuts them down.
     """
 
     def __init__(self, jobs: Optional[int] = None,
@@ -139,10 +159,40 @@ class ParallelRunner:
             raise ValueError("jobs must be >= 1")
         self._jobs = jobs
         self.cache = cache
+        self._pool: Optional[ProcessPoolExecutor] = None
+        self._pool_state: Optional[Tuple[Any, ...]] = None
 
     @property
     def jobs(self) -> int:
         return self._jobs if self._jobs is not None else default_jobs()
+
+    def close(self) -> None:
+        """Shut the worker pool down and wait for its workers to exit.
+
+        Idempotent; the runner stays usable, and its next batch that
+        needs a pool forks a new one.
+        """
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=True)
+
+    def __enter__(self) -> "ParallelRunner":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+    def _worker_pool(self) -> ProcessPoolExecutor:
+        """The pool, forked afresh if its workers' inherited state no
+        longer matches this process (see :func:`_fork_state`)."""
+        workers = self.jobs
+        state = _fork_state(workers)
+        if self._pool is not None and state != self._pool_state:
+            self.close()
+        if self._pool is None:
+            self._pool = ProcessPoolExecutor(max_workers=workers)
+            self._pool_state = state
+        return self._pool
 
     def lookup(self, cell: Cell) -> Optional[RunResult]:
         """The cached result for ``cell``, or None on a miss or when
@@ -205,16 +255,24 @@ class ParallelRunner:
             if on_result is not None:
                 on_result(index, result, True)
 
-        workers = min(self.jobs, len(pending))
-        if workers == 1:
-            # A pool for one worker would only add fork/import latency.
+        if self.jobs == 1 or len(pending) == 1:
+            # One worker's worth of work runs here: a pool would only
+            # add dispatch latency.
             for index in pending:
                 try:
                     payload = execute_cell_payload(cells[index])
                 except Exception as exc:
                     raise CellExecutionError(cells[index], exc) from exc
                 finish(index, payload)
-        else:
-            _run_on_pool([(index, cells[index]) for index in pending],
-                         workers, finish)
+            return results
+        pool = self._worker_pool()
+        try:
+            _run_on_pool(pool, [(index, cells[index]) for index in pending],
+                         finish)
+        except BaseException:
+            # Fail fast: drop queued work and don't wait for stragglers
+            # (or a dead worker); the next batch forks a new pool.
+            self._pool = None
+            pool.shutdown(wait=False, cancel_futures=True)
+            raise
         return results

@@ -9,7 +9,8 @@ so the Welford state inside :class:`RunningStat` survives bit-for-bit.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+import sys
+from typing import Any, Dict, Mapping, Optional
 
 from repro.core.results import RunResult
 from repro.stats.counters import RunningStat
@@ -62,6 +63,12 @@ def comparable_result_dict(result: RunResult) -> Dict[str, Any]:
     return data
 
 
+def _counts(data: Mapping[str, Any]) -> Dict[str, int]:
+    """A counter dict with interned keys: every decoded run shares one
+    copy of each counter name instead of the JSON decoder's own."""
+    return {sys.intern(str(key)): int(value) for key, value in data.items()}
+
+
 def run_result_from_dict(data: Dict[str, Any]) -> RunResult:
     schema = data.get("schema")
     if schema != SCHEMA_VERSION:
@@ -74,15 +81,13 @@ def run_result_from_dict(data: Dict[str, Any]) -> RunResult:
         misses=int(data["misses"]),
         read_misses=int(data["read_misses"]),
         write_misses=int(data["write_misses"]),
-        traffic_bytes={str(k): int(v)
-                       for k, v in data["traffic_bytes"].items()},
-        traffic_bytes_raw={str(k): int(v)
-                           for k, v in data["traffic_bytes_raw"].items()},
+        traffic_bytes=_counts(data["traffic_bytes"]),
+        traffic_bytes_raw=_counts(data["traffic_bytes_raw"]),
         dropped_direct_requests=int(data["dropped_direct_requests"]),
         miss_latency=RunningStat.from_dict(data["miss_latency"]),
         link_utilization=float(data["link_utilization"]),
-        cache_stats={str(k): int(v) for k, v in data["cache_stats"].items()},
-        home_stats={str(k): int(v) for k, v in data["home_stats"].items()},
+        cache_stats=_counts(data["cache_stats"]),
+        home_stats=_counts(data["home_stats"]),
         events_processed=int(data["events_processed"]),
         started_at=float(data.get("started_at", 0.0)),
         wall_time_seconds=float(data.get("wall_time_seconds", 0.0)),

@@ -19,7 +19,7 @@ broadcast issue path, reissues and the persistent-request table.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, List, Set, Tuple
 
 from repro.cache.array import CacheLine
 from repro.coherence.messages import CoherenceMsg, MsgType
@@ -44,6 +44,13 @@ class TokenBCache(TokenCacheBase):
         super().__init__(node_id, sim, network, config)
         # Persistent-request table: block -> starving requester node.
         self.persistent_table: Dict[int, int] = {}
+        # Activations whose deactivate has not arrived yet, per block:
+        # (requester, txn_id) in arrival order; the table names the
+        # last one's requester.
+        self._activations: Dict[int, List[Tuple[int, int]]] = {}
+        # (block, requester, txn_id) of deactivates that overtook their
+        # own activate: that activate is dropped when it arrives.
+        self._deactivated_early: Set[Tuple[int, int, int]] = set()
         self._retry_generation = 0
         self._handlers = {
             MsgType.GETS: self._on_transient,
@@ -174,7 +181,19 @@ class TokenBCache(TokenCacheBase):
     # ------------------------------------------------------------------
     def _on_persistent_activate(self, payload: CoherenceMsg) -> None:
         block = payload.block
-        starver = payload.requester
+        key = (block, payload.requester, payload.txn_id)
+        if key in self._deactivated_early:
+            # On an unordered network the home's deactivate can overtake
+            # its activate: this request is already over.
+            self._deactivated_early.remove(key)
+            return
+        self._activations.setdefault(block, []).append(
+            (payload.requester, payload.txn_id))
+        self._install(block, payload.requester, payload.txn_id)
+
+    def _install(self, block: int, starver: int, txn_id: int) -> None:
+        """Point the table at ``starver`` and forward it every token
+        this cache holds for ``block``."""
         self.persistent_table[block] = starver
         if starver == self.node_id:
             return  # we hoard
@@ -182,7 +201,7 @@ class TokenBCache(TokenCacheBase):
         # tokens and the MSHR's go as two responses.
         line = self.cache.lookup(block)
         if line is not None and not line.tokens.is_zero:
-            self._hand_over(line, starver, payload.txn_id)
+            self._hand_over(line, starver, txn_id)
         mshr = self.mshr
         if (mshr is not None and mshr.block == block
                 and not mshr.tokens.is_zero):
@@ -190,14 +209,27 @@ class TokenBCache(TokenCacheBase):
             has_data = tokens.owner and mshr.have_data
             version = mshr.data_version
             mshr.have_data = False if tokens.owner else mshr.have_data
-            self._respond(starver, block, payload.txn_id, tokens,
-                          has_data, version)
+            self._respond(starver, block, txn_id, tokens, has_data,
+                          version)
 
     def _on_persistent_deactivate(self, payload: CoherenceMsg) -> None:
-        # On an unordered network one starver's deactivate can land
-        # after the next starver's activation; the entry is not its own.
-        if self.persistent_table.get(payload.block) == payload.requester:
-            del self.persistent_table[payload.block]
+        block = payload.block
+        request = (payload.requester, payload.txn_id)
+        open_requests = self._activations.get(block, [])
+        if request not in open_requests:
+            # Its activate is still on the way; it is dropped on
+            # arrival.  Every deactivate whose activate was seen finds
+            # it here, so this record holds only messages in flight.
+            self._deactivated_early.add((block,) + request)
+            return
+        open_requests.remove(request)
+        if not open_requests:
+            del self._activations[block]
+            del self.persistent_table[block]
+        elif self.persistent_table[block] != open_requests[-1][0]:
+            # The open activation arrived before this one, though the
+            # home sent it later: its starver is the current one.
+            self._install(block, *open_requests[-1])
 
     def _evict(self, line: CacheLine) -> None:
         starver = self.persistent_table.get(line.block)

@@ -27,6 +27,11 @@ bit-identical to local runs and that every fresh result is on disk the
 moment it completes.  Per-study progress is mirrored into the same
 manifest files ``repro study run`` writes, saved per completed cell,
 so a daemon killed mid-study leaves a resumable record behind.
+
+The dispatcher is the only thread that runs batches, so the runner's
+one worker pool lives as long as the daemon: forked by the first batch
+that needs it, reused by every later one, and shut down when the
+dispatcher exits (:meth:`StudyScheduler.stop` closes the session).
 """
 
 from __future__ import annotations
@@ -186,12 +191,20 @@ class StudyScheduler:
     def stop(self, timeout: Optional[float] = None) -> None:
         """Graceful shutdown: finish the in-flight batch, keep queued
         cells pending (their manifests already record them), wake every
-        event streamer, and join the dispatcher."""
+        event streamer, join the dispatcher, and close the session.
+
+        The dispatcher closes the session as it exits, so a ``timeout``
+        that expires mid-batch leaves the workers to stop once that
+        batch ends.
+        """
         with self._cond:
             self._stopping = True
             self._cond.notify_all()
-        if self._dispatcher is not None:
-            self._dispatcher.join(timeout)
+            dispatcher = self._dispatcher
+        if dispatcher is None:
+            self.session.close()
+        else:
+            dispatcher.join(timeout)
 
     @property
     def stopping(self) -> bool:
@@ -344,22 +357,26 @@ class StudyScheduler:
     # Dispatch
     # ------------------------------------------------------------------
     def _dispatch_loop(self) -> None:
-        while True:
-            with self._cond:
-                while not self._queue and not self._stopping:
-                    self._cond.wait()
-                if self._stopping:
-                    return
-                chunk = max(1, self.session.jobs) * 4
-                batch: List[_CellTask] = []
-                while self._queue and len(batch) < chunk:
-                    task = self._queue.popleft()
-                    task.state = "running"
-                    batch.append(task)
-                for task in batch:
-                    for record, index in task.subscribers:
-                        record.event("started", index)
-            self._run_batch(batch)
+        try:
+            while True:
+                with self._cond:
+                    while not self._queue and not self._stopping:
+                        self._cond.wait()
+                    if self._stopping:
+                        return
+                    chunk = max(1, self.session.jobs) * 4
+                    batch: List[_CellTask] = []
+                    while self._queue and len(batch) < chunk:
+                        task = self._queue.popleft()
+                        task.state = "running"
+                        batch.append(task)
+                    for task in batch:
+                        for record, index in task.subscribers:
+                            record.event("started", index)
+                self._run_batch(batch)
+        finally:
+            # The only thread that runs batches releases their pool.
+            self.session.close()
 
     def _run_batch(self, batch: List[_CellTask]) -> None:
         """Run one chunk, retrying survivors when a cell fails.

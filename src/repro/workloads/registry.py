@@ -72,6 +72,15 @@ def _ensure_registered() -> None:
     import repro.synth.workload       # noqa: F401  (the profile sampler)
 
 
+def registered_count() -> int:
+    """How many workloads are registered in this process so far.
+
+    Registration only adds, so a changed count means a new name.  It
+    does not import the catalog (unlike :func:`workload_names`).
+    """
+    return len(_REGISTRY)
+
+
 def workload_names() -> Tuple[str, ...]:
     """All registered workload names, sorted."""
     _ensure_registered()

@@ -26,7 +26,8 @@ def tiny_spec(seeds=(1, 2)) -> StudySpec:
 
 @pytest.fixture(scope="module")
 def result() -> StudyResult:
-    return Session(no_cache=True).run(tiny_spec())
+    with Session(no_cache=True) as session:
+        return session.run(tiny_spec())
 
 
 def test_run_groups_runs_per_grid_point(result):
@@ -91,7 +92,8 @@ def test_axisless_spec_runs_and_aggregates():
     spec = StudySpec(name="single", base_config={"num_cores": 4},
                      workload="microbench", references_per_core=8,
                      seeds=(1,))
-    result = Session(no_cache=True).run(spec)
+    with Session(no_cache=True) as session:
+        result = session.run(spec)
     assert result.keys == ((),)
     experiment = result.experiment()
     assert experiment.label == "single"
@@ -121,7 +123,8 @@ def test_session_cache_accounting(tmp_path):
 
 
 def test_session_no_cache_reports_none():
-    result = Session(no_cache=True).run(tiny_spec(seeds=(1,)))
+    with Session(no_cache=True) as session:
+        result = session.run(tiny_spec(seeds=(1,)))
     assert result.cache_delta is None
 
 
@@ -140,5 +143,6 @@ def test_session_wraps_explicit_runner(tmp_path):
 
 def test_session_run_validates_by_default():
     bad = StudySpec(name="bad", workload="nope", references_per_core=5)
-    with pytest.raises(Exception, match="unknown workload"):
-        Session(no_cache=True).run(bad)
+    with Session(no_cache=True) as session, \
+            pytest.raises(Exception, match="unknown workload"):
+        session.run(bad)

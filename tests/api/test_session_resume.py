@@ -133,10 +133,10 @@ def test_resume_across_executors_shares_progress(tmp_path):
     """A study advanced in-process (jobs=1) resumes on a pool (jobs=2)."""
     spec = tiny_spec()
     Session(jobs=1, cache_dir=tmp_path).advance(spec, limit=2)
-    session = Session(jobs=2, cache_dir=tmp_path)
-    manifest = session.status(spec)
-    assert manifest.counts()["done"] == 2
-    result = session.run(spec, resume=True)
+    with Session(jobs=2, cache_dir=tmp_path) as session:
+        manifest = session.status(spec)
+        assert manifest.counts()["done"] == 2
+        result = session.run(spec, resume=True)
     assert result.jobs == 2
     assert result.cache_delta["hits"] == 2
     assert result.cache_delta["misses"] == 2

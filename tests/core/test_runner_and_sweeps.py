@@ -19,7 +19,8 @@ def _fig4_group(workload, refs):
     """One Figure-4 group (all six paper configs) at a tiny scale."""
     scale = replace(FULL_SCALE, fig4_workloads=(workload,), fig4_cores=4,
                     fig4_refs=refs, fig4_seeds=(1,))
-    return Session().run(fig4_spec(scale)).nested()[workload]
+    with Session() as session:
+        return session.run(fig4_spec(scale)).nested()[workload]
 
 
 def test_run_experiment_aggregates_seeds():

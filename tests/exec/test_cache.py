@@ -1,11 +1,13 @@
 """On-disk result cache: hits, misses, and invalidation."""
 
+import gc
 import json
 
 import pytest
 
 from repro.config import SystemConfig
-from repro.exec import (ResultCache, cache_key, execute_cell, make_cell,
+from repro.exec import (ParallelRunner, ResultCache, cache_key,
+                        comparable_result_dict, execute_cell, make_cell,
                         run_result_to_dict)
 import repro.exec.cache as cache_mod
 
@@ -142,3 +144,56 @@ def test_entry_file_is_self_describing(tmp_path):
     assert entry["cell"]["config"]["seed"] == 2  # folded in by make_cell
     assert ["table_blocks", 48] in entry["cell"]["workload_kwargs"]
     assert entry["key"] == cache.path_for(cell).stem
+
+
+#: ``cache_key(cell, version="pinned")`` as computed before the key's
+#: config dict stopped going through ``dataclasses.asdict``.  A silent
+#: key change would cold-start every existing cache.
+PINNED_KEYS = [
+    (make_cell(BASE, "microbench", 20, seed=1),
+     "eeecd6f9ab1ffcee9be462d1bcce7c414a8682b0a7eef6dc717f738e12d0468b"),
+    (make_cell(SystemConfig(num_cores=8, topology="mesh",
+                            torus_dims=(2, 4)), "migratory", 10, seed=3),
+     "590abb68f3d19eca9cb993b0779626e2da13fbbb153152a43cd627d65c01dee4"),
+    (make_cell(BASE.with_updates(protocol="patch", predictor="all"),
+               "microbench", 20, seed=2, table_blocks=48),
+     "8d2d70175c02241034e26d75eb31a1ad8a76268d26f5ca8850cde86c20f3776e"),
+]
+
+
+@pytest.mark.parametrize("cell,digest", PINNED_KEYS,
+                         ids=["default-torus", "mesh-dims", "kwargs"])
+def test_cache_keys_are_pinned(cell, digest):
+    assert cache_key(cell, version="pinned") == digest
+
+
+def test_two_hits_for_one_cell_are_distinct_runs(tmp_path):
+    cell = make_cell(BASE, "microbench", 20, seed=1)
+    ResultCache(tmp_path).store(cell, execute_cell(cell))
+    runner = ParallelRunner(jobs=1, cache=ResultCache(tmp_path))
+    first, second = runner.lookup(cell), runner.lookup(cell)
+    assert first is not second
+    assert first.cached and second.cached
+    assert first.wall_time_seconds == second.wall_time_seconds == 0.0
+    first.cached, first.wall_time_seconds = False, 1.5
+    assert second.cached and second.wall_time_seconds == 0.0
+    assert comparable_result_dict(first) == comparable_result_dict(second)
+    assert runner.cache.stats()["hits"] == 2
+
+
+def test_a_live_run_answers_after_its_file_is_gone(tmp_path):
+    """The key content-addresses a deterministic run, so a run still
+    held in memory answers for its deleted file; once released, the
+    miss is a miss again."""
+    cache = ResultCache(tmp_path)
+    cell = make_cell(BASE, "microbench", 20, seed=1)
+    result = execute_cell(cell)
+    cache.store(cell, result)
+    cache.path_for(cell).unlink()
+    shared = cache.load(cell)
+    assert shared is not result
+    assert run_result_to_dict(shared) == run_result_to_dict(result)
+    del result, shared
+    gc.collect()
+    assert cache.load(cell) is None
+    assert cache.stats()["hits"] == 1 and cache.stats()["misses"] == 1

@@ -44,7 +44,9 @@ def _hammer(cache_dir, payloads, barrier):
         for cell, result in pairs:
             if cache.store(cell, result) is None:
                 sys.exit(2)  # store_errors must stay zero
-            loaded = cache.load(cell)
+            # A fresh cache reads the file; this one would answer from
+            # the run it just stored.
+            loaded = ResultCache(cache_dir).load(cell)
             if loaded is not None and \
                     run_result_to_dict(loaded) != run_result_to_dict(result):
                 sys.exit(3)  # torn or foreign content
@@ -141,8 +143,8 @@ def test_cache_delta_exact_on_prewarmed_shared_dir(tmp_path):
 
     # A second session on the same directory sees pure hits — no
     # double-counted misses, no redundant stores.
-    reader = Session(jobs=2, cache_dir=tmp_path)
-    delta = reader.run(spec).cache_delta
+    with Session(jobs=2, cache_dir=tmp_path) as reader:
+        delta = reader.run(spec).cache_delta
     assert delta == {"hits": spec.num_cells(), "misses": 0,
                      "stores": 0, "store_errors": 0}
 

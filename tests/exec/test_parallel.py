@@ -1,4 +1,5 @@
-"""ParallelRunner: bit-identity, cache integration, crash surfacing."""
+"""ParallelRunner: bit-identity, cache integration, crash surfacing,
+and the lifetime of its one worker pool."""
 
 import multiprocessing
 import os
@@ -29,16 +30,29 @@ def serialized(results):
     return [comparable_result_dict(result) for result in results]
 
 
+def children():
+    """Pids of this process's live child processes."""
+    return {child.pid for child in multiprocessing.active_children()}
+
+
+needs_fork = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the test workload reaches pool workers only when they fork "
+           "from this process")
+
+
 def test_parallel_is_bit_identical_to_serial():
     cells = fig4_cells()
     serial = ParallelRunner(jobs=1).run_cells(cells)
-    parallel = ParallelRunner(jobs=4).run_cells(cells)
+    with ParallelRunner(jobs=4) as runner:
+        parallel = runner.run_cells(cells)
     assert serialized(serial) == serialized(parallel)
 
 
 def test_results_come_back_in_input_order():
     cells = fig4_cells(seeds=(1,))
-    results = ParallelRunner(jobs=3).run_cells(cells)
+    with ParallelRunner(jobs=3) as runner:
+        results = runner.run_cells(cells)
     expected = [cell.config.describe() for cell in cells]
     assert [result.config_summary for result in results] == expected
 
@@ -47,8 +61,9 @@ def test_failing_cell_fails_the_experiment_not_hangs():
     good = fig4_cells(seeds=(1,))[:2]
     bad = make_cell(BASE, "microbench", 15, seed=1,
                     not_a_workload_kwarg=True)
-    with pytest.raises(CellExecutionError) as excinfo:
-        ParallelRunner(jobs=2).run_cells([good[0], bad, good[1]])
+    with ParallelRunner(jobs=2) as runner, \
+            pytest.raises(CellExecutionError) as excinfo:
+        runner.run_cells([good[0], bad, good[1]])
     assert excinfo.value.cell is bad
     assert "seed=1" in str(excinfo.value)
 
@@ -60,9 +75,7 @@ def test_failing_cell_raises_in_serial_mode_too():
     assert excinfo.value.cell is bad
 
 
-@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                    reason="the test workload reaches pool workers only "
-                           "when they fork from this process")
+@needs_fork
 def test_dead_pool_worker_fails_the_batch_not_hangs(monkeypatch):
     from repro.workloads import registry
 
@@ -76,26 +89,32 @@ def test_dead_pool_worker_fails_the_batch_not_hangs(monkeypatch):
     good = fig4_cells(seeds=(1,))[0]
     dying = make_cell(BASE, "exits-worker", 15, seed=1)
     raised = []
+    runner = ParallelRunner(jobs=2)
 
     def run():
         try:
-            ParallelRunner(jobs=2).run_cells([good, dying])
+            runner.run_cells([good, dying])
         except CellExecutionError as exc:
             raised.append(exc)
 
-    thread = threading.Thread(target=run, daemon=True)
-    thread.start()
-    thread.join(timeout=120)
-    assert not thread.is_alive(), "a dead worker hung the batch"
-    (error,) = raised
-    assert isinstance(error.cause, BrokenProcessPool)
+    with runner:
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        thread.join(timeout=120)
+        assert not thread.is_alive(), "a dead worker hung the batch"
+        (error,) = raised
+        assert isinstance(error.cause, BrokenProcessPool)
+        # The broken pool is gone; the next batch forks a new one.
+        again = runner.run_cells(fig4_cells(seeds=(1,))[:2])
+    assert serialized(again[:1]) == serialized(
+        ParallelRunner(jobs=1).run_cells([good]))
 
 
 def test_cache_serves_second_batch_without_executing(tmp_path, monkeypatch):
     cache = ResultCache(tmp_path)
-    runner = ParallelRunner(jobs=2, cache=cache)
     cells = fig4_cells(seeds=(1,))
-    first = runner.run_cells(cells)
+    with ParallelRunner(jobs=2, cache=cache) as runner:
+        first = runner.run_cells(cells)
     assert cache.stats() == {"hits": 0, "misses": len(cells),
                              "stores": len(cells), "store_errors": 0}
 
@@ -126,11 +145,11 @@ def test_completed_cells_are_cached_despite_later_failure(tmp_path):
 
 def test_run_experiment_uses_given_runner_and_cache(tmp_path):
     cache = ResultCache(tmp_path)
-    runner = ParallelRunner(jobs=2, cache=cache)
-    first = run_experiment(BASE, "microbench", 15, seeds=(1, 2, 3),
-                           runner=runner)
-    again = run_experiment(BASE, "microbench", 15, seeds=(1, 2, 3),
-                           runner=runner)
+    with ParallelRunner(jobs=2, cache=cache) as runner:
+        first = run_experiment(BASE, "microbench", 15, seeds=(1, 2, 3),
+                               runner=runner)
+        again = run_experiment(BASE, "microbench", 15, seeds=(1, 2, 3),
+                               runner=runner)
     assert cache.hits == 3
     assert serialized(again.runs) == serialized(first.runs)
 
@@ -144,8 +163,8 @@ def test_compare_configs_parallel_matches_serial_results(tmp_path):
             PointSpec("PATCH-All", config={"protocol": "patch",
                                            "predictor": "all"}))),))
     serial = Session(runner=ParallelRunner(jobs=1)).run(spec)
-    parallel = Session(runner=ParallelRunner(
-        jobs=4, cache=ResultCache(tmp_path))).run(spec)
+    with Session(jobs=4, cache_dir=tmp_path) as session:
+        parallel = session.run(spec)
     assert serial.keys == parallel.keys
     for key in serial.keys:
         assert serialized(serial.runs_by_key[key]) == \
@@ -213,3 +232,89 @@ def test_no_cache_env_disables_default_cache(monkeypatch, tmp_path):
 def test_jobs_must_be_positive():
     with pytest.raises(ValueError):
         ParallelRunner(jobs=0)
+
+
+# ---------------------------------------------------------------------------
+# One pool per runner
+# ---------------------------------------------------------------------------
+
+def test_batches_on_one_runner_share_its_workers():
+    before = children()
+    with ParallelRunner(jobs=2) as runner:
+        runner.run_cells(fig4_cells(seeds=(1,))[:2])
+        workers = children() - before
+        runner.run_cells(fig4_cells(seeds=(2,))[:2])
+        assert children() - before == workers
+    assert len(workers) == 2
+    assert not workers & children()
+
+
+def test_a_failed_batch_leaves_the_runner_usable():
+    good = fig4_cells(seeds=(1,))[:2]
+    bad = make_cell(BASE, "microbench", 15, seed=1,
+                    not_a_workload_kwarg=True)
+    with ParallelRunner(jobs=2) as runner:
+        with pytest.raises(CellExecutionError):
+            runner.run_cells([good[0], bad])
+        assert serialized(runner.run_cells(good)) == serialized(
+            ParallelRunner(jobs=1).run_cells(good))
+
+
+def test_a_single_missing_cell_runs_in_this_process():
+    before = children()
+    with ParallelRunner(jobs=2) as runner:
+        runner.run_cells(fig4_cells(seeds=(1,))[:1])
+        assert children() == before
+
+
+def test_an_environment_change_reaches_the_next_batch(tmp_path,
+                                                      monkeypatch):
+    """``--timeline`` reaches workers only through ``REPRO_TIMELINE``,
+    so setting it between batches must replace the pool."""
+    cells = fig4_cells(seeds=(1,))[:2]
+    traces = tmp_path / "traces"
+    with ParallelRunner(jobs=2) as runner:
+        runner.run_cells(cells)
+        monkeypatch.setenv("REPRO_TIMELINE", str(traces))
+        runner.run_cells(cells)
+    assert len(list(traces.glob("*.json"))) == len(cells)
+
+
+@needs_fork
+def test_a_workload_registered_between_batches_runs_on_the_pool(
+        monkeypatch):
+    from repro.workloads import registry
+
+    registry.workload_names()  # populate before copying the table
+    monkeypatch.setattr(registry, "_REGISTRY", dict(registry._REGISTRY))
+    microbench = registry.get_spec("microbench")
+    with ParallelRunner(jobs=2) as runner:
+        runner.run_cells(fig4_cells(seeds=(1,))[:2])
+        registry.register_factory("microbench-again", microbench.factory,
+                                  "the microbenchmark under a new name",
+                                  microbench.kind)
+        again = runner.run_cells([make_cell(BASE, "microbench-again", 15,
+                                            seed) for seed in (1, 2)])
+    direct = ParallelRunner(jobs=1).run_cells(
+        [make_cell(BASE, "microbench", 15, seed) for seed in (1, 2)])
+    assert [run.runtime_cycles for run in again] == \
+        [run.runtime_cycles for run in direct]
+
+
+def test_session_close_stops_the_workers_it_owns():
+    spec = StudySpec(name="pool", base_config={"num_cores": 4},
+                     workload="microbench", references_per_core=15,
+                     seeds=(1, 2))
+    before = children()
+    with Session(jobs=2, no_cache=True) as session:
+        session.run(spec)
+        workers = children() - before
+    assert len(workers) == 2
+    assert not workers & children()
+    # A runner passed in stays its owner's to close.
+    with ParallelRunner(jobs=2) as runner:
+        with Session(runner=runner) as session:
+            session.run(spec)
+        workers = children() - before
+        assert len(workers) == 2
+    assert not workers & children()

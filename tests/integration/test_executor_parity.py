@@ -70,7 +70,8 @@ PATHS = {"serial": 1, "local": 2}
 @pytest.mark.parametrize("backend", list(PATHS))
 def test_backend_matches_engine_goldens(backend):
     goldens = load_goldens()["cells"]
-    results = ParallelRunner(jobs=PATHS[backend]).run_cells(parity_cells())
+    with ParallelRunner(jobs=PATHS[backend]) as runner:
+        results = runner.run_cells(parity_cells())
     for (workload, topology, protocol, predictor), result \
             in zip(PARITY_CELLS, results):
         key = cell_key(workload, topology, protocol, predictor)

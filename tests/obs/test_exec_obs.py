@@ -152,8 +152,8 @@ def test_backends_stay_bit_identical_under_full_instrumentation(
     monkeypatch.setenv("REPRO_OBS", "1")
     monkeypatch.setenv("REPRO_TIMELINE", str(tmp_path / "traces"))
     monkeypatch.setenv("REPRO_PROFILE_DIR", str(tmp_path / "prof"))
-    runner = ParallelRunner(jobs=PATHS[backend])
-    results = runner.run_cells(cells)
+    with ParallelRunner(jobs=PATHS[backend]) as runner:
+        results = runner.run_cells(cells)
     assert [comparable_result_dict(r) for r in results] == bare
     # The snapshot rode back from whichever process ran the cell.
     assert all(r.telemetry is not None for r in results)

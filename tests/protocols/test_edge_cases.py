@@ -231,20 +231,64 @@ def test_tokenb_persistent_done_unqueues_its_waiting_request():
     assert home.stats.value("persistent_activations") == 1
 
 
+def _broadcast_to(cache):
+    """Deliver a home's persistent broadcast for block 0 to ``cache``."""
+    def broadcast(mtype, requester, txn):
+        cache.handle_message(SimpleNamespace(payload=CoherenceMsg(
+            mtype=mtype, block=0, requester=requester, sender=0,
+            txn_id=txn)))
+    return broadcast
+
+
 def test_tokenb_stale_deactivate_keeps_the_next_starvers_entry():
     """The home deactivates starver 1 and then activates starver 2; a
     cache that sees the two broadcasts reordered keeps 2's entry."""
     system = make_system("tokenb", cores=4)
     cache = system.caches[0]
-
-    def broadcast(mtype, requester, txn):
-        cache.handle_message(SimpleNamespace(payload=CoherenceMsg(
-            mtype=mtype, block=0, requester=requester, sender=0,
-            txn_id=txn)))
-
+    broadcast = _broadcast_to(cache)
     broadcast(MsgType.PERSISTENT_ACTIVATE, 1, 10)
     broadcast(MsgType.PERSISTENT_ACTIVATE, 2, 11)
     broadcast(MsgType.PERSISTENT_DEACTIVATE, 1, 10)   # late
+    assert cache.persistent_table == {0: 2}
+    # Its activate was seen, so nothing waits for it.
+    assert cache._deactivated_early == set()
+    broadcast(MsgType.PERSISTENT_DEACTIVATE, 2, 11)
+    assert cache.persistent_table == {}
+
+
+@pytest.mark.parametrize("deactivate_first", [False, True],
+                         ids=["activate-then-deactivate",
+                              "deactivate-then-activate"])
+def test_tokenb_cache_clears_its_table_in_either_arrival_order(
+        deactivate_first):
+    """The home's activate and deactivate for one request can reach a
+    cache in either order on an unordered network; either way the
+    table ends empty and the next activation installs as usual."""
+    system = make_system("tokenb", cores=4)
+    cache = system.caches[0]
+    broadcast = _broadcast_to(cache)
+    order = [MsgType.PERSISTENT_ACTIVATE, MsgType.PERSISTENT_DEACTIVATE]
+    for mtype in (reversed(order) if deactivate_first else order):
+        broadcast(mtype, 1, 10)
+    assert cache.persistent_table == {}
+    assert cache._deactivated_early == set()
+    broadcast(MsgType.PERSISTENT_ACTIVATE, 2, 11)
+    assert cache.persistent_table == {0: 2}
+    broadcast(MsgType.PERSISTENT_DEACTIVATE, 2, 11)
+    assert cache.persistent_table == {}
+
+
+def test_tokenb_cache_keeps_the_open_activation_when_two_cross():
+    """The home activates 1, deactivates it, then activates 2; a cache
+    that receives 2's activate before 1's points its table at 2 once
+    1's deactivate lands."""
+    system = make_system("tokenb", cores=4)
+    cache = system.caches[0]
+    broadcast = _broadcast_to(cache)
+    broadcast(MsgType.PERSISTENT_ACTIVATE, 2, 11)
+    broadcast(MsgType.PERSISTENT_ACTIVATE, 1, 10)
+    assert cache.persistent_table == {0: 1}
+    broadcast(MsgType.PERSISTENT_DEACTIVATE, 1, 10)
     assert cache.persistent_table == {0: 2}
     broadcast(MsgType.PERSISTENT_DEACTIVATE, 2, 11)
     assert cache.persistent_table == {}

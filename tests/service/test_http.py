@@ -6,6 +6,7 @@ deploys — so these tests cover the wire, not mocks of it.
 """
 
 import json
+import multiprocessing
 import threading
 import urllib.request
 
@@ -111,7 +112,8 @@ def test_http_result_identical_to_local_run_on_fig4_smoke(live_server):
     _, url = live_server
     spec = StudySpec.load(SMOKE_SPEC)
     remote = ServiceClient(url).run(spec, timeout=300)
-    local = Session(jobs=2, no_cache=True).run(spec)
+    with Session(jobs=2, no_cache=True) as session:
+        local = session.run(spec)
     assert remote.keys == local.keys
     assert remote.spec.to_json_dict() == spec.to_json_dict()
     for theirs, mine in zip(remote.runs, local.runs):
@@ -168,3 +170,33 @@ def test_shutdown_rejects_submissions_and_persists_manifests(tmp_path):
         client.health()
     manifest = ManifestStore(tmp_path / "cache").load(spec_digest(spec))
     assert manifest is not None and manifest.complete
+
+
+def test_close_stops_the_daemons_pool_workers(tmp_path):
+    """The dispatcher forks one pool for the daemon's life; closing the
+    server leaves none of its workers behind."""
+    def children():
+        return {child.pid for child in multiprocessing.active_children()}
+
+    before = children()
+    server = make_server(scheduler=None, jobs=2,
+                         cache_dir=tmp_path / "cache")
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        client = ServiceClient(f"http://127.0.0.1:{server.port}")
+
+        def run(name, seeds):
+            study = client.submit(tiny_spec(name=name, seeds=seeds))
+            client.wait(study["study"], timeout=60)
+
+        run("first", (1, 2, 3))
+        workers = children() - before
+        run("second", (4, 5, 6))
+        assert len(workers) == 2
+        assert children() - before == workers  # one pool, reused
+    finally:
+        server.close()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert not workers & children()

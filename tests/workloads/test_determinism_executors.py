@@ -63,7 +63,8 @@ def test_all_executors_produce_identical_results(profile_path):
              for workload in WORKLOADS]
     per_jobs = {}
     for jobs in (1, 2):
-        results = ParallelRunner(jobs=jobs).run_cells(cells)
+        with ParallelRunner(jobs=jobs) as runner:
+            results = runner.run_cells(cells)
         per_jobs[jobs] = [comparable_result_dict(result)
                           for result in results]
     assert per_jobs[1] == per_jobs[2]
