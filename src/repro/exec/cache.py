@@ -292,7 +292,9 @@ class ResultCache:
             fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
             try:
                 with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    json.dump(entry, handle, sort_keys=True)
+                    # dumps, not dump: only dumps encodes in C, and the
+                    # bytes are the same.
+                    handle.write(json.dumps(entry, sort_keys=True))
                 os.replace(tmp, path)
             except BaseException:
                 try:

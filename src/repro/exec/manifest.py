@@ -5,11 +5,18 @@ A manifest is the durable answer to "how far did this study get?".
 which runs on a session) writes one per study into
 ``<cache-root>/studies/<digest>.json`` — the study's spec digest, every
 cell's identity (grid-point labels + seed) in deterministic grid order,
-and each cell's completion state — and updates it as cells finish or
-fail.  ``repro study status`` reads it without running anything, and
-``repro study run --resume`` / ``--max-cells`` use it to continue a
-partially-run grid: cells recorded ``done`` load from the shared result
-cache, only the missing ones execute.
+and each cell's completion state.  ``repro study status`` reads it
+without running anything, and ``repro study run --resume`` /
+``--max-cells`` use it to continue a partially-run grid: cells recorded
+``done`` load from the shared result cache, only the missing ones
+execute.
+
+Both writers follow one save policy: a manifest is saved when its study
+opens, once after each batch that resolved any of its cells, and at
+once when one of its cells fails.  A run killed mid-batch therefore
+leaves a manifest that lags by at most that batch.  Nothing is lost:
+the runner stores every fresh result in the cache before it reports the
+cell, so on resume that batch's finished cells come back as cache hits.
 
 Manifests live *inside the cache directory* on purpose: point several
 machines' ``REPRO_CACHE_DIR`` at one shared directory and they share
@@ -303,8 +310,10 @@ class ManifestStore:
             fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
             try:
                 with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    json.dump(manifest.to_json_dict(), handle,
-                              sort_keys=True)
+                    # dumps, not dump: only dumps encodes in C, and the
+                    # bytes are the same.
+                    handle.write(json.dumps(manifest.to_json_dict(),
+                                            sort_keys=True))
                 os.replace(tmp, path)
             except BaseException:
                 try:

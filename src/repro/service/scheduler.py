@@ -25,8 +25,16 @@ thread drains the queue in chunks through the session runner's
 probe/persist policy is what guarantees service results are
 bit-identical to local runs and that every fresh result is on disk the
 moment it completes.  Per-study progress is mirrored into the same
-manifest files ``repro study run`` writes, saved per completed cell,
-so a daemon killed mid-study leaves a resumable record behind.
+manifest files ``repro study run`` writes, under the same save policy:
+a study's manifest is saved when its record is created, once after
+each batch that resolved any of its cells, and at once when one of its
+cells fails.  A daemon killed mid-batch therefore leaves a manifest
+that lags by at most that batch, and the batch's finished cells are
+already in the result cache, so a resume serves them as hits.
+
+A record whose every cell has resolved keeps only what the read
+endpoints serve — its counters, events and result — and drops its
+cells, results and manifest once the final manifest is saved.
 
 The dispatcher is the only thread that runs batches, so the runner's
 one worker pool lives as long as the daemon: forked by the first batch
@@ -81,6 +89,11 @@ class StudyRecord:
     ``seq``) that the NDJSON streaming endpoint replays; ``cache_delta``
     uses the local-run keys plus ``shared`` for cells this study waited
     on another study to execute.
+
+    ``cells``, ``labels``, ``results`` and ``manifest`` serve only the
+    resolution of cells still outstanding; :meth:`release` empties them
+    once none is.  ``done``, ``failed`` and ``total`` count cells for
+    the read endpoints.
     """
 
     def __init__(self, study_id: str, spec: StudySpec,
@@ -96,7 +109,10 @@ class StudyRecord:
         self.state = "running"
         self.error: Optional[str] = None
         self.results: List[Optional[RunResult]] = [None] * len(cells)
+        self.total = len(cells)
         self.remaining = len(cells)
+        self.done = 0
+        self.failed = 0
         self.cache_delta: Dict[str, int] = {
             "hits": 0, "misses": 0, "shared": 0,
             "stores": 0, "store_errors": 0}
@@ -119,12 +135,21 @@ class StudyRecord:
         self.events.append(entry)
 
     def counts(self) -> Dict[str, int]:
-        done = sum(1 for r in self.results if r is not None)
-        failed = (self.manifest.counts()["failed"]
-                  if self.manifest is not None else 0)
-        return {"done": done, "failed": failed,
-                "pending": len(self.cells) - done - failed,
-                "total": len(self.cells)}
+        return {"done": self.done, "failed": self.failed,
+                "pending": self.total - self.done - self.failed,
+                "total": self.total}
+
+    def release(self) -> None:
+        """Drop the per-cell state once no cell is outstanding.
+
+        No task subscribes the record any more, so nothing reads its
+        cells, labels, results or manifest again; the counters, events
+        and :class:`StudyResult` answer every read endpoint.
+        """
+        self.cells = []
+        self.labels = []
+        self.results = []
+        self.manifest = None
 
     def status_dict(self) -> Dict[str, Any]:
         out: Dict[str, Any] = {"study": self.study_id,
@@ -161,6 +186,10 @@ class StudyScheduler:
         self._in_flight: Dict[str, _CellTask] = {}
         self._studies: Dict[str, StudyRecord] = {}
         self._order: List[str] = []  # submission order, for the index
+        #: Records whose manifests changed in the running batch, in
+        #: insertion order; saved once when it ends.  Keyed by record,
+        #: not study id: a retried failed study reuses its id.
+        self._touched: Dict[StudyRecord, None] = {}
         self._stopping = False
         self._started = False
         self._dispatcher: Optional[threading.Thread] = None
@@ -238,9 +267,8 @@ class StudyScheduler:
                 existing = None
             if existing is not None:
                 self._counts["studies_deduped"] += 1
-                done = sum(1 for r in existing.results if r is not None)
-                summary = {"created": False, "hits": done,
-                           "shared": len(existing.cells) - done,
+                summary = {"created": False, "hits": existing.done,
+                           "shared": existing.total - existing.done,
                            "queued": 0}
                 return existing, summary
             record = self._create_record(study_id, spec)
@@ -286,14 +314,21 @@ class StudyScheduler:
             record.cache_delta["misses"] += 1
             self._counts["cells_queued"] += 1
             record.event("queued", index)
-        if record.remaining == 0:
+        if record.remaining == 0 and record.state == "running":
+            # Only a spec without cells gets here: a last cache hit
+            # has already finished the record in _resolve_cell.
             self._finish_record(record)
         self._save_manifest(record)
         return record
 
     def _save_manifest(self, record: StudyRecord) -> None:
+        """Save the record's manifest now; a record with no cell left
+        outstanding has had its final save and releases its cells."""
+        self._touched.pop(record, None)
         if record.manifest is not None:
             self._manifests.save(record.manifest)
+        if record.remaining == 0:
+            record.release()
 
     # ------------------------------------------------------------------
     # Resolution (always under the lock)
@@ -304,6 +339,7 @@ class StudyScheduler:
             return
         record.results[index] = result
         record.remaining -= 1
+        record.done += 1
         if record.manifest is not None:
             record.manifest.record_result(index, result, fresh)
         if record.remaining == 0 and record.state == "running":
@@ -331,7 +367,7 @@ class StudyScheduler:
             record.event("finished" if fresh else "cached", index,
                          wall_time=result.wall_time_seconds)
             self._resolve_cell(record, index, result, fresh)
-            self._save_manifest(record)
+            self._touched[record] = None
         self._cond.notify_all()
 
     def _task_failed(self, task: _CellTask, error: str) -> None:
@@ -343,6 +379,7 @@ class StudyScheduler:
             if record.manifest is not None:
                 record.manifest.mark(index, "failed", error=error)
             record.remaining -= 1
+            record.failed += 1
             if record.state == "running":
                 key, seed = record.labels[index]
                 record.state = "failed"
@@ -383,35 +420,45 @@ class StudyScheduler:
 
         Each iteration either completes every remaining task or fails
         at least the one cell a :class:`CellExecutionError` names, so
-        the loop terminates in at most ``len(batch)`` rounds.
+        the loop terminates in at most ``len(batch)`` rounds.  Every
+        study whose manifest the batch changed is saved once when it
+        ends; the runner stored each fresh result before reporting it,
+        so a manifest that lags the batch still resumes from the cache.
         """
         pending = list(batch)
-        while pending:
-            current = list(pending)
+        try:
+            while pending:
+                current = list(pending)
 
-            def on_result(i: int, result: RunResult, fresh: bool,
-                          _current: List[_CellTask] = current) -> None:
-                with self._cond:
-                    self._task_done(_current[i], result, fresh)
+                def on_result(i: int, result: RunResult, fresh: bool,
+                              _current: List[_CellTask] = current) -> None:
+                    with self._cond:
+                        self._task_done(_current[i], result, fresh)
 
-            try:
-                self.session.runner.run_cells([t.cell for t in current],
-                                              on_result=on_result)
-            except CellExecutionError as exc:
-                with self._cond:
-                    blamed = [t for t in current
-                              if t.state == "running"
-                              and t.cell == exc.cell]
-                    for task in blamed or [t for t in current
-                                           if t.state == "running"]:
-                        self._task_failed(task, str(exc.cause or exc))
-            except Exception as exc:  # noqa: BLE001 - keep daemon alive
-                with self._cond:
-                    for task in current:
-                        if task.state == "running":
-                            self._task_failed(
-                                task, f"{type(exc).__name__}: {exc}")
-            pending = [t for t in pending if t.state == "running"]
+                try:
+                    self.session.runner.run_cells(
+                        [t.cell for t in current], on_result=on_result)
+                except CellExecutionError as exc:
+                    with self._cond:
+                        blamed = [t for t in current
+                                  if t.state == "running"
+                                  and t.cell == exc.cell]
+                        for task in blamed or [t for t in current
+                                               if t.state == "running"]:
+                            self._task_failed(task, str(exc.cause or exc))
+                except Exception as exc:  # noqa: BLE001 - keep daemon alive
+                    with self._cond:
+                        for task in current:
+                            if task.state == "running":
+                                self._task_failed(
+                                    task, f"{type(exc).__name__}: {exc}")
+                pending = [t for t in pending if t.state == "running"]
+        finally:
+            # Under the lock, so a submit thread's save of the same
+            # manifest cannot be reordered with this one.
+            with self._cond:
+                for record in list(self._touched):
+                    self._save_manifest(record)
 
     # ------------------------------------------------------------------
     # Queries
@@ -483,7 +530,9 @@ class StudyScheduler:
         """
         with self._cond:
             while True:
-                fresh = [e for e in record.events if e["seq"] >= seq]
+                # Events are numbered from 0 and never removed, so an
+                # event's seq is its index in the list.
+                fresh = record.events[seq:]
                 if fresh or record.terminal or self._stopping:
                     return fresh
                 self._cond.wait(0.5)

@@ -216,13 +216,14 @@ class _Handler(BaseHTTPRequestHandler):
         seq = since
         while True:
             fresh = self.scheduler.events_since(record, seq)
-            for event in fresh:
-                line = json.dumps(event, sort_keys=True) + "\n"
-                self.wfile.write(line.encode())
-                seq = event["seq"] + 1
-            self.wfile.flush()
-            if not fresh and (record.terminal
-                              or self.scheduler.stopping):
+            if fresh:
+                # One write, so one send, per wakeup.
+                self.wfile.write("".join(
+                    json.dumps(event, sort_keys=True) + "\n"
+                    for event in fresh).encode())
+                self.wfile.flush()
+                seq = fresh[-1]["seq"] + 1
+            elif record.terminal or self.scheduler.stopping:
                 break
         # Connection: close — the client reads EOF as end-of-stream.
         self.close_connection = True

@@ -1,6 +1,7 @@
 """On-disk result cache: hits, misses, and invalidation."""
 
 import gc
+import io
 import json
 
 import pytest
@@ -9,6 +10,7 @@ from repro.config import SystemConfig
 from repro.exec import (ParallelRunner, ResultCache, cache_key,
                         comparable_result_dict, execute_cell, make_cell,
                         run_result_to_dict)
+from repro.exec.cells import cell_to_dict
 import repro.exec.cache as cache_mod
 
 BASE = SystemConfig(num_cores=4)
@@ -144,6 +146,23 @@ def test_entry_file_is_self_describing(tmp_path):
     assert entry["cell"]["config"]["seed"] == 2  # folded in by make_cell
     assert ["table_blocks", 48] in entry["cell"]["workload_kwargs"]
     assert entry["key"] == cache.path_for(cell).stem
+
+
+def test_entry_bytes_are_the_sorted_json_of_the_entry(tmp_path):
+    """An entry is written as ``json.dumps(entry, sort_keys=True)``,
+    the same bytes ``json.dump`` streams, and reads back whole."""
+    cell = make_cell(BASE, "microbench", 20, seed=3)
+    result = execute_cell(cell)
+    cache = ResultCache(tmp_path)
+    cache.store(cell, result)
+    entry = {"key": cache_key(cell), "cell": cell_to_dict(cell),
+             "result": run_result_to_dict(result)}
+    streamed = io.StringIO()
+    json.dump(entry, streamed, sort_keys=True)
+    written = cache.path_for(cell).read_text(encoding="utf-8")
+    assert written == json.dumps(entry, sort_keys=True) == streamed.getvalue()
+    loaded = ResultCache(tmp_path).load(cell)
+    assert run_result_to_dict(loaded) == entry["result"]
 
 
 #: ``cache_key(cell, version="pinned")`` as computed before the key's

@@ -8,6 +8,7 @@ deploys — so these tests cover the wire, not mocks of it.
 import json
 import multiprocessing
 import threading
+import time
 import urllib.request
 
 import pytest
@@ -16,8 +17,9 @@ from repro.api import Session, StudySpec
 from repro.exec.serialization import comparable_result_dict
 from repro.service import ServiceClient
 from repro.service.client import ServiceError
-from repro.service.scheduler import StudyScheduler
+from repro.service.scheduler import StudyRecord, StudyScheduler
 from repro.service.server import make_server
+from repro.service.wire import study_result_to_dict
 
 from tests.service.conftest import overlapping_pair, tiny_spec
 
@@ -200,3 +202,74 @@ def test_close_stops_the_daemons_pool_workers(tmp_path):
         thread.join(timeout=10)
     assert not thread.is_alive()
     assert not workers & children()
+
+
+def _raw_events(url, study_id, since):
+    with urllib.request.urlopen(
+            f"{url}/studies/{study_id}/events?since={since}",
+            timeout=30) as reply:
+        return reply.read()
+
+
+def test_event_stream_is_one_sorted_json_line_per_event(live_server):
+    server, url = live_server
+    client = ServiceClient(url)
+    study_id = client.submit(tiny_spec(seeds=(1, 2, 3)))["study"]
+    client.wait(study_id, timeout=60)
+    events = server.scheduler.get(study_id).events
+    lines = [(json.dumps(event, sort_keys=True) + "\n").encode()
+             for event in events]
+    for since in (0, 4, len(events) - 1):
+        assert _raw_events(url, study_id, since) == b"".join(lines[since:])
+
+
+def test_a_finished_record_answers_as_before_it_released(
+        tmp_path, monkeypatch):
+    """Once its last cell resolved and its final manifest is saved, a
+    record drops its cells, results and manifest; status, /result, the
+    events replay and a resubmission answer exactly as just before."""
+    before = {}
+    real_release = StudyRecord.release
+
+    def release(record):
+        done = sum(1 for run in record.results if run is not None)
+        before.update(
+            status=record.status_dict(),
+            result=study_result_to_dict(record.result),
+            events=list(record.events),
+            summary={"created": False, "hits": done,
+                     "shared": len(record.cells) - done, "queued": 0})
+        real_release(record)
+
+    monkeypatch.setattr(StudyRecord, "release", release)
+    server = make_server(scheduler=None, jobs=1,
+                         cache_dir=tmp_path / "cache")
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    url = f"http://127.0.0.1:{server.port}"
+    try:
+        client = ServiceClient(url)
+        spec = tiny_spec(seeds=(1, 2, 3))
+        study_id = client.submit(spec)["study"]
+        client.wait(study_id, timeout=60)
+        deadline = time.monotonic() + 60
+        while not before and time.monotonic() < deadline:
+            time.sleep(0.01)
+        # The release runs under the scheduler lock, which get() takes.
+        record = server.scheduler.get(study_id)
+        assert record.cells == [] and record.results == []
+        assert record.manifest is None
+
+        assert client.status(study_id) == before["status"]
+        with urllib.request.urlopen(f"{url}/studies/{study_id}/result",
+                                    timeout=30) as reply:
+            assert json.loads(reply.read()) == \
+                json.loads(json.dumps(before["result"]))
+        assert list(client.stream_events(study_id)) == \
+            json.loads(json.dumps(before["events"]))
+        again = client.submit(spec)
+        assert again.pop("submission") == before["summary"]
+        assert again == before["status"]
+    finally:
+        server.close()
+        thread.join(timeout=10)

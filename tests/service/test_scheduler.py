@@ -7,7 +7,9 @@ dispatcher.
 """
 
 import threading
+import time
 
+import repro.exec.parallel as parallel_mod
 from repro.api import Session
 from repro.exec import ResultCache, cache_key
 from repro.exec.manifest import ManifestStore, spec_digest
@@ -196,3 +198,86 @@ def test_stop_keeps_queued_cells_pending_and_resumable(tmp_path):
     assert len(result.runs) == spec.num_cells()
     manifest = store.load(spec_digest(spec))
     assert manifest.complete
+
+
+def _count_saves(monkeypatch):
+    """Record the digest of every manifest saved from now on."""
+    saves = []
+    real_save = ManifestStore.save
+
+    def save(self, manifest):
+        saves.append(manifest.digest)
+        return real_save(self, manifest)
+
+    monkeypatch.setattr(ManifestStore, "save", save)
+    return saves
+
+
+def test_manifest_is_saved_per_batch_not_per_cell(tmp_path, monkeypatch):
+    """Saved when the record opens, then once after each batch that
+    resolved any of its cells: with one worker a batch is 4 cells, so 8
+    cells make 2 batches and 1 + 2 saves (not 1 + 8)."""
+    saves = _count_saves(monkeypatch)
+    spec = tiny_spec(seeds=range(1, 9))
+    scheduler = _scheduler(tmp_path, jobs=1)
+    record, _ = scheduler.submit(spec)
+    assert len(saves) == 1
+    scheduler.start()
+    assert scheduler.wait(record.study_id, timeout=60).state == "done"
+    scheduler.stop(timeout=60)
+    assert saves == [record.study_id] * 3
+    manifest = ManifestStore(scheduler.cache.root).load(record.study_id)
+    assert manifest.complete
+
+
+def test_an_all_hit_study_finishes_once(tmp_path):
+    """A study whose every cell is a cache hit resolves at submit, and
+    the record is finished there once, not again after the loop."""
+    spec = tiny_spec(seeds=(1, 2))
+    warm = _scheduler(tmp_path, autostart=True)
+    record, _ = warm.submit(spec)
+    warm.wait(record.study_id, timeout=60)
+    warm.stop()
+
+    revived = _scheduler(tmp_path, autostart=False)
+    record, _ = revived.submit(spec)
+    assert [e["event"] for e in record.events] == \
+        ["cached", "cached", "study-done"]
+    stats = revived.stats()
+    assert stats["studies"] == 1 and stats["studies_done"] == 1
+    revived.stop()
+
+
+def test_a_failed_study_keeps_its_cells_until_the_last_resolves(
+        tmp_path, monkeypatch):
+    """The failure is saved at once, while cells of the failed study
+    are still running; only after its last cell resolves (and the
+    batch saves it) does the record drop its per-cell state."""
+    spec = tiny_spec(seeds=(1, 2, 3))
+    scheduler = _scheduler(tmp_path, jobs=1)
+    record, _ = scheduler.submit(spec)
+    store = ManifestStore(scheduler.cache.root)
+    seen = []
+    real_payload = parallel_mod.execute_cell_payload
+
+    def payload(cell):
+        if cell.seed == 1:
+            raise RuntimeError("boom")
+        if cell.seed == 3:
+            seen.append((record.state, len(record.cells),
+                         record.manifest is not None,
+                         store.load(record.study_id).counts()["failed"]))
+        return real_payload(cell)
+
+    monkeypatch.setattr(parallel_mod, "execute_cell_payload", payload)
+    scheduler.start()
+    deadline = time.monotonic() + 60
+    while record.remaining and time.monotonic() < deadline:
+        time.sleep(0.01)
+    scheduler.stop(timeout=60)
+    assert seen == [("failed", 3, True, 1)]
+    assert record.counts() == {"done": 2, "failed": 1, "pending": 0,
+                               "total": 3}
+    assert record.cells == [] and record.manifest is None
+    assert store.load(record.study_id).counts() == \
+        {"done": 2, "pending": 0, "failed": 1}

@@ -19,6 +19,7 @@ import urllib.request
 
 import pytest
 
+from repro.api import Session
 from repro.cli import main
 from repro.service import ServiceClient
 
@@ -170,3 +171,46 @@ def test_serve_process_serves_results_and_stops_on_sigterm(tmp_path,
                  "--cache-dir", str(cache)]) == 0
     assert ("3 done, 0 pending, 0 failed of 3 cells"
             in capsys.readouterr().out)
+
+
+def test_a_killed_daemon_resumes_locally_with_finished_cells_cached(
+        tmp_path):
+    """SIGKILL between manifest saves: the manifest lags the running
+    batch (one worker runs 4 cells per batch), but every cell reported
+    finished is already in the result cache, so a local resume serves
+    it as a hit and executes only the rest."""
+    cache = tmp_path / "serve-cache"
+    spec = tiny_spec(name="svc-killed", seeds=range(1, 9), cores=4,
+                     refs=800)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0",
+         "--jobs", "1", "--cache-dir", str(cache)],
+        stderr=subprocess.PIPE, text=True, env=env)
+    finished = []
+    try:
+        assert select.select([proc.stderr], [], [], 30)[0], "no banner"
+        match = re.search(r"listening on (http://\S+)",
+                          proc.stderr.readline())
+        assert match, "no listening banner"
+        client = ServiceClient(match.group(1))
+        study = client.submit(spec)["study"]
+        for event in client.stream_events(study):
+            if event["event"] == "finished":
+                finished.append(event["cell"])
+                break
+        proc.kill()
+        proc.wait(timeout=30)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stderr.close()
+    assert finished
+
+    with Session(jobs=1, cache_dir=cache) as session:
+        result = session.run(spec, resume=True)
+        assert all(result.runs[index].cached for index in finished)
+        # The kill landed mid-study: some cells still had to run.
+        assert result.cache_delta["misses"] > 0
+        assert session.status(spec).complete
