@@ -76,19 +76,12 @@ class StudyResult:
     runs_by_key: Dict[StudyKey, List[RunResult]]
     cache_delta: Optional[Dict[str, int]] = None
     jobs: int = 1
-    #: Aggregated observability block when the study ran with
-    #: ``REPRO_OBS``/``--obs``: the per-cell telemetry snapshots merged
-    #: order-independently plus the session-side spans (see
-    #: :func:`repro.obs.study_telemetry`).  ``None`` when off.
-    telemetry: Optional[Dict[str, Any]] = None
 
     @classmethod
     def from_runs(cls, spec: Any, runs: Sequence[RunResult],
                   keys: Optional[Sequence[Sequence[str]]] = None,
                   cache_delta: Optional[Dict[str, int]] = None,
-                  jobs: int = 1,
-                  telemetry: Optional[Dict[str, Any]] = None
-                  ) -> "StudyResult":
+                  jobs: int = 1) -> "StudyResult":
         """Group a flat run list — grid order, seeds innermost, the
         order :meth:`StudySpec.cells` produces — per grid point.
 
@@ -111,7 +104,7 @@ class StudyResult:
         runs_by_key = {key: list(runs[i * per_key:(i + 1) * per_key])
                        for i, key in enumerate(expected)}
         return cls(spec=spec, keys=expected, runs_by_key=runs_by_key,
-                   cache_delta=cache_delta, jobs=jobs, telemetry=telemetry)
+                   cache_delta=cache_delta, jobs=jobs)
 
     # ------------------------------------------------------------------
     @property

@@ -52,7 +52,6 @@ from repro.exec import (CellExecutionError, ManifestStore, ParallelRunner,
                         ResultCache, StudyManifest, code_version,
                         open_cache, spec_digest)
 from repro.exec.cells import Cell
-from repro.obs import telemetry as _telemetry
 
 
 class Session:
@@ -148,23 +147,15 @@ class Session:
             spec.validate()
         cells = spec.cells()
         before = self.cache_stats()
-        # Session-side telemetry (cache probes, scheduling) collects in
-        # its own registry; cell-side registries live in the workers and
-        # ride back on each RunResult.
-        session_telemetry = _telemetry.for_process()
-        with _telemetry.activate(session_telemetry):
-            if self.cache is None and not resume:
-                runs = self.runner.run_cells(cells)
-            else:
-                runs, _ = self._run_tracked(spec, cells, resume=resume)
+        if self.cache is None and not resume:
+            runs = self.runner.run_cells(cells)
+        else:
+            runs, _ = self._run_tracked(spec, cells, resume=resume)
         after = self.cache_stats()
         delta = (None if before is None
                  else {key: after[key] - before[key] for key in after})
-        telemetry = _telemetry.study_telemetry(
-            [run.telemetry for run in runs],
-            session=session_telemetry.snapshot())
         return StudyResult.from_runs(spec, runs, cache_delta=delta,
-                                     jobs=self.jobs, telemetry=telemetry)
+                                     jobs=self.jobs)
 
     def advance(self, spec: StudySpec, limit: Optional[int] = None,
                 validate: bool = True) -> StudyManifest:

@@ -47,7 +47,6 @@ from repro.core.runner import (ADAPTIVITY_CONFIGS, PAPER_CONFIGS,
                                normalized_runtimes, normalized_traffic)
 from repro.exec import ParallelRunner
 from repro.exec.serialization import comparable_result_dict
-from repro.obs import telemetry as _telemetry
 from repro.stats.counters import geometric_mean
 from repro.stats.traffic import FIGURE5_ORDER
 from repro.workloads.patterns import PATTERN_NAMES
@@ -313,24 +312,9 @@ def trace_replay_spec(scale: BenchScale,
 # nested dict its renderer reads.
 # ---------------------------------------------------------------------------
 
-#: Aggregated telemetry of every study executed since the last
-#: ``run_bench`` started; only ever populated under REPRO_OBS/--obs
-#: (StudyResult.telemetry is None otherwise).  run_bench clears it at
-#: suite start and snapshots it into the report's ``obs`` block.
-_STUDY_TELEMETRY: List[Dict[str, object]] = []
-
-
-def _note_study_telemetry(name: str, result) -> None:
-    telemetry = getattr(result, "telemetry", None)
-    if telemetry is not None:
-        _STUDY_TELEMETRY.append({"study": name, **telemetry})
-
-
 def _run_spec(spec, runner: Optional[ParallelRunner]):
     with Session(runner=runner) as session:
-        result = session.run(spec)
-    _note_study_telemetry(spec.name, result)
-    return result
+        return session.run(spec)
 
 
 def fig45_results(scale: BenchScale = FULL_SCALE,
@@ -395,7 +379,6 @@ def trace_replay_results(scale: BenchScale = FULL_SCALE,
             trace_paths[workload] = path
         spec = trace_replay_spec(scale, trace_paths)
         result = session.run(spec)
-        _note_study_telemetry(spec.name, result)
     return {workload: (result.runs_by_key[(f"{workload}/live",)][0],
                        result.runs_by_key[(f"{workload}/replay",)][0])
             for workload in scale.trace_workloads}
@@ -406,8 +389,8 @@ def render_trace_replay(results):
     rows = []
     all_identical = True
     for workload, (live, replayed) in results.items():
-        # Compare simulation outputs only: wall time, the cached flag,
-        # and telemetry are runtime metadata, different every run.
+        # Compare simulation outputs only: wall time, phases and the
+        # cached flag are runtime metadata, different every run.
         identical = (comparable_result_dict(live)
                      == comparable_result_dict(replayed))
         all_identical = all_identical and identical
@@ -686,7 +669,6 @@ def run_bench(quick: bool = False,
     if seed is not None:
         scale = scale.with_seed(seed)
     os.makedirs(results_dir, exist_ok=True)
-    del _STUDY_TELEMETRY[:]  # fresh obs block per suite run
     timings: Dict[str, float] = {}
     table_paths: List[str] = []
     # Per-figure exec-cache hit/miss deltas (None when caching is off).
@@ -779,10 +761,6 @@ def run_bench(quick: bool = False,
             "workloads": list(scale.trace_workloads),
             "cores": scale.trace_cores,
             "references_per_core": scale.trace_refs,
-        },
-        "obs": {
-            "enabled": _telemetry.enabled(),
-            "studies": list(_STUDY_TELEMETRY),
         },
     }
     with open(out_path, "w", encoding="utf-8") as handle:

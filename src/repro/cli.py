@@ -29,13 +29,11 @@ regenerates the paper's experiments from the shell:
     repro study list
     repro serve --port 8273 --jobs 4
     repro study submit examples/specs/fig4_smoke.json --server http://127.0.0.1:8273
-    repro study run examples/specs/fig4_smoke.json --obs
-    repro study run examples/specs/fig4_smoke.json --obs --timeline traces
-    repro run --workload oltp --obs --timeline run.json
+    repro study run examples/specs/fig4_smoke.json --timeline traces
+    repro run --workload oltp --timeline run.json
     repro study run examples/specs/fig4_smoke.json --profile prof
     repro obs top prof --limit 10 --sort cumulative
     repro bench --quick --jobs 4
-    repro bench --obs --quick
     repro list
     repro list-scenarios --kind pattern
     repro --version
@@ -61,20 +59,19 @@ process, the debugging and profiling setting), ``--no-cache``, and
 ``REPRO_CACHE_DIR`` or ``~/.cache/repro``).  ``repro study run``
 additionally takes ``--resume`` / ``--max-cells`` for resumable and
 chunked grids, with ``repro study status`` reporting recorded
-progress and ``repro study list`` enumerating every recorded
-manifest; both execute nothing and take only the cache flags —
-docs/EXECUTION.md is the operations guide.  ``repro serve`` runs the
-experiment service daemon (studies over HTTP with a shared warm cache
-and in-flight dedup), and ``repro study submit`` sends a spec to one
-and renders the same table as a local run — docs/SERVICE.md is that
-guide.  The run, study run, and bench subcommands accept the
-observability flags ``--obs`` (run telemetry: counters and phase
-spans, surfaced in study status and the bench report),
-``--timeline PATH`` (per-cell Chrome
-trace-event JSON, viewable in Perfetto), and ``--profile DIR``
-(per-cell cProfile dumps); render the merged hotspot table with
-``repro obs top DIR``, and set ``REPRO_LOG=level`` for structured
-logging.  docs/OBSERVABILITY.md is the guide.
+progress (each executed cell's wall time and its build, sim, drain and
+collect seconds; a cache hit shows as ``cached``) and ``repro study
+list`` enumerating every recorded manifest; both execute nothing and
+take only the cache flags — docs/EXECUTION.md is the operations guide.
+``repro serve`` runs the experiment service daemon (studies over HTTP
+with a shared warm cache and in-flight dedup), and ``repro study
+submit`` sends a spec to one and renders the same table as a local
+run — docs/SERVICE.md is that guide.  The run, study run, and bench
+subcommands accept the observability flags ``--timeline PATH``
+(per-cell Chrome trace-event JSON, viewable in Perfetto) and
+``--profile DIR`` (per-cell cProfile dumps); render the merged hotspot
+table with ``repro obs top DIR``, and set ``REPRO_LOG=level`` for
+structured logging.  docs/OBSERVABILITY.md is the guide.
 """
 
 from __future__ import annotations
@@ -92,8 +89,8 @@ from repro.core.runner import (ADAPTIVITY_CONFIGS, PAPER_CONFIGS,
                                run_experiment)
 from repro.exec import CellExecutionError, code_version
 from repro.interconnect.topology import TOPOLOGIES, topology_names
-from repro.obs import (OBS_ENV, PROFILE_ENV, TIMELINE_ENV,
-                       configure_logging, render_top)
+from repro.obs import (PROFILE_ENV, TIMELINE_ENV, configure_logging,
+                       render_top)
 from repro.obs.profiling import SORT_KEYS
 from repro.workloads.presets import WORKLOAD_NAMES
 from repro.workloads.registry import WORKLOAD_KINDS, workload_specs
@@ -164,10 +161,6 @@ def _add_cache_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_obs_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--obs", action="store_true",
-                        help="collect run telemetry (counters, phase "
-                             "spans); equivalent to REPRO_OBS=1 "
-                             "(see docs/OBSERVABILITY.md)")
     parser.add_argument("--timeline", default=None, metavar="PATH",
                         help="write per-cell Chrome trace-event JSON "
                              "(open in Perfetto); a PATH ending in "
@@ -706,8 +699,8 @@ def _cmd_study_status(args) -> int:
         where = "/".join(cell.key) if cell.key else spec.name
         print(f"  failed: {where} seed={cell.seed}: {cell.error}")
     for cell in manifest.cells:
-        # Per-cell timings, recorded by every run (cache hits show as
-        # `cached`); the [phase] breakdown only exists under --obs.
+        # Per-cell timings, recorded by every run: wall time and the
+        # [phase] breakdown, or `cached` for a hit.
         if cell.state != "done" or cell.wall_time is None:
             continue
         where = "/".join(cell.key) if cell.key else spec.name
@@ -1133,11 +1126,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     # The observability flags resolve through the environment, so
     # every pool worker started under this command inherits them.
     overrides = {}
-    # `hasattr(args, "obs")` marks the commands wired through
+    # `hasattr(args, "timeline")` marks the commands wired through
     # _add_obs_options; `repro synth` has an unrelated --profile.
-    if hasattr(args, "obs"):
-        if args.obs:
-            overrides[OBS_ENV] = "1"
+    if hasattr(args, "timeline"):
         if args.timeline is not None:
             overrides[TIMELINE_ENV] = args.timeline
         if args.profile is not None:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional
+from typing import Dict, Optional
 
 from repro.stats.counters import RunningStat
 from repro.stats.traffic import FIGURE5_ORDER
@@ -39,8 +39,10 @@ class RunResult:
     wall_time_seconds: float = 0.0
     #: True when this result was served from the on-disk result cache.
     cached: bool = False
-    #: Telemetry snapshot captured during the run (``--obs``), or None.
-    telemetry: Optional[Dict[str, Any]] = None
+    #: Seconds per phase of this run: ``sim``, ``drain`` (when drained)
+    #: and ``collect`` from :meth:`System.run`, ``build`` from
+    #: ``execute_cell``.  None for a cache hit, which did no work.
+    phases: Optional[Dict[str, float]] = None
 
     # ------------------------------------------------------------------
     @property

@@ -15,6 +15,7 @@ True
 from __future__ import annotations
 
 import random
+from time import perf_counter
 from typing import Callable, List, Optional
 
 from repro.config import SystemConfig
@@ -24,7 +25,6 @@ from repro.interconnect.message import Message
 from repro.interconnect.network import (NetworkInterface, RandomDelayNetwork,
                                         SwitchedNetwork)
 from repro.interconnect.topology import make_topology
-from repro.obs import telemetry as _telemetry
 from repro.prediction.predictors import make_predictor
 from repro.protocols.directory.cache_ctrl import DirectoryCache
 from repro.protocols.directory.home_ctrl import DirectoryHome
@@ -194,27 +194,31 @@ class System:
         dump.  With ``drain`` the simulation then runs the in-flight
         messages dry so the token-conservation audit can run.
 
-        The sim/drain/collect phases report through telemetry spans;
-        with observability off each span is the shared no-op.
+        The result's ``phases`` holds the seconds each phase took:
+        ``sim``, ``drain`` (only with ``drain``) and ``collect``.
         """
-        obs = _telemetry.current
-        with obs.span("sim"):
-            for core in self.cores:
-                core.start()
-            self.sim.run(until=max_cycles)
+        start = perf_counter()
+        for core in self.cores:
+            core.start()
+        self.sim.run(until=max_cycles)
+        phases = {"sim": perf_counter() - start}
         check_all_done(self, max_cycles)
         if self._runtime is None:  # pragma: no cover - guarded above
             raise RuntimeError("cores finished but runtime not recorded")
         if drain:
-            with obs.span("drain"):
-                self.sim.run(until=self.sim.now + 10 * max(
-                    1, self.config.tenure_timeout_floor) * 100)
-                if self.integrity is not None or self.audit_tokens:
-                    audit_single_writer(self)
-                if self.audit_tokens and self.sim.pending() == 0:
-                    audit_token_conservation(self)
-        with obs.span("collect"):
-            return self._build_result()
+            start = perf_counter()
+            self.sim.run(until=self.sim.now + 10 * max(
+                1, self.config.tenure_timeout_floor) * 100)
+            if self.integrity is not None or self.audit_tokens:
+                audit_single_writer(self)
+            if self.audit_tokens and self.sim.pending() == 0:
+                audit_token_conservation(self)
+            phases["drain"] = perf_counter() - start
+        start = perf_counter()
+        result = self._build_result()
+        phases["collect"] = perf_counter() - start
+        result.phases = phases
+        return result
 
     # ------------------------------------------------------------------
     def _build_result(self) -> RunResult:

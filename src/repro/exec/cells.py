@@ -109,11 +109,11 @@ def execute_cell(cell: Cell) -> RunResult:
 
     Beyond the simulation itself, this is where per-cell observability
     happens — in whichever process the cell runs, so in-process and
-    pool execution get it alike: wall time is always recorded on the
-    result; with ``REPRO_OBS`` a fresh telemetry registry is active for
-    the duration and its snapshot rides back on ``result.telemetry``;
-    ``REPRO_TIMELINE`` / ``REPRO_PROFILE_DIR`` write this cell's trace
-    and profile beside the run.  None of it changes simulation output.
+    pool execution get it alike: wall time and the seconds per phase
+    (``build`` here, the rest from :meth:`System.run`) are always
+    recorded on the result; ``REPRO_TIMELINE`` / ``REPRO_PROFILE_DIR``
+    write this cell's trace and profile beside the run.  None of it
+    changes simulation output.
     """
     # Imported here (not at module top) to keep the worker-side import
     # footprint explicit and cycle-free.
@@ -121,25 +121,23 @@ def execute_cell(cell: Cell) -> RunResult:
     from repro.core.system import System
     from repro.workloads.presets import make_workload
 
-    telemetry = obs.for_process()
     profile = obs.start_profile()
     started_at = time.time()
     start = time.monotonic()
     try:
-        with obs.activate(telemetry):
-            with telemetry.span("build"):
-                workload = make_workload(
-                    cell.workload, num_cores=cell.config.num_cores,
-                    seed=cell.seed, **dict(cell.workload_kwargs))
-                system = System(cell.config, workload,
-                                cell.references_per_core,
-                                check_integrity=cell.check_integrity)
-            timeline_target = obs.timeline_target()
-            recorder = None
-            if timeline_target is not None:
-                recorder = obs.TimelineRecorder(label=cell_slug(cell))
-                system.attach_timeline(recorder)
-            result = system.run()
+        build_start = time.perf_counter()
+        workload = make_workload(
+            cell.workload, num_cores=cell.config.num_cores,
+            seed=cell.seed, **dict(cell.workload_kwargs))
+        system = System(cell.config, workload, cell.references_per_core,
+                        check_integrity=cell.check_integrity)
+        build = time.perf_counter() - build_start
+        timeline_target = obs.timeline_target()
+        recorder = None
+        if timeline_target is not None:
+            recorder = obs.TimelineRecorder(label=cell_slug(cell))
+            system.attach_timeline(recorder)
+        result = system.run()
     finally:
         if profile is not None:
             obs.dump_profile(profile, cell_slug(cell))
@@ -147,5 +145,5 @@ def execute_cell(cell: Cell) -> RunResult:
         recorder.write(obs.timeline_path(timeline_target, cell_slug(cell)))
     result.started_at = started_at
     result.wall_time_seconds = time.monotonic() - start
-    result.telemetry = telemetry.snapshot()
+    result.phases = {"build": build, **result.phases}
     return result

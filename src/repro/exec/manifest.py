@@ -69,8 +69,8 @@ class CellEntry:
     The timing fields are additive (older manifests simply lack them):
     ``wall_time`` is the cell's recorded wall-clock seconds (0.0 for a
     cache hit, flagged by ``cached``), ``events_per_second`` its kernel
-    throughput, and ``phases`` the per-span seconds breakdown when the
-    study ran with ``--obs``.
+    throughput, and ``phases`` its seconds per phase (build, sim, drain,
+    collect) when the cell executed, None for a cache hit.
     """
 
     key: Tuple[str, ...]
@@ -152,8 +152,9 @@ class StudyManifest:
 
         ``result`` is the cell's :class:`~repro.core.results.RunResult`
         (duck-typed so the manifest layer needs no core import);
-        ``fresh`` is False for cache hits, which record ``wall_time=0.0``
-        and ``cached=True`` per the execution-layer contract.
+        ``fresh`` is False for cache hits, which record ``wall_time=0.0``,
+        ``cached=True`` and no phases per the execution-layer contract,
+        so a resumed cell keeps no phases from an earlier run.
         """
         cell = self.cells[index]
         cell.state = "done"
@@ -163,10 +164,7 @@ class StudyManifest:
         cell.wall_time = wall
         events = getattr(result, "events_processed", 0)
         cell.events_per_second = events / wall if wall > 0 else None
-        snapshot = getattr(result, "telemetry", None)
-        if snapshot:
-            from repro.obs import phase_seconds
-            cell.phases = phase_seconds(snapshot)
+        cell.phases = getattr(result, "phases", None) if fresh else None
 
     def counts(self) -> Dict[str, int]:
         """``{"done": ..., "pending": ..., "failed": ...}``."""

@@ -15,8 +15,8 @@ long-lived caller (the ``repro serve`` dispatcher, a figure suite)
 forks its workers once rather than once per batch.  Forked workers
 carry the parent's state as it was at the fork, so before each batch
 the runner compares what they inherited — the worker count, the
-``REPRO_*`` environment (``--obs`` / ``--timeline`` / ``--profile``
-reach workers only through it) and the workload and topology
+``REPRO_*`` environment (``--timeline`` / ``--profile`` reach
+workers only through it) and the workload and topology
 registries — and forks a fresh pool when any of it changed.
 :meth:`ParallelRunner.close` (or leaving a ``with`` block) shuts the
 workers down; a later batch forks a new pool.
@@ -44,7 +44,6 @@ from repro.exec.cache import ResultCache
 from repro.exec.cells import Cell, execute_cell
 from repro.exec.serialization import run_result_from_dict, run_result_to_dict
 from repro.obs import profile_dir, timeline_target
-from repro.obs import telemetry as _telemetry
 
 #: Environment override for the worker count (CLI: ``--jobs``).
 JOBS_ENV = "REPRO_JOBS"
@@ -198,20 +197,20 @@ class ParallelRunner:
         """The cached result for ``cell``, or None on a miss or when
         uncached.
 
-        A hit did no work now: it reports zero wall time with the
-        cached flag, never the original run's timing.  While a trace or
-        a profile is asked for (``REPRO_TIMELINE`` /
+        A hit did no work now: it reports zero wall time and no phases
+        with the cached flag, never the original run's timing.  While a
+        trace or a profile is asked for (``REPRO_TIMELINE`` /
         ``REPRO_PROFILE_DIR``) every cell misses, so it executes and
         writes them; its fresh result is still stored.
         """
         if (self.cache is None or timeline_target() is not None
                 or profile_dir() is not None):
             return None
-        with _telemetry.current.span("cache.lookup"):
-            cached = self.cache.load(cell)
+        cached = self.cache.load(cell)
         if cached is not None:
             cached.cached = True
             cached.wall_time_seconds = 0.0
+            cached.phases = None
         return cached
 
     # ------------------------------------------------------------------

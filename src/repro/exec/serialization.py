@@ -10,7 +10,7 @@ so the Welford state inside :class:`RunningStat` survives bit-for-bit.
 from __future__ import annotations
 
 import sys
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Dict, Mapping
 
 from repro.core.results import RunResult
 from repro.stats.counters import RunningStat
@@ -18,11 +18,11 @@ from repro.stats.counters import RunningStat
 #: Bump when the serialized shape changes; stale cache entries miss.
 SCHEMA_VERSION = 2
 
-#: Fields that vary run-to-run (timing, cache provenance, telemetry)
-#: without affecting simulation output.  Bit-identity comparisons —
-#: ``--jobs 1`` vs a pool, trace replay — go through
-#: :func:`comparable_result_dict`, which strips them.
-VOLATILE_FIELDS = ("started_at", "wall_time_seconds", "cached", "telemetry")
+#: Fields that vary run-to-run (timing, cache provenance) without
+#: affecting simulation output.  Bit-identity comparisons — ``--jobs 1``
+#: vs a pool, trace replay — go through :func:`comparable_result_dict`,
+#: which strips them.
+VOLATILE_FIELDS = ("started_at", "wall_time_seconds", "cached", "phases")
 
 
 def run_result_to_dict(result: RunResult) -> Dict[str, Any]:
@@ -46,7 +46,7 @@ def run_result_to_dict(result: RunResult) -> Dict[str, Any]:
         "started_at": result.started_at,
         "wall_time_seconds": result.wall_time_seconds,
         "cached": result.cached,
-        "telemetry": result.telemetry,
+        "phases": result.phases,
     }
 
 
@@ -92,5 +92,5 @@ def run_result_from_dict(data: Dict[str, Any]) -> RunResult:
         started_at=float(data.get("started_at", 0.0)),
         wall_time_seconds=float(data.get("wall_time_seconds", 0.0)),
         cached=bool(data.get("cached", False)),
-        telemetry=data.get("telemetry"),
+        phases=data.get("phases"),
     )

@@ -1,11 +1,9 @@
-"""Observability: telemetry, timeline tracing, logging, and profiling.
+"""Observability: timeline tracing, logging, and profiling.
 
 The package every runtime layer reports through (see
-docs/OBSERVABILITY.md):
+docs/OBSERVABILITY.md).  Per-cell wall time and phase seconds need
+none of it: every fresh cell records them on its ``RunResult``.
 
-* :mod:`repro.obs.telemetry` — process-local counters/gauges/timing
-  spans behind ``REPRO_OBS`` / ``--obs``, with order-independent
-  snapshot merging for cross-process aggregation;
 * :mod:`repro.obs.timeline` — per-cell Chrome trace-event capture
   behind ``REPRO_TIMELINE`` / ``--timeline``;
 * :mod:`repro.obs.logs` — the ``repro.*`` logging namespace behind
@@ -22,18 +20,12 @@ from repro.obs.logs import (LOG_ENV, configure_logging, get_logger,
                             parse_level)
 from repro.obs.profiling import (PROFILE_ENV, dump_profile, profile_dir,
                                  render_top, start_profile)
-from repro.obs.telemetry import (NULL, OBS_ENV, NullTelemetry, Telemetry,
-                                 activate, enabled, for_process,
-                                 merge_snapshots, phase_seconds,
-                                 study_telemetry)
 from repro.obs.timeline import (TIMELINE_ENV, TimelineRecorder,
                                 timeline_path, timeline_target)
 
 __all__ = [
-    "LOG_ENV", "NULL", "OBS_ENV", "PROFILE_ENV", "TIMELINE_ENV",
-    "NullTelemetry", "Telemetry", "TimelineRecorder",
-    "activate", "configure_logging", "dump_profile", "enabled",
-    "for_process", "get_logger", "merge_snapshots", "parse_level",
-    "phase_seconds", "profile_dir", "render_top", "start_profile",
-    "study_telemetry", "timeline_path", "timeline_target",
+    "LOG_ENV", "PROFILE_ENV", "TIMELINE_ENV", "TimelineRecorder",
+    "configure_logging", "dump_profile", "get_logger", "parse_level",
+    "profile_dir", "render_top", "start_profile", "timeline_path",
+    "timeline_target",
 ]

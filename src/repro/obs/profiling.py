@@ -9,7 +9,7 @@ pool workers profile themselves without any extra protocol.
 :mod:`pstats` and renders the combined hotspot table.
 
 Profiling changes only wall time, never simulation results; it
-composes freely with ``--obs`` and ``--timeline``.
+composes freely with ``--timeline``.
 """
 
 from __future__ import annotations

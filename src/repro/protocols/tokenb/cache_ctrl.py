@@ -193,7 +193,12 @@ class TokenBCache(TokenCacheBase):
 
     def _install(self, block: int, starver: int, txn_id: int) -> None:
         """Point the table at ``starver`` and forward it every token
-        this cache holds for ``block``."""
+        this cache holds for ``block``.
+
+        While the entry names another core, :meth:`_on_tokens` forwards
+        every arrival, so the cache holds no tokens for the block and
+        evicting its line sends nothing (``LiveAuditor`` checks this).
+        """
         self.persistent_table[block] = starver
         if starver == self.node_id:
             return  # we hoard
@@ -230,15 +235,6 @@ class TokenBCache(TokenCacheBase):
             # The open activation arrived before this one, though the
             # home sent it later: its starver is the current one.
             self._install(block, *open_requests[-1])
-
-    def _evict(self, line: CacheLine) -> None:
-        starver = self.persistent_table.get(line.block)
-        if starver is None or starver == self.node_id:
-            super()._evict(line)
-            return
-        # The table sends the starver every token, evicted ones too.
-        self.stats.add("evictions")
-        self._hand_over(line, starver, 0)
 
     def _hand_over(self, line: CacheLine, dest: int, txn_id: int) -> None:
         """Drop the line and send its whole holding to ``dest``."""

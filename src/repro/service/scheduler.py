@@ -57,7 +57,6 @@ from repro.exec import (CellExecutionError, ResultCache, StudyManifest,
                         cache_key, code_version)
 from repro.exec.cells import Cell
 from repro.exec.manifest import spec_digest
-from repro.obs import telemetry as _telemetry
 
 #: States a study record moves through.  ``running`` covers queued and
 #: executing alike (per-cell progress tells them apart); ``done`` and
@@ -163,7 +162,13 @@ class StudyRecord:
 
     @property
     def terminal(self) -> bool:
+        """Done, or failed at its first failed cell."""
         return self.state in ("done", "failed")
+
+    @property
+    def ended(self) -> bool:
+        """Every cell resolved, so ``study-done`` is the last event."""
+        return self.remaining == 0
 
 
 class StudyScheduler:
@@ -314,10 +319,8 @@ class StudyScheduler:
             record.cache_delta["misses"] += 1
             self._counts["cells_queued"] += 1
             record.event("queued", index)
-        if record.remaining == 0 and record.state == "running":
-            # Only a spec without cells gets here: a last cache hit
-            # has already finished the record in _resolve_cell.
-            self._finish_record(record)
+        if not record.total:
+            self._end_record(record)
         self._save_manifest(record)
         return record
 
@@ -342,18 +345,20 @@ class StudyScheduler:
         record.done += 1
         if record.manifest is not None:
             record.manifest.record_result(index, result, fresh)
-        if record.remaining == 0 and record.state == "running":
-            self._finish_record(record)
+        if record.remaining == 0:
+            self._end_record(record)
 
-    def _finish_record(self, record: StudyRecord) -> None:
-        record.state = "done"
-        record.result = StudyResult.from_runs(
-            record.spec, record.results,
-            cache_delta=dict(record.cache_delta), jobs=record.jobs,
-            telemetry=_telemetry.study_telemetry(
-                [run.telemetry for run in record.results]))
-        self._counts["studies_done"] += 1
-        record.event("study-done", state="done")
+    def _end_record(self, record: StudyRecord) -> None:
+        """Emit the record's one ``study-done`` event: its last cell
+        has resolved.  A failed record keeps the state and error its
+        first failure set; any other is done, with its result."""
+        if record.state == "running":
+            record.state = "done"
+            record.result = StudyResult.from_runs(
+                record.spec, record.results,
+                cache_delta=dict(record.cache_delta), jobs=record.jobs)
+            self._counts["studies_done"] += 1
+        record.event("study-done", state=record.state)
 
     def _task_done(self, task: _CellTask, result: RunResult,
                    fresh: bool) -> None:
@@ -386,7 +391,7 @@ class StudyScheduler:
                 record.error = (f"cell {'/'.join(key) or record.spec.name}"
                                 f" seed={seed}: {error}")
             if record.remaining == 0:
-                record.event("study-done", state="failed")
+                self._end_record(record)
             self._save_manifest(record)
         self._cond.notify_all()
 
@@ -525,14 +530,16 @@ class StudyScheduler:
                      ) -> List[Dict[str, Any]]:
         """Events with ``seq >= seq``, waiting briefly for new ones.
 
-        Returns an empty list when the record is terminal (every event
-        already delivered) or the scheduler is stopping.
+        Returns an empty list once the record has ended (its
+        ``study-done`` event already delivered) or the scheduler is
+        stopping.  A failed study ends only when its last cell
+        resolves, so its stream carries every later cell's event.
         """
         with self._cond:
             while True:
                 # Events are numbered from 0 and never removed, so an
                 # event's seq is its index in the list.
                 fresh = record.events[seq:]
-                if fresh or record.terminal or self._stopping:
+                if fresh or record.ended or self._stopping:
                     return fresh
                 self._cond.wait(0.5)

@@ -216,14 +216,13 @@ class _Handler(BaseHTTPRequestHandler):
         seq = since
         while True:
             fresh = self.scheduler.events_since(record, seq)
-            if fresh:
-                # One write, so one send, per wakeup.
-                self.wfile.write("".join(
-                    json.dumps(event, sort_keys=True) + "\n"
-                    for event in fresh).encode())
-                self.wfile.flush()
-                seq = fresh[-1]["seq"] + 1
-            elif record.terminal or self.scheduler.stopping:
-                break
+            if not fresh:
+                break  # the study has ended, or the daemon is stopping
+            # One write, so one send, per wakeup.
+            self.wfile.write("".join(
+                json.dumps(event, sort_keys=True) + "\n"
+                for event in fresh).encode())
+            self.wfile.flush()
+            seq = fresh[-1]["seq"] + 1
         # Connection: close — the client reads EOF as end-of-stream.
         self.close_connection = True

@@ -36,8 +36,6 @@ def study_result_to_dict(result: StudyResult) -> Dict[str, Any]:
     }
     if result.cache_delta is not None:
         out["cache_delta"] = dict(result.cache_delta)
-    if result.telemetry is not None:
-        out["telemetry"] = result.telemetry
     return out
 
 
@@ -59,5 +57,4 @@ def study_result_from_dict(data: Dict[str, Any]) -> StudyResult:
         [run_result_from_dict(run) for run in data["runs"]],
         keys=data["keys"],
         cache_delta=None if delta is None else dict(delta),
-        jobs=int(data.get("jobs", 1)),
-        telemetry=data.get("telemetry"))
+        jobs=int(data.get("jobs", 1)))

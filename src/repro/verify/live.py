@@ -9,7 +9,11 @@ on a periodic timer while the simulation runs:
 * single-writer/many-readers over cache states;
 * (PATCH) whenever the home is idle for a block, every cache holding
   tenured tokens for it appears in the directory's sharers superset —
-  the precondition Rule #1b relies on.
+  the precondition Rule #1b relies on;
+* (TokenB) no cache holds tokens, in its line or its MSHR, for a block
+  whose persistent table names another core: activation handed them to
+  that starver and every later arrival is forwarded, which is why an
+  eviction under the entry has nothing to send.
 
 Attach one to a system before running:
 
@@ -59,6 +63,8 @@ class LiveAuditor:
         self._check_single_writer()
         if self.system.config.protocol == "patch":
             self._check_tenured_holders_in_sharers()
+        elif self.system.config.protocol == "tokenb":
+            self._check_persistent_tables()
 
     # -- individual checks ---------------------------------------------------
     def _holdings(self) -> Dict[int, List]:
@@ -131,3 +137,25 @@ class LiveAuditor:
                         f"holds tenured tokens for block {line.block} but "
                         "is not in the directory's sharers superset "
                         "(Rule #1b precondition violated)")
+
+    def _check_persistent_tables(self) -> None:
+        """A cache whose persistent table names another core's starver
+        for a block holds no tokens for it."""
+        self.checks += 1
+        for cache in self.system.caches:
+            mshr = cache.mshr
+            for block, starver in cache.persistent_table.items():
+                if starver == cache.node_id:
+                    continue
+                line = cache.cache.lookup(block)
+                if line is not None and not line.tokens.is_zero:
+                    where = "its line"
+                elif (mshr is not None and mshr.block == block
+                      and not mshr.tokens.is_zero):
+                    where = "its MSHR"
+                else:
+                    continue
+                raise CoherenceViolation(
+                    f"t={self.system.sim.now}: cache {cache.node_id} "
+                    f"holds tokens in {where} for block {block} while "
+                    f"its persistent table names core {starver}")

@@ -15,7 +15,6 @@ def _hermetic_exec_defaults(monkeypatch):
     monkeypatch.setenv("REPRO_NO_CACHE", "1")
     monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
     monkeypatch.delenv("REPRO_JOBS", raising=False)
-    monkeypatch.delenv("REPRO_OBS", raising=False)
     monkeypatch.delenv("REPRO_TIMELINE", raising=False)
     monkeypatch.delenv("REPRO_PROFILE_DIR", raising=False)
     monkeypatch.delenv("REPRO_LOG", raising=False)

@@ -216,25 +216,7 @@ def test_bench_command_writes_report(tmp_path, capsys, monkeypatch):
     assert not any(line.startswith("[")
                    for line in captured.out.splitlines())
     import json
-    report = json.loads(out.read_text())
-    assert report["obs"] == {"enabled": False, "studies": []}
-
-
-def test_bench_obs_flag_records_study_telemetry(tmp_path, capsys,
-                                                monkeypatch):
-    import json
-    import repro.bench as bench_mod
-    from test_bench import TINY_SCALE
-    monkeypatch.setattr(bench_mod, "QUICK_SCALE", TINY_SCALE)
-    out = tmp_path / "bench_results.json"
-    assert main(["bench", "--quick", "--jobs", "1", "--no-cache", "--obs",
-                 "--results-dir", str(tmp_path / "results"),
-                 "--out", str(out)]) == 0
-    report = json.loads(out.read_text())
-    assert report["obs"]["enabled"] is True
-    studies = report["obs"]["studies"]
-    assert studies and all("study" in s and s["cells"] > 0
-                           for s in studies)
+    assert "obs" not in json.loads(out.read_text())
 
 
 # ---------------------------------------------------------------------------
@@ -828,13 +810,21 @@ def test_verify_fuzz_rejects_bad_parameters(capsys):
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("argv", [
-    ["run", "--obs", "--timeline", "out.json", "--profile", "prof"],
-    ["bench", "--quick", "--obs"],
-    ["study", "run", "spec.json", "--obs", "--timeline", "traces"],
+    ["run", "--timeline", "out.json", "--profile", "prof"],
+    ["bench", "--quick", "--profile", "prof"],
+    ["study", "run", "spec.json", "--timeline", "traces"],
 ])
 def test_obs_flags_accepted_where_documented(argv):
     args = build_parser().parse_args(argv)
-    assert args.obs is True
+    assert (args.timeline, args.profile) != (None, None)
+
+
+def test_the_obs_flag_is_gone(capsys):
+    """Phases are recorded on every run, so there is nothing to enable."""
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--workload", "microbench", "--obs"])
+    assert exc.value.code == 2
+    assert "--obs" in capsys.readouterr().err
 
 
 def test_obs_flags_set_and_restore_the_environment(tmp_path, capsys):
@@ -842,11 +832,10 @@ def test_obs_flags_set_and_restore_the_environment(tmp_path, capsys):
     traces = tmp_path / "traces"
     prof = tmp_path / "prof"
     assert main(["run", "--workload", "microbench", "--cores", "4",
-                 "--refs", "10", "--no-cache", "--obs",
+                 "--refs", "10", "--no-cache",
                  "--timeline", str(traces), "--profile", str(prof)]) == 0
     # The flags ride as env vars (so workers inherit them) and are
     # restored after dispatch.
-    assert "REPRO_OBS" not in os.environ
     assert "REPRO_TIMELINE" not in os.environ
     assert "REPRO_PROFILE_DIR" not in os.environ
     assert list(traces.glob("*.json"))   # the cell's trace landed
@@ -859,7 +848,8 @@ def test_obs_run_output_matches_plain_run(tmp_path, capsys):
             "--refs", "10", "--no-cache"]
     assert main(argv) == 0
     plain = capsys.readouterr().out
-    assert main(argv + ["--obs"]) == 0
+    assert main(argv + ["--timeline", str(tmp_path / "t.json"),
+                        "--profile", str(tmp_path / "prof")]) == 0
     assert capsys.readouterr().out == plain  # obs never changes results
 
 
@@ -890,16 +880,19 @@ def test_obs_top_rejects_unknown_sort():
 def test_study_status_shows_per_cell_timings(tmp_path, capsys):
     path = _tiny_spec_file(tmp_path)
     cache = ["--cache-dir", str(tmp_path / "cache")]
-    assert main(["study", "run", path, "--jobs", "1", "--obs"] + cache) == 0
+    assert main(["study", "run", path, "--jobs", "1"] + cache) == 0
     capsys.readouterr()
     assert main(["study", "status", path] + cache) == 0
     out = capsys.readouterr().out
     assert "2 done, 0 pending, 0 failed of 2 cells" in out
-    # Every cell line carries wall time + throughput, and the --obs run
-    # recorded a phase breakdown.
-    assert re.search(r"done: Directory seed=1: \d+\.\d+s, "
-                     r"[\d,]+ events/s", out)
-    assert "sim" in out and "build" in out
+    # Every cell line carries wall time, throughput and the phases,
+    # recorded with no flag.
+    lines = [line for line in out.splitlines() if "  done: " in line]
+    assert len(lines) == 2
+    for line in lines:
+        assert re.search(r"\d+\.\d+s, [\d,]+ events/s \[build \d+\.\d+s, "
+                         r"collect \d+\.\d+s, drain \d+\.\d+s, "
+                         r"sim \d+\.\d+s\]$", line), line
 
 
 def test_study_status_marks_cached_cells(tmp_path, capsys):
@@ -910,4 +903,4 @@ def test_study_status_marks_cached_cells(tmp_path, capsys):
     capsys.readouterr()
     assert main(["study", "status", path] + cache) == 0
     out = capsys.readouterr().out
-    assert "done: Directory seed=1: cached" in out
+    assert "done: Directory seed=1: cached\n" in out  # and no phases

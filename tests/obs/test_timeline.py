@@ -131,6 +131,5 @@ def test_tracing_leaves_results_bit_identical(tmp_path, monkeypatch):
     cell = make_cell(BASE, "producer-consumer", 15, seed=3)
     bare = comparable_result_dict(execute_cell(cell))
     monkeypatch.setenv("REPRO_TIMELINE", str(tmp_path / "traces"))
-    monkeypatch.setenv("REPRO_OBS", "1")
     traced = comparable_result_dict(execute_cell(cell))
     assert traced == bare

@@ -281,3 +281,75 @@ def test_a_failed_study_keeps_its_cells_until_the_last_resolves(
     assert record.cells == [] and record.manifest is None
     assert store.load(record.study_id).counts() == \
         {"done": 2, "pending": 0, "failed": 1}
+
+
+def _fail_seed_one(monkeypatch, release=None):
+    """Seed 1's cell raises; the others wait for ``release`` if given."""
+    real_payload = parallel_mod.execute_cell_payload
+
+    def payload(cell):
+        if cell.seed == 1:
+            raise RuntimeError("boom")
+        if release is not None:
+            release.wait(60)
+        return real_payload(cell)
+
+    monkeypatch.setattr(parallel_mod, "execute_cell_payload", payload)
+
+
+def _outcomes(events):
+    return [(e["event"], e.get("cell")) for e in events
+            if e["event"] in ("failed", "finished", "study-done")]
+
+
+def test_a_failed_study_ends_with_one_study_done(tmp_path, monkeypatch):
+    """The cells still in flight at the failure resolve first; then the
+    record emits its one terminal event, in the failed state."""
+    spec = tiny_spec(seeds=(1, 2, 3))
+    scheduler = _scheduler(tmp_path, jobs=1)
+    record, _ = scheduler.submit(spec)
+    _fail_seed_one(monkeypatch)
+    scheduler.start()
+    deadline = time.monotonic() + 60
+    while not record.ended and time.monotonic() < deadline:
+        time.sleep(0.01)
+    scheduler.stop(timeout=60)
+    assert _outcomes(record.events) == [
+        ("failed", 0), ("finished", 1), ("finished", 2),
+        ("study-done", None)]
+    assert record.events[-1]["state"] == "failed"
+
+
+def test_a_stream_past_the_failure_gets_the_later_events(tmp_path,
+                                                         monkeypatch):
+    """``wait`` reports the study failed at its first failure, but a
+    stream that has caught up with the ``failed`` event stays open for
+    the cells still running, and ends after ``study-done``."""
+    spec = tiny_spec(seeds=(1, 2, 3))
+    scheduler = _scheduler(tmp_path, jobs=1)
+    record, _ = scheduler.submit(spec)
+    release = threading.Event()
+    _fail_seed_one(monkeypatch, release)
+    scheduler.start()
+    streamed = []
+    try:
+        deadline = time.monotonic() + 60
+        while (not _outcomes(record.events)
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+        (failed,) = [e for e in record.events if e["event"] == "failed"]
+        assert scheduler.wait(record.study_id, timeout=5).state == "failed"
+        seq = failed["seq"] + 1
+        threading.Timer(0.2, release.set).start()
+        while True:
+            fresh = scheduler.events_since(record, seq)
+            if not fresh:
+                break
+            streamed.extend(fresh)
+            seq = fresh[-1]["seq"] + 1
+    finally:
+        release.set()
+        scheduler.stop(timeout=60)
+    assert _outcomes(streamed) == [("finished", 1), ("finished", 2),
+                                   ("study-done", None)]
+    assert streamed[-1]["state"] == "failed"

@@ -186,3 +186,31 @@ def test_live_auditor_stop():
     auditor.stop()
     system.run()
     assert auditor.samples == 0
+
+
+def test_live_auditor_sees_tokens_under_anothers_persistent_entry():
+    """TokenB: while a cache's persistent table names another core's
+    starver for a block, the cache holds no tokens for it."""
+    system = make_live_system("tokenb", "none")
+    cache = system.caches[0]
+    line = cache.cache.allocate(50)
+    line.tokens = TokenCount(1)
+    line.valid_data = True
+    line.state = CacheState.S
+    auditor = LiveAuditor(system, period=100)
+    cache.persistent_table[50] = 0   # its own request: it may hoard
+    auditor.audit_now()
+    cache.persistent_table[50] = 1
+    with pytest.raises(CoherenceViolation, match="persistent table"):
+        auditor.audit_now()
+
+
+def test_live_auditor_clean_through_tokenb_persistent_requests():
+    config = SystemConfig(num_cores=4, protocol="tokenb",
+                          predictor="none", tokenb_max_retries=0)
+    system = System(config, make_workload("oltp", num_cores=4, seed=1),
+                    references_per_core=40)
+    auditor = LiveAuditor(system, period=50)
+    result = system.run()
+    assert result.cache_stats["persistent_requests"] > 0
+    assert auditor.samples > 0
