@@ -48,12 +48,20 @@ class CacheLine:
                 f" untenured={self.untenured} data={self.valid_data}>")
 
 
+#: The one set every untouched set of every array shares.  Only
+#: :meth:`CacheArray.allocate` and :meth:`CacheArray.evict` write a
+#: set, and neither writes this one, so it stays empty.
+_UNTOUCHED: Dict[int, CacheLine] = {}
+
+
 class CacheArray:
     """``num_sets`` x ``assoc`` array indexed by block number.
 
     ``_sets[block % num_sets]`` maps a resident block to its line.
-    ``PatchCache._on_direct`` inlines :meth:`lookup` against it, once
-    per broadcast copy, so the two must change together.
+    A set gets a dict of its own on its first :meth:`allocate`; until
+    then it is :data:`_UNTOUCHED`, so a short run builds only the sets
+    it uses.  ``PatchCache._on_direct`` inlines :meth:`lookup` against
+    ``_sets``, once per broadcast copy, so the two must change together.
     """
 
     def __init__(self, num_sets: int, assoc: int) -> None:
@@ -61,7 +69,7 @@ class CacheArray:
             raise ValueError("cache geometry must be positive")
         self.num_sets = num_sets
         self.assoc = assoc
-        self._sets: List[Dict[int, CacheLine]] = [dict() for _ in range(num_sets)]
+        self._sets: List[Dict[int, CacheLine]] = [_UNTOUCHED] * num_sets
         self._tick = 0
 
     # ------------------------------------------------------------------
@@ -98,13 +106,16 @@ class CacheArray:
         The caller must have handled the victim first; allocating into a
         full set raises.
         """
-        cache_set = self._set_for(block)
+        index = block % self.num_sets
+        cache_set = self._sets[index]
         line = cache_set.get(block)
         if line is not None:
             return line
         if len(cache_set) >= self.assoc:
             raise RuntimeError(
                 f"set full while allocating block {block}; evict first")
+        if cache_set is _UNTOUCHED:
+            cache_set = self._sets[index] = {}
         line = CacheLine(block)
         self._tick += 1
         line.last_use = self._tick

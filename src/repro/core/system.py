@@ -84,6 +84,7 @@ class System:
         self._finished = 0
         self._runtime: Optional[int] = None
         self._traffic_snapshot = None
+        self._closed = False
         self.cores = [
             Core(node, self.sim, self.caches[node], workload,
                  references_per_core, on_finish=self._core_finished)
@@ -197,6 +198,9 @@ class System:
         The result's ``phases`` holds the seconds each phase took:
         ``sim``, ``drain`` (only with ``drain``) and ``collect``.
         """
+        if self._closed:
+            raise RuntimeError("this System was closed; build a new one "
+                               "to run again")
         start = perf_counter()
         for core in self.cores:
             core.start()
@@ -219,6 +223,30 @@ class System:
         phases["collect"] = perf_counter() - start
         result.phases = phases
         return result
+
+    def close(self) -> None:
+        """Release the run: each part drops its references to its peers.
+
+        The network's endpoints, the controllers' handler tables, the
+        cores' callbacks and the kernel's queued events all refer back
+        into the System, so a finished one is cyclic garbage that lives
+        until a gen-2 collection.  After ``close``, reference counting
+        frees it as soon as its last holder lets go.  Idempotent; a
+        closed System cannot :meth:`run`.
+        :func:`~repro.exec.cells.execute_cell` and
+        :meth:`~repro.verify.explorer.ScheduleExplorer.run_schedule`
+        close the Systems they build; one built elsewhere is its
+        builder's to close, or the cycle collector's to free.
+        """
+        if self._closed:
+            return
+        self._closed = True
+        self.network.close()
+        for controller in (*self.caches, *self.homes):
+            controller.close()
+        for core in self.cores:
+            core.close()
+        self.sim.close()
 
     # ------------------------------------------------------------------
     def _build_result(self) -> RunResult:

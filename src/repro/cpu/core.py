@@ -59,3 +59,9 @@ class Core:
         self.finish_time = self.sim.now
         if self._on_finish is not None:
             self._on_finish(self.core_id)
+
+    def close(self) -> None:
+        """Drop the controller and the finish callback: an outstanding
+        miss's completion callback refers back to this core, and the
+        finish callback to the owner."""
+        self.controller = self._on_finish = None

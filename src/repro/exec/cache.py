@@ -247,14 +247,17 @@ class ResultCache:
         for path in stale[self.KEEP_GENERATIONS - 1:]:
             shutil.rmtree(path, ignore_errors=True)
 
-    def load(self, cell: Cell) -> Optional[RunResult]:
+    def load(self, cell: Cell,
+             key: Optional[str] = None) -> Optional[RunResult]:
         """Return the cached result for ``cell``, or None on a miss.
 
+        ``key`` is ``cache_key(cell)`` when the caller has it already.
         A run still alive from an earlier load or store of the same key
         comes back as a shallow copy, without touching the file (see
         the module docstring).
         """
-        key = cache_key(cell)
+        if key is None:
+            key = cache_key(cell)
         live = self._live.get(key)
         if live is not None:
             self.hits += 1
@@ -271,8 +274,10 @@ class ResultCache:
         self._live[key] = result
         return result
 
-    def store(self, cell: Cell, result: RunResult) -> Optional[Path]:
-        """Atomically persist ``result`` under the cell's key.
+    def store(self, cell: Cell, result: RunResult,
+              key: Optional[str] = None) -> Optional[Path]:
+        """Atomically persist ``result`` under the cell's key (``key``,
+        when the caller has computed it).
 
         Like :meth:`load`, storage degrades gracefully: an unwritable or
         full cache directory must not abort an experiment whose
@@ -280,7 +285,8 @@ class ResultCache:
         counted in ``store_errors`` (returning ``None``).
         """
         try:
-            key = cache_key(cell)
+            if key is None:
+                key = cache_key(cell)
             path = self._entry_path(key)
             path.parent.mkdir(parents=True, exist_ok=True)
             self._prune_stale_generations()

@@ -113,7 +113,8 @@ def execute_cell(cell: Cell) -> RunResult:
     (``build`` here, the rest from :meth:`System.run`) are always
     recorded on the result; ``REPRO_TIMELINE`` / ``REPRO_PROFILE_DIR``
     write this cell's trace and profile beside the run.  None of it
-    changes simulation output.
+    changes simulation output.  The cell's :class:`System` is closed
+    before this returns or raises, so no cyclic garbage outlives it.
     """
     # Imported here (not at module top) to keep the worker-side import
     # footprint explicit and cycle-free.
@@ -124,6 +125,7 @@ def execute_cell(cell: Cell) -> RunResult:
     profile = obs.start_profile()
     started_at = time.time()
     start = time.monotonic()
+    system = None
     try:
         build_start = time.perf_counter()
         workload = make_workload(
@@ -139,6 +141,10 @@ def execute_cell(cell: Cell) -> RunResult:
             system.attach_timeline(recorder)
         result = system.run()
     finally:
+        # The result (or a failure's diagnostic) is built: release the
+        # System, so reference counting frees it on return.
+        if system is not None:
+            system.close()
         if profile is not None:
             obs.dump_profile(profile, cell_slug(cell))
     if recorder is not None:

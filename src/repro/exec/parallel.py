@@ -193,9 +193,10 @@ class ParallelRunner:
             self._pool_state = state
         return self._pool
 
-    def lookup(self, cell: Cell) -> Optional[RunResult]:
+    def lookup(self, cell: Cell,
+               key: Optional[str] = None) -> Optional[RunResult]:
         """The cached result for ``cell``, or None on a miss or when
-        uncached.
+        uncached; ``key`` is the cell's ``cache_key`` if already known.
 
         A hit did no work now: it reports zero wall time and no phases
         with the cached flag, never the original run's timing.  While a
@@ -206,7 +207,7 @@ class ParallelRunner:
         if (self.cache is None or timeline_target() is not None
                 or profile_dir() is not None):
             return None
-        cached = self.cache.load(cell)
+        cached = self.cache.load(cell, key)
         if cached is not None:
             cached.cached = True
             cached.wall_time_seconds = 0.0
@@ -216,7 +217,8 @@ class ParallelRunner:
     # ------------------------------------------------------------------
     def run_cells(self, cells: Sequence[Cell],
                   limit: Optional[int] = None,
-                  on_result: Optional[ResultCallback] = None
+                  on_result: Optional[ResultCallback] = None,
+                  keys: Optional[Sequence[str]] = None
                   ) -> List[Optional[RunResult]]:
         """Execute every cell, returning results in input order.
 
@@ -225,13 +227,16 @@ class ParallelRunner:
         *missing* (non-cached) cells execute; the unexecuted remainder
         come back as ``None`` (this is the chunked-execution primitive
         behind ``repro study run --max-cells``).  With ``limit=None``
-        every entry is a :class:`RunResult`.
+        every entry is a :class:`RunResult`.  ``keys``, when given,
+        holds each cell's ``cache_key`` so the probe and the store need
+        not compute it again.
         """
         cells = list(cells)
+        keys = list(keys) if keys is not None else [None] * len(cells)
         results: List[Optional[RunResult]] = [None] * len(cells)
         pending: List[int] = []
         for index, cell in enumerate(cells):
-            cached = self.lookup(cell)
+            cached = self.lookup(cell, keys[index])
             if cached is None:
                 pending.append(index)
                 continue
@@ -249,7 +254,7 @@ class ParallelRunner:
             # means one failing cell late in a batch cannot discard the
             # completed simulations before it.
             if self.cache is not None:
-                self.cache.store(cells[index], result)
+                self.cache.store(cells[index], result, keys[index])
             results[index] = result
             if on_result is not None:
                 on_result(index, result, True)

@@ -104,6 +104,12 @@ class NetworkInterface:
         """
         self._sink = sink
 
+    def close(self) -> None:
+        """Drop the endpoints (closures over the controllers) and the
+        sink; the network delivers nothing afterwards."""
+        self._endpoints[:] = [None] * len(self._endpoints)
+        self._sink = None
+
     def send(self, msg: Message) -> None:
         raise NotImplementedError
 
@@ -386,6 +392,14 @@ class SwitchedNetwork(NetworkInterface):
         super().set_message_sink(sink)
         for link in self._links:
             link._sink = sink
+
+    def close(self) -> None:
+        # A link's bound callbacks refer back to it, and its arrival
+        # rows to the links beyond its dst.
+        super().close()
+        for link in self._links:
+            link._serve_cb = link._arrive_cb = link._sink = None
+            link._forward_row = link._fanout_row = []
 
     def send(self, msg: Message) -> None:
         """Inject a message at its source node."""

@@ -235,6 +235,11 @@ class Node:
                                 f"{payload.mtype.value}")
         handler(payload)
 
+    def close(self) -> None:
+        """Drop the handler table, whose bound methods refer back to
+        this controller (see :meth:`repro.core.system.System.close`)."""
+        self._handlers.clear()
+
 
 class CacheControllerBase(Node):
     """Common cache-side behaviour: hits, the MSHR, victim selection.

@@ -331,3 +331,7 @@ class PatchCache(TokenCacheBase):
 
     def _line_dropped(self, block: int) -> None:
         self.probation.cancel(block)
+
+    def close(self) -> None:
+        super().close()
+        self.probation.close()

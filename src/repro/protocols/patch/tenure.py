@@ -62,6 +62,12 @@ class ProbationTimers:
     def is_armed(self, block: int) -> bool:
         return block in self._timers
 
+    def close(self) -> None:
+        """Drop the expiry callback and every armed timer: both refer
+        back to the cache controller."""
+        self._expire = None
+        self._timers.clear()
+
     def _fire(self, block: int) -> None:
         self._timers.pop(block, None)
         self._expire(block)

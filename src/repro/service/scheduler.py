@@ -305,7 +305,7 @@ class StudyScheduler:
                 self._counts["cells_shared"] += 1
                 record.event("queued", index, shared=True)
                 continue
-            cached = self.session.runner.lookup(cell)
+            cached = self.session.runner.lookup(cell, key)
             if cached is not None:
                 record.cache_delta["hits"] += 1
                 self._counts["cells_cached"] += 1
@@ -442,7 +442,8 @@ class StudyScheduler:
 
                 try:
                     self.session.runner.run_cells(
-                        [t.cell for t in current], on_result=on_result)
+                        [t.cell for t in current], on_result=on_result,
+                        keys=[t.key for t in current])
                 except CellExecutionError as exc:
                     with self._cond:
                         blamed = [t for t in current

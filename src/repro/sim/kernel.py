@@ -218,6 +218,18 @@ class Simulator:
         """Number of live (non-cancelled) events still queued (O(1))."""
         return self._live
 
+    def close(self) -> None:
+        """Drop every queued event and the event sink.
+
+        Queued callbacks are bound to the links, controllers and cores
+        that hold this clock, so they tie a finished run's parts into a
+        cycle (see :meth:`repro.core.system.System.close`).
+        """
+        self._buckets.clear()
+        self._times.clear()
+        self._live = self._cancelled = 0
+        self._event_sink = None
+
     def _append(self, time: int, entry: tuple) -> None:
         """Queue an entry whose seq was drawn just now.  It is larger
         than every queued seq, so it goes last, even in the bucket being

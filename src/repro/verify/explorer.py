@@ -161,7 +161,11 @@ class ScheduleExplorer:
 
     def run_schedule(self, seed: int,
                      max_cycles: int = 10_000_000) -> Tuple[bool, str, int]:
-        """Run one schedule; returns (ok, error message, runtime)."""
+        """Run one schedule; returns (ok, error message, runtime).
+
+        The schedule's :class:`System` is closed once its audits (or
+        its failure's message) are done, so it is freed on return.
+        """
         system = self._build_system(seed)
         try:
             result = system.run(max_cycles=max_cycles)
@@ -171,6 +175,8 @@ class ScheduleExplorer:
             return True, "", result.runtime_cycles
         except Exception as exc:  # noqa: BLE001 - report any failure mode
             return False, f"{type(exc).__name__}: {exc}", 0
+        finally:
+            system.close()
 
     def explore(self, schedules: int,
                 first_seed: int = 0) -> ExplorationReport:

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.cache.array import CacheArray, CacheLine
+from repro.cache.array import _UNTOUCHED, CacheArray, CacheLine
 from repro.coherence.states import CacheState
 from repro.coherence.tokens import TokenCount, ZERO
 
@@ -129,3 +129,50 @@ def test_occupancy_never_exceeds_capacity(num_sets, assoc, blocks):
     for line in cache.lines():
         # every resident line is found by lookup under its own block
         assert cache.lookup(line.block) is line
+
+
+# -- sets allocated on first use ------------------------------------------
+def test_untouched_sets_share_one_empty_dict():
+    cache = CacheArray(num_sets=4, assoc=2)
+    assert all(cache_set is _UNTOUCHED for cache_set in cache._sets)
+    line = cache.allocate(5)
+    own = cache._sets[1]
+    assert own is not _UNTOUCHED and own == {5: line}
+    assert [s is _UNTOUCHED for s in cache._sets] == [True, False,
+                                                      True, True]
+    cache.allocate(9)   # same set: no new dict
+    assert cache._sets[1] is own and len(own) == 2
+    cache.evict(5)
+    cache.evict(9)
+    assert cache._sets[1] is own and _UNTOUCHED == {}
+
+
+def test_untouched_sets_read_as_empty():
+    cache = CacheArray(num_sets=4, assoc=1)
+    assert cache.lookup(3) is None
+    assert cache.lookup(3, touch=True) is None
+    assert cache.victim_for(3) is None
+    with pytest.raises(KeyError, match="not resident"):
+        cache.evict(3)
+    assert list(cache.lines()) == []
+    assert cache.resident_blocks() == []
+    assert len(cache) == 0
+    assert _UNTOUCHED == {}
+
+
+@pytest.mark.parametrize("protocol,predictor",
+                         [("directory", "none"), ("tokenb", "none"),
+                          ("patch", "all"), ("patch", "owner")])
+def test_runs_leave_the_shared_empty_set_empty(protocol, predictor):
+    from repro import System, SystemConfig, make_workload
+    config = SystemConfig(num_cores=16, protocol=protocol,
+                          predictor=predictor)
+    system = System(config, make_workload("oltp", num_cores=16, seed=3),
+                    references_per_core=40)
+    result = system.run()
+    assert result.misses > 0
+    assert _UNTOUCHED == {}
+    touched = sum(cache_set is not _UNTOUCHED
+                  for cache in system.caches
+                  for cache_set in cache.cache._sets)
+    assert 0 < touched < len(system.caches) * config.cache_sets

@@ -353,3 +353,34 @@ def test_a_stream_past_the_failure_gets_the_later_events(tmp_path,
     assert _outcomes(streamed) == [("finished", 1), ("finished", 2),
                                    ("study-done", None)]
     assert streamed[-1]["state"] == "failed"
+
+
+def test_a_fresh_study_keys_each_cell_once(tmp_path, monkeypatch):
+    """The key computed at submit serves the in-flight lookup, the
+    cache probe at submit, the batch's probe and the store: a fresh
+    96-cell study calls ``cache_key`` once per cell, under either name
+    it is called by."""
+    import repro.exec.cache as cache_module
+    import repro.service.scheduler as scheduler_module
+    keyed = []
+    for module in (cache_module, scheduler_module):
+        def counted(cell, *args, _real=module.cache_key, **kwargs):
+            keyed.append(cell)
+            return _real(cell, *args, **kwargs)
+        monkeypatch.setattr(module, "cache_key", counted)
+    variants = [{"label": f"v{index}", "config": config}
+                for index, config in enumerate(
+                    [{"protocol": "directory"}, {"protocol": "tokenb"}]
+                    + [{"protocol": "patch", "predictor": predictor}
+                       for predictor in ("none", "owner", "all", "group")])]
+    spec = tiny_spec(seeds=range(1, 17), refs=2,
+                     axes=[{"name": "variant", "points": variants}])
+    assert spec.num_cells() == 96
+    scheduler = _scheduler(tmp_path, jobs=1)
+    record, summary = scheduler.submit(spec)
+    assert summary["queued"] == 96
+    scheduler.start()
+    assert scheduler.wait(record.study_id, timeout=120).state == "done"
+    scheduler.stop(timeout=60)
+    assert scheduler.cache.stats()["stores"] == 96
+    assert sorted(map(repr, keyed)) == sorted(map(repr, spec.cells()))
