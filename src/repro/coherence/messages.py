@@ -14,7 +14,7 @@ from enum import Enum
 from typing import Optional
 
 from repro.coherence.states import CacheState
-from repro.coherence.tokens import ZERO, TokenCount, requires_data
+from repro.coherence.tokens import ZERO, TokenCount
 
 
 class MsgType(Enum):
@@ -88,7 +88,9 @@ class CoherenceMsg:
     to_home: bool = False           # route to the home controller at dest
 
     def __post_init__(self) -> None:
-        if requires_data(self.tokens) and not self.has_data:
+        # Rule #4 (tokens.requires_data), inlined: runs per message.
+        tokens = self.tokens
+        if tokens.owner and tokens.dirty and not self.has_data:
             raise ValueError(
                 "Rule #4 violation: dirty owner token without data "
                 f"({self.mtype.value} block={self.block})")

@@ -29,6 +29,11 @@ class CacheState(Enum):
     S = "S"   # shared
     I = "I"   # invalid  # noqa: E741 - canonical protocol name
 
+    # Members are singletons compared by identity, so the identity hash
+    # is equivalent to Enum's name-based hash — but C-speed.  Lines are
+    # probed against OWNER_STATES and DIRTY_STATES per request.
+    __hash__ = object.__hash__
+
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
 

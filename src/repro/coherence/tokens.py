@@ -8,8 +8,8 @@ destroyed, and the owner token is unique) is enforced structurally: merging
 two counts that both claim the owner token raises immediately.
 
 Rule #4 (a message carrying the *dirty* owner token must carry data) is
-checked at message-construction time by the protocols via
-:func:`requires_data`.
+:func:`requires_data`, checked at message-construction time by
+:class:`~repro.coherence.messages.CoherenceMsg`, which inlines it.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro.sim.kernel import Simulator
-from repro.workloads.base import WorkloadGenerator
+from repro.workloads.base import Access, WorkloadGenerator
 
 
 class Core:
@@ -31,6 +31,11 @@ class Core:
         self.retired = 0
         self.finish_time: Optional[int] = None
         self._on_finish = on_finish
+        # The one outstanding access, and the two callbacks every
+        # reference schedules, bound once (close() drops them).
+        self._access: Optional[Access] = None
+        self._issue_cb = self._issue_next
+        self._completed_cb = self._completed
 
     @property
     def done(self) -> bool:
@@ -41,19 +46,20 @@ class Core:
         if self.quota == 0:
             self._finish()
             return
-        self.sim.post(0, self._issue_next)
+        self.sim.post(0, self._issue_cb)
 
     def _issue_next(self) -> None:
-        access = self.workload.next_access(self.core_id)
+        access = self._access = self.workload.next_access(self.core_id)
         self.controller.access(access.block, access.is_write,
-                               lambda a=access: self._completed(a))
+                               self._completed_cb)
 
-    def _completed(self, access) -> None:
+    def _completed(self) -> None:
         self.retired += 1
-        if self.done:
+        if self.retired >= self.quota:
             self._finish()
             return
-        self.sim.post(max(0, access.think_time), self._issue_next)
+        think = self._access.think_time
+        self.sim.post(think if think > 0 else 0, self._issue_cb)
 
     def _finish(self) -> None:
         self.finish_time = self.sim.now
@@ -61,7 +67,8 @@ class Core:
             self._on_finish(self.core_id)
 
     def close(self) -> None:
-        """Drop the controller and the finish callback: an outstanding
-        miss's completion callback refers back to this core, and the
-        finish callback to the owner."""
+        """Drop the controller and every callback: an outstanding miss's
+        completion callback and the bound issue and completion callbacks
+        refer back to this core, and the finish callback to the owner."""
         self.controller = self._on_finish = None
+        self._issue_cb = self._completed_cb = None

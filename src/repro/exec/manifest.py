@@ -13,10 +13,13 @@ execute.
 
 Both writers follow one save policy: a manifest is saved when its study
 opens, once after each batch that resolved any of its cells, and at
-once when one of its cells fails.  A run killed mid-batch therefore
-leaves a manifest that lags by at most that batch.  Nothing is lost:
-the runner stores every fresh result in the cache before it reports the
-cell, so on resume that batch's finished cells come back as cache hits.
+once when one of its cells fails.  A run stopped mid-batch therefore
+leaves a manifest that lags by at most that batch, and the cache makes
+up the lag: the runner stores every fresh result before it reports the
+cell (in-process, as each cell finishes; on the pool, when the batch
+ends, fails or is interrupted), so on resume those cells come back as
+cache hits.  A process killed outright during a pool batch loses that
+batch's fresh cells, and the resume runs them again.
 
 Manifests live *inside the cache directory* on purpose: point several
 machines' ``REPRO_CACHE_DIR`` at one shared directory and they share

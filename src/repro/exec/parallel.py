@@ -3,12 +3,20 @@
 The evaluation grid is embarrassingly parallel: every (config, workload,
 seed) cell is an independent deterministic simulation.
 :class:`ParallelRunner` probes the on-disk :class:`ResultCache` first,
-runs the misses, persists every fresh result the moment it completes,
-and returns results in input order.  The misses run in this process
-when one worker suffices (``jobs=1``, or a single missing cell — the
-setting for debugging and profiling, where breakpoints and profilers
-see the simulation directly), and on a
-``concurrent.futures.ProcessPoolExecutor`` otherwise.
+runs the misses, stores every fresh result, and returns results in
+input order.  The misses run in this process when one worker suffices
+(``jobs=1``, or a single missing cell — the setting for debugging and
+profiling, where breakpoints and profilers see the simulation
+directly), and on a ``concurrent.futures.ProcessPoolExecutor``
+otherwise.
+
+When a fresh result reaches the cache depends on where it ran.  An
+in-process batch stores each cell as it finishes.  A pool batch
+stores its cells when the batch ends: all of them once the slowest
+is done, or, when a cell fails, a worker dies or the wait is
+interrupted (Ctrl-C), the cells finished by then.  A process killed
+outright loses the fresh cells of the pool batch it was running, and
+a resume runs them again.
 
 The runner keeps one pool of ``jobs`` workers across batches, so a
 long-lived caller (the ``repro serve`` dispatcher, a figure suite)
@@ -28,8 +36,8 @@ JSON serialization the cache uses.
 
 A cell that raises — or a pool worker that dies outright — fails the
 whole batch promptly with a :class:`CellExecutionError` naming the
-offending cell; results completed before the failure are already
-cached, so a retry resumes where the batch died.  The failed batch's
+offending cell; the cells finished by then are stored first, so a
+retry resumes where the batch died.  The failed batch's
 pool is shut down without waiting, and the next batch forks a new one.
 """
 
@@ -113,20 +121,31 @@ def _fork_state(workers: int) -> Tuple[Any, ...]:
 def _run_on_pool(pool: ProcessPoolExecutor,
                  items: Sequence[Tuple[int, Cell]],
                  finish: Callable[[int, Dict[str, Any]], None]) -> None:
-    """Run ``(index, cell)`` items on ``pool``, calling ``finish`` as
-    each completes.
+    """Run ``(index, cell)`` items on ``pool``, calling ``finish`` on
+    each finished cell when the batch ends.
 
-    A cell that raises, or a worker that dies (``BrokenProcessPool``),
-    fails the batch with a :class:`CellExecutionError`; nothing waits
-    on a dead worker.  Every future finished in the failing wave is
-    harvested first, so completed simulations reach the cache before
-    the batch aborts.
+    ``wait`` returns once every cell is done or one has raised, so with
+    no failure ``finish`` runs for the whole batch at once, after its
+    slowest cell.  A cell that raises, or a worker that dies
+    (``BrokenProcessPool``), fails the batch with a
+    :class:`CellExecutionError`; nothing waits on a dead worker.  Every
+    future finished in the failing wave is harvested first, and so is
+    every one finished when ``wait`` itself raises (a Ctrl-C), so
+    completed simulations reach the cache before the batch aborts.
     """
     futures = {pool.submit(execute_cell_payload, cell): (index, cell)
                for index, cell in items}
     not_done = set(futures)
     while not_done:
-        done, not_done = wait(not_done, return_when=FIRST_EXCEPTION)
+        try:
+            done, not_done = wait(not_done, return_when=FIRST_EXCEPTION)
+        except BaseException:
+            for future, (index, _) in futures.items():
+                if (future in not_done and future.done()
+                        and not future.cancelled()
+                        and future.exception() is None):
+                    finish(index, future.result())
+            raise
         first_failure = None
         for future in done:
             index, cell = futures[future]
@@ -222,8 +241,11 @@ class ParallelRunner:
                   ) -> List[Optional[RunResult]]:
         """Execute every cell, returning results in input order.
 
-        ``on_result`` is invoked once per completed cell — cache hits
-        included — as completions happen.  ``limit`` bounds how many
+        ``on_result`` is invoked once per completed cell, cache hits
+        included, right after the cell is stored: a hit during the
+        probe, an in-process cell as it finishes, and a pool batch's
+        cells when the batch ends (see the module docstring).
+        ``limit`` bounds how many
         *missing* (non-cached) cells execute; the unexecuted remainder
         come back as ``None`` (this is the chunked-execution primitive
         behind ``repro study run --max-cells``).  With ``limit=None``
@@ -250,9 +272,9 @@ class ParallelRunner:
 
         def finish(index: int, payload: Dict[str, Any]) -> None:
             result = run_result_from_dict(payload)
-            # Persist immediately: storing per cell (not per batch)
-            # means one failing cell late in a batch cannot discard the
-            # completed simulations before it.
+            # Store before reporting, cell by cell: one failing cell
+            # late in a batch cannot discard the completed simulations
+            # before it.
             if self.cache is not None:
                 self.cache.store(cells[index], result, keys[index])
             results[index] = result

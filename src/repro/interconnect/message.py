@@ -45,7 +45,7 @@ class Message:
     msg_class: MsgClass
     priority: Priority = Priority.NORMAL
     payload: Any = None
-    msg_id: int = field(default_factory=lambda: next(_message_ids))
+    msg_id: int = field(default_factory=_message_ids.__next__)
     inject_time: int = -1
 
     def __post_init__(self) -> None:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cache.array import CacheArray, CacheLine
-from repro.coherence.messages import CoherenceMsg, MsgType
+from repro.coherence.messages import CoherenceMsg, MsgType, next_txn_id
 from repro.coherence.states import CacheState, state_from_tokens
 from repro.coherence.tokens import ZERO, TokenCount, initial_tokens
 from repro.config import SystemConfig
@@ -27,7 +27,7 @@ from repro.directory_state.encodings import SharerEncoding, make_encoding
 from repro.interconnect.message import Message, Priority
 from repro.interconnect.network import NetworkInterface
 from repro.sim.kernel import Simulator
-from repro.stats.counters import Ewma, Histogram, StatGroup
+from repro.stats.counters import Counter, Ewma, Histogram, StatGroup
 from repro.stats.traffic import MsgClass
 
 #: Interconnect traffic class for each protocol message type.
@@ -211,17 +211,20 @@ class Node:
     def home_of(self, block: int) -> int:
         return block % self.config.num_cores
 
-    def msg_size(self, payload: CoherenceMsg) -> int:
-        return (self.config.data_msg_bytes if payload.has_data
-                else self.config.control_msg_bytes)
-
     def send(self, dests: Sequence[int], payload: CoherenceMsg,
              priority: Priority = Priority.NORMAL, delay: int = 0) -> None:
-        """Send ``payload`` to ``dests`` after ``delay`` cycles."""
-        msg = Message(src=self.node_id, dests=tuple(dests),
-                      size_bytes=self.msg_size(payload),
-                      msg_class=MSG_CLASS[payload.mtype],
-                      priority=priority, payload=payload)
+        """Send ``payload`` to ``dests`` after ``delay`` cycles.
+
+        A data message is ``data_msg_bytes`` long, any other
+        ``control_msg_bytes``.
+        """
+        # Built positionally: runs once per message, and a keyword call
+        # to a dataclass __init__ costs about twice a positional one.
+        config = self.config
+        msg = Message(self.node_id, tuple(dests),
+                      config.data_msg_bytes if payload.has_data
+                      else config.control_msg_bytes,
+                      MSG_CLASS[payload.mtype], priority, payload)
         if delay > 0:
             self.sim.post(delay, lambda: self.network.send(msg))
         else:
@@ -258,6 +261,12 @@ class CacheControllerBase(Node):
                              initial=float(4 * config.total_link_latency
                                            + 2 * config.directory_latency))
         self._integrity = None  # set by System when checking is enabled
+        # The counters access() bumps once per reference, bound on
+        # first use so that a run with no hit (say) reports no "hits".
+        self._hits: Optional[Counter] = None
+        self._misses: Optional[Counter] = None
+        self._read_misses: Optional[Counter] = None
+        self._write_misses: Optional[Counter] = None
 
     # -- core-facing API ------------------------------------------------
     def access(self, block: int, is_write: bool,
@@ -268,16 +277,29 @@ class CacheControllerBase(Node):
                 f"core {self.node_id} issued a second outstanding access")
         line = self.cache.lookup(block, touch=True)
         if line is not None and self._is_hit(line, is_write):
-            self.stats.add("hits")
+            counter = self._hits
+            if counter is None:
+                counter = self._hits = self.stats.counter("hits")
+            counter.value += 1
             self._apply_access(line, is_write)
             self.sim.post(self.config.cache_latency, done)
             return
-        self.stats.add("misses")
-        self.stats.add("write_misses" if is_write else "read_misses")
-        from repro.coherence.messages import next_txn_id
-        mshr = Mshr(block=block, is_write=is_write,
-                    txn_id=next_txn_id(), issue_time=self.sim.now,
-                    done_callback=done)
+        counter = self._misses
+        if counter is None:
+            counter = self._misses = self.stats.counter("misses")
+        counter.value += 1
+        if is_write:
+            counter = self._write_misses
+            if counter is None:
+                counter = self._write_misses = self.stats.counter(
+                    "write_misses")
+        else:
+            counter = self._read_misses
+            if counter is None:
+                counter = self._read_misses = self.stats.counter(
+                    "read_misses")
+        counter.value += 1
+        mshr = Mshr(block, is_write, next_txn_id(), self.sim.now, done)
         self.mshr = mshr
         self.sim.post(self.config.cache_latency,
                       lambda: self._maybe_issue(mshr))
@@ -608,6 +630,9 @@ class HomeControllerBase(Node):
         self.entries: Dict[int, DirEntry] = {}
         self._busy: Dict[int, CoherenceMsg] = {}    # block -> active request
         self._queues: Dict[int, List[CoherenceMsg]] = {}
+        # Bumped per request, so bound on first use (a home that
+        # activates nothing reports no "activations").
+        self._activations: Optional[Counter] = None
 
     # ------------------------------------------------------------------
     def entry(self, block: int) -> DirEntry:
@@ -637,7 +662,10 @@ class HomeControllerBase(Node):
             self.stats.add("queued_requests")
             return
         self._busy[block] = payload
-        self.stats.add("activations")
+        counter = self._activations
+        if counter is None:
+            counter = self._activations = self.stats.counter("activations")
+        counter.value += 1
         self.sim.post(self.config.directory_latency,
                       lambda: self._activate(payload))
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.cache.array import CacheLine
-from repro.coherence.messages import CoherenceMsg, MsgType
+from repro.coherence.messages import CoherenceMsg, MsgType, next_txn_id
 from repro.coherence.states import (DIRTY_STATES, OWNER_STATES, CacheState)
 from repro.protocols.base import CacheControllerBase, Mshr, ProtocolError
 
@@ -243,7 +243,6 @@ class DirectoryCache(CacheControllerBase):
         if line.state not in OWNER_STATES:
             return
         dirty = line.state in DIRTY_STATES
-        from repro.coherence.messages import next_txn_id
         entry = WbEntry(block=line.block, dirty=dirty, version=line.version,
                         txn_id=next_txn_id())
         self.wb_buffer[line.block] = entry

@@ -23,14 +23,17 @@ All state is guarded by one lock/condition.  A single dispatcher
 thread drains the queue in chunks through the session runner's
 :meth:`ParallelRunner.run_cells` — reusing the runner's existing
 probe/persist policy is what guarantees service results are
-bit-identical to local runs and that every fresh result is on disk the
-moment it completes.  Per-study progress is mirrored into the same
+bit-identical to local runs and that every fresh result is on disk
+before it is reported.  Per-study progress is mirrored into the same
 manifest files ``repro study run`` writes, under the same save policy:
 a study's manifest is saved when its record is created, once after
 each batch that resolved any of its cells, and at once when one of its
-cells fails.  A daemon killed mid-batch therefore leaves a manifest
-that lags by at most that batch, and the batch's finished cells are
-already in the result cache, so a resume serves them as hits.
+cells fails.  A daemon stopped mid-batch therefore leaves a manifest
+that lags by at most that batch.  The cells of that batch the runner
+stored (in-process, each as it finished; on the pool, those finished
+when the batch failed or was interrupted) are in the result cache, so
+a resume serves them as hits; a daemon killed outright during a pool
+batch loses that batch's fresh cells, and they run again.
 
 A record whose every cell has resolved keeps only what the read
 endpoints serve — its counters, events and result — and drops its

@@ -43,8 +43,12 @@ class RunningStat:
         delta = value - self._mean
         self._mean += delta / self.count
         self._m2 += delta * (value - self._mean)
-        self.min = value if self.min is None else min(self.min, value)
-        self.max = value if self.max is None else max(self.max, value)
+        # Compared inline (once per miss); a tie keeps the old value,
+        # as min() and max() do.
+        if self.min is None or value < self.min:
+            self.min = value
+        if self.max is None or value > self.max:
+            self.max = value
 
     @property
     def mean(self) -> float:

@@ -56,7 +56,11 @@ FIGURE5_ORDER = ("Data", "Ack", "Dir. Req.", "Ind. Req.",
 
 
 class TrafficMeter:
-    """Accumulates bytes and message counts per :class:`MsgClass`."""
+    """Accumulates bytes and message counts per :class:`MsgClass`.
+
+    ``messages`` counts logical injections, independent of hops; the
+    networks' ``send`` methods bump it directly, once per message.
+    """
 
     def __init__(self) -> None:
         self.bytes: Dict[MsgClass, int] = {cls: 0 for cls in MsgClass}
@@ -69,10 +73,6 @@ class TrafficMeter:
         """Charge one directed-link traversal."""
         self.bytes[msg_class] += size_bytes
         self.link_traversals[msg_class] += 1
-
-    def record_message(self, msg_class: MsgClass) -> None:
-        """Count one logical message injection (independent of hops)."""
-        self.messages[msg_class] += 1
 
     def record_drop(self, size_bytes: int) -> None:
         self.dropped_messages += 1

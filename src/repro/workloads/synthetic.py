@@ -20,13 +20,17 @@ Weights, pool sizes and think times are tuned per benchmark preset in
 
 from __future__ import annotations
 
+import math
 import random
+from bisect import bisect
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from itertools import accumulate
+from typing import List, Optional
 
 from repro.workloads.base import Access, WorkloadGenerator
 
 CATEGORIES = ("private", "migratory", "producer_consumer", "read_mostly")
+_LAST = len(CATEGORIES) - 1   # random.choices' bisect bound
 
 
 @dataclass(frozen=True)
@@ -97,7 +101,14 @@ class SyntheticWorkload(WorkloadGenerator):
         self.num_cores = num_cores
         self.params = params
         self._rngs = [random.Random(f"{seed}-syn-{core}") for core in range(num_cores)]
-        self._weights = params.mix.weights()
+        # The category draw is random.choices(CATEGORIES, weights) with
+        # its per-call work hoisted here: the cumulative weights and
+        # their float total.  next_access makes the same single
+        # rng.random() draw and the same bisect, so streams match.
+        self._cum_weights = list(accumulate(params.mix.weights()))
+        self._total_weight = self._cum_weights[-1] + 0.0
+        if not math.isfinite(self._total_weight):
+            raise ValueError("sharing mix weights must be finite")
         # A pending follow-up write per core (migratory read-then-write).
         self._pending: List[Optional[Access]] = [None] * num_cores
         # Address map: disjoint block ranges per region.
@@ -119,30 +130,23 @@ class SyntheticWorkload(WorkloadGenerator):
             self._pending[core_id] = None
             return pending
         rng = self._rngs[core_id]
-        category = rng.choices(CATEGORIES, weights=self._weights)[0]
-        builder = {
-            "private": self._private_access,
-            "migratory": self._migratory_access,
-            "producer_consumer": self._pc_access,
-            "read_mostly": self._rm_access,
-        }[category]
-        return builder(core_id, rng)
-
-    def _think(self, rng: random.Random) -> int:
-        return rng.randint(0, self.params.think_time_max)
+        category = bisect(self._cum_weights,
+                          rng.random() * self._total_weight, 0, _LAST)
+        return _BUILDERS[category](self, core_id, rng)
 
     def _private_access(self, core_id: int, rng: random.Random) -> Access:
         p = self.params
         block = (self._private_base + core_id * p.private_blocks_per_core
                  + rng.randrange(p.private_blocks_per_core))
         is_write = rng.random() < p.private_write_fraction
-        return Access(block, is_write, self._think(rng))
+        return Access(block, is_write, rng.randint(0, p.think_time_max))
 
     def _migratory_access(self, core_id: int, rng: random.Random) -> Access:
         """Read-then-write on the same block (critical-section pattern)."""
         p = self.params
         block = self._migratory_base + rng.randrange(p.migratory_blocks)
-        self._pending[core_id] = Access(block, True, self._think(rng))
+        self._pending[core_id] = Access(block, True,
+                                        rng.randint(0, p.think_time_max))
         return Access(block, False, 0)
 
     def _pc_access(self, core_id: int, rng: random.Random) -> Access:
@@ -153,10 +157,20 @@ class SyntheticWorkload(WorkloadGenerator):
             is_write = rng.random() > p.consumer_read_fraction / 2
         else:
             is_write = rng.random() > p.consumer_read_fraction
-        return Access(block, is_write, self._think(rng))
+        return Access(block, is_write, rng.randint(0, p.think_time_max))
 
     def _rm_access(self, core_id: int, rng: random.Random) -> Access:
         p = self.params
         block = self._rm_base + rng.randrange(p.read_mostly_blocks)
         is_write = rng.random() < p.read_mostly_write_fraction
-        return Access(block, is_write, self._think(rng))
+        return Access(block, is_write, rng.randint(0, p.think_time_max))
+
+
+#: The builder of each category, in ``CATEGORIES`` order, called as
+#: ``builder(workload, core_id, rng)``.  Plain functions, not bound
+#: methods: a tuple of bound methods on the instance would tie every
+#: workload into a reference cycle.
+_BUILDERS = (SyntheticWorkload._private_access,
+             SyntheticWorkload._migratory_access,
+             SyntheticWorkload._pc_access,
+             SyntheticWorkload._rm_access)

@@ -5,6 +5,8 @@ import multiprocessing
 import os
 import pathlib
 import threading
+import time
+from concurrent.futures import FIRST_COMPLETED
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
@@ -318,3 +320,50 @@ def test_session_close_stops_the_workers_it_owns():
         workers = children() - before
         assert len(workers) == 2
     assert not workers & children()
+
+
+@needs_fork
+def test_an_interrupted_pool_batch_keeps_the_cells_it_finished(
+        tmp_path, monkeypatch):
+    """A Ctrl-C while the pool batch waits on a slow cell stores the
+    cells already finished, so a resume finds them in the cache."""
+    import repro.exec.parallel as parallel
+    from repro.workloads import registry
+
+    microbench = registry.get_spec("microbench")
+
+    def slow_microbench(num_cores, seed=1, **knobs):
+        time.sleep(2)
+        return microbench.factory(num_cores, seed=seed, **knobs)
+
+    registry.workload_names()  # populate before adding to the table
+    monkeypatch.setitem(registry._REGISTRY, "slow-microbench",
+                        registry.WorkloadSpec("slow-microbench",
+                                              slow_microbench,
+                                              "sleeps, then microbench",
+                                              "micro"))
+    real_wait = parallel.wait
+
+    def interrupted_wait(futures, return_when):
+        real_wait(futures, return_when=FIRST_COMPLETED)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(parallel, "wait", interrupted_wait)
+    two_cores = SystemConfig(num_cores=2)
+    fast = make_cell(two_cores, "microbench", 5, seed=1)
+    slow = make_cell(two_cores, "slow-microbench", 5, seed=1)
+    before = children()
+    runner = ParallelRunner(jobs=2, cache=ResultCache(tmp_path))
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            runner.run_cells([slow, fast])
+    finally:
+        runner.close()
+        workers = [child for child in multiprocessing.active_children()
+                   if child.pid not in before]
+        for worker in workers:
+            worker.join(timeout=60)
+    assert not any(worker.is_alive() for worker in workers)
+    fresh = ResultCache(tmp_path)
+    assert fresh.load(fast) is not None
+    assert fresh.load(slow) is None
