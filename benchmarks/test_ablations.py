@@ -6,117 +6,52 @@ These probe the design choices PATCH's Section 5.2 calls out:
 * best-effort drop age (the paper picks 100 cycles);
 * the post-deactivation direct-request-ignore window;
 * the migratory-sharing optimization.
+
+Their grids are :func:`repro.bench.ablation_specs`: ``oltp`` at 16 cores
+x 100 references per core, seed 1.
 """
 
-import pytest
+from repro.bench import FULL_SCALE
 
-from repro.config import SystemConfig
-from repro.core.runner import run_one
-
-from _shared import format_table, report
-
-CORES = 16
-REFS = 100
-WORKLOAD = "oltp"
+CORES = FULL_SCALE.bw_cores
+REFS = FULL_SCALE.bw_refs
 
 
-def run(label, **overrides):
-    config = SystemConfig(num_cores=CORES, protocol="patch",
-                          predictor="all", **overrides)
-    result = run_one(config, WORKLOAD, references_per_core=REFS, seed=1)
-    return label, result
-
-
-def test_ablation_tenure_timeout(benchmark, capsys):
-    def sweep():
-        return [run(f"x{mult}", tenure_timeout_multiplier=mult)
-                for mult in (0.5, 1.0, 2.0, 8.0)]
-
-    results = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    base = dict(results)["x2.0"]
-    rows = [[label, result.runtime_cycles,
-             f"{result.runtime_cycles / base.runtime_cycles:.3f}",
-             result.cache_stats.get("probation_discards", 0)]
-            for label, result in results]
-    text = format_table(
-        "Ablation: tenure timeout multiplier (PATCH-All, oltp)",
-        ["multiplier", "cycles", "vs 2.0x", "probation discards"], rows)
-    report("ablation_tenure_timeout", text, capsys)
-    by_label = dict(results)
+def test_ablation_tenure_timeout(tables):
+    by_label = tables["ablation_tenure_timeout"][1]["runs"]
+    base = by_label["x2.0"]
     # Aggressive timeouts discard more tokens than the paper's 2x choice.
     assert (by_label["x0.5"].cache_stats.get("probation_discards", 0)
             >= by_label["x8.0"].cache_stats.get("probation_discards", 0))
     # All settings complete and stay within a sane band of each other.
-    for label, result in results:
+    for label, result in by_label.items():
         assert result.runtime_cycles < 3 * base.runtime_cycles
 
 
-def test_ablation_drop_age(benchmark, capsys):
-    def sweep():
-        return [run(f"{age}cy", direct_request_drop_age=age)
-                for age in (25, 100, 400)]
-
-    results = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    rows = [[label, result.runtime_cycles, result.dropped_direct_requests]
-            for label, result in results]
-    text = format_table(
-        "Ablation: best-effort drop age (PATCH-All, oltp, 16B/cy links)",
-        ["drop age", "cycles", "direct requests dropped"], rows)
-    report("ablation_drop_age", text, capsys)
+def test_ablation_drop_age(tables):
+    runs = tables["ablation_drop_age"][1]["runs"]
     # With plentiful bandwidth the drop age barely matters (nothing
     # queues long enough); all variants complete in a tight band.
-    cycles = [result.runtime_cycles for _, result in results]
+    cycles = [result.runtime_cycles for result in runs.values()]
     assert max(cycles) / min(cycles) < 1.1
 
 
-def test_ablation_deactivation_window(benchmark, capsys):
-    def sweep():
-        return [run("window on", deactivation_ignore_window=True),
-                run("window off", deactivation_ignore_window=False)]
-
-    results = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    rows = [[label, result.runtime_cycles,
-             result.cache_stats.get("direct_ignored_window", 0),
-             result.cache_stats.get("probation_discards", 0)]
-            for label, result in results]
-    text = format_table(
-        "Ablation: post-deactivation direct-request-ignore window",
-        ["variant", "cycles", "directs ignored", "probation discards"],
-        rows)
-    report("ablation_deactivation_window", text, capsys)
-    by_label = dict(results)
+def test_ablation_deactivation_window(tables):
+    by_label = tables["ablation_deactivation_window"][1]["runs"]
     assert by_label["window on"].cache_stats.get(
         "direct_ignored_window", 0) > 0
     assert by_label["window off"].cache_stats.get(
         "direct_ignored_window", 0) == 0
 
 
-def test_ablation_migratory_optimization(benchmark, capsys):
+def test_ablation_migratory_optimization(tables):
     """Directory-side migratory detection on/off, measured on DIRECTORY
     (the token protocols' responder policy handles M-state transfers)."""
-
-    def sweep():
-        out = []
-        for flag in (True, False):
-            config = SystemConfig(num_cores=CORES, protocol="directory",
-                                  migratory_optimization=flag)
-            out.append((f"migratory {'on' if flag else 'off'}",
-                        run_one(config, WORKLOAD,
-                                references_per_core=REFS, seed=1)))
-        return out
-
-    results = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    rows = [[label, result.runtime_cycles, result.misses]
-            for label, result in results]
-    text = format_table(
-        "Ablation: migratory optimization (Directory, oltp)",
-        ["variant", "cycles", "misses"], rows)
-    report("ablation_migratory", text, capsys)
-    for label, result in results:
+    for label, result in tables["ablation_migratory"][1]["runs"].items():
         assert result.total_references == CORES * REFS
 
 
-def test_ablation_bash_vs_best_effort(benchmark, capsys):
+def test_ablation_bash_vs_best_effort(tables):
     """Issue-time all-or-nothing throttling (BASH [22]) vs PATCH's
     delivery-time best-effort adaptivity, under scarce bandwidth.
 
@@ -124,39 +59,7 @@ def test_ablation_bash_vs_best_effort(benchmark, capsys):
     fall below directory performance, while deprioritized best-effort
     requests cannot; both should converge when bandwidth is plentiful.
     """
-
-    def sweep():
-        out = {}
-        for bandwidth in (0.6, 16.0):
-            for label, overrides in (
-                    ("Directory", {"protocol": "directory",
-                                   "predictor": "none"}),
-                    ("PATCH-All-BASH", {"protocol": "patch",
-                                        "predictor": "bash-all",
-                                        "best_effort_direct": False}),
-                    ("PATCH-All", {"protocol": "patch",
-                                   "predictor": "all",
-                                   "best_effort_direct": True})):
-                config = SystemConfig(num_cores=CORES,
-                                      link_bandwidth=bandwidth,
-                                      **overrides)
-                out[(bandwidth, label)] = run_one(
-                    config, WORKLOAD, references_per_core=REFS, seed=1)
-        return out
-
-    results = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    rows = []
-    normalized = {}
-    for bandwidth in (0.6, 16.0):
-        base = results[(bandwidth, "Directory")].runtime_cycles
-        for label in ("Directory", "PATCH-All-BASH", "PATCH-All"):
-            value = results[(bandwidth, label)].runtime_cycles / base
-            normalized[(bandwidth, label)] = value
-            rows.append([f"{bandwidth:g}", label, f"{value:.3f}"])
-    text = format_table(
-        "Ablation: BASH issue-throttling vs best-effort delivery (oltp)",
-        ["B/cyc", "config", "runtime vs Directory"], rows)
-    report("ablation_bash_vs_best_effort", text, capsys)
+    normalized = tables["ablation_bash_vs_best_effort"][1]["normalized"]
     # Both adaptive schemes stay sane; best-effort keeps do-no-harm.
     assert normalized[(0.6, "PATCH-All")] <= 1.08
     assert normalized[(16.0, "PATCH-All")] <= 1.0

@@ -6,21 +6,14 @@ Paper claims:
 * PATCH's acknowledgement elision keeps the growth small (paper: max +32%).
 """
 
-import pytest
+from repro.bench import FULL_SCALE
 
-from repro.bench import render_fig10
-
-from _shared import ENC_CORE_COUNTS, encoding_results, report
+ENC_CORE_COUNTS = FULL_SCALE.enc_core_counts
 
 
-def test_fig10_inexact_traffic(benchmark, capsys):
-    def run_all():
-        return {cores: encoding_results(cores, True)
-                for cores in ENC_CORE_COUNTS}
-
-    data = benchmark.pedantic(run_all, rounds=1, iterations=1)
-    text, growth, ack_share = render_fig10(data, ENC_CORE_COUNTS)
-    report("fig10_inexact_traffic", text, capsys)
+def test_fig10_inexact_traffic(tables):
+    _, metrics = tables["fig10_inexact_traffic"]
+    growth, ack_share = metrics["growth"], metrics["ack_share"]
 
     largest = max(ENC_CORE_COUNTS)
     single_bit = largest  # coarseness == cores: one bit for all sharers

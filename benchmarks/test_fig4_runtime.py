@@ -10,19 +10,15 @@ Paper claims checked (Section 8.2/8.3):
 * Broadcast-If-Shared is close to PATCH-All.
 """
 
-import pytest
+from repro.bench import FULL_SCALE
 
-from repro.bench import render_fig4
-
-from _shared import FIG4_WORKLOADS, fig45_results, report
+FIG4_WORKLOADS = FULL_SCALE.fig4_workloads
 
 
-def test_fig4_runtime(benchmark, capsys):
-    results = benchmark.pedantic(fig45_results, rounds=1, iterations=1)
-    text, geo, normalized_by_workload = render_fig4(results, FIG4_WORKLOADS)
-    report("fig4_runtime", text, capsys)
+def test_fig4_runtime(tables):
+    _, metrics = tables["fig4_runtime"]
+    geo, normalized_by_workload = metrics["geo"], metrics["normalized"]
 
-    # --- shape assertions --------------------------------------------------
     for workload in FIG4_WORKLOADS:
         normalized = normalized_by_workload[workload]
         # PATCH-None ~= Directory: no common-case tenure penalty.

@@ -9,17 +9,14 @@ Paper claims checked:
 * Broadcast-If-Shared uses less traffic than PATCH-All (paper: -22%).
 """
 
-import pytest
+from repro.bench import FULL_SCALE
 
-from repro.bench import render_fig5
-
-from _shared import FIG4_WORKLOADS, fig45_results, report
+FIG4_WORKLOADS = FULL_SCALE.fig4_workloads
 
 
-def test_fig5_traffic(benchmark, capsys):
-    results = benchmark.pedantic(fig45_results, rounds=1, iterations=1)
-    text, avg, traffic_by_workload = render_fig5(results, FIG4_WORKLOADS)
-    report("fig5_traffic", text, capsys)
+def test_fig5_traffic(tables):
+    _, metrics = tables["fig5_traffic"]
+    avg, traffic_by_workload = metrics["avg"], metrics["traffic"]
 
     # PATCH-None close to Directory (token writebacks + activations only).
     assert avg["PATCH-None"] < 1.15

@@ -8,20 +8,13 @@ normalized to DIRECTORY at the same bandwidth.  Paper claims:
   best-effort PATCH-All stays at or better than DIRECTORY ("do no harm").
 """
 
-import pytest
+from repro.bench import FULL_SCALE
 
-from repro.bench import render_bandwidth
-
-from _shared import BW_POINTS, bandwidth_results, report
-
-WORKLOAD = "ocean"
+BW_POINTS = FULL_SCALE.bw_points
 
 
-def test_fig6_bandwidth_ocean(benchmark, capsys):
-    sweep = benchmark.pedantic(lambda: bandwidth_results(WORKLOAD),
-                               rounds=1, iterations=1)
-    text, series = render_bandwidth(sweep, WORKLOAD, 6, BW_POINTS)
-    report("fig6_bandwidth_ocean", text, capsys)
+def test_fig6_bandwidth_ocean(tables):
+    series = tables["fig6_bandwidth_ocean"][1]["series"]
 
     # Plentiful bandwidth: both variants at least match Directory.
     assert series["PATCH-All"][8.0] <= 1.02

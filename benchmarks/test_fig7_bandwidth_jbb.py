@@ -1,19 +1,12 @@
 """Figure 7: bandwidth adaptivity on jbb (same axes as Figure 6)."""
 
-import pytest
+from repro.bench import FULL_SCALE
 
-from repro.bench import render_bandwidth
-
-from _shared import BW_POINTS, bandwidth_results, report
-
-WORKLOAD = "jbb"
+BW_POINTS = FULL_SCALE.bw_points
 
 
-def test_fig7_bandwidth_jbb(benchmark, capsys):
-    sweep = benchmark.pedantic(lambda: bandwidth_results(WORKLOAD),
-                               rounds=1, iterations=1)
-    text, series = render_bandwidth(sweep, WORKLOAD, 7, BW_POINTS)
-    report("fig7_bandwidth_jbb", text, capsys)
+def test_fig7_bandwidth_jbb(tables):
+    series = tables["fig7_bandwidth_jbb"][1]["series"]
 
     # Same qualitative claims as Figure 6.
     assert series["PATCH-All"][8.0] <= 1.02

@@ -11,22 +11,13 @@ Paper claims:
 * PATCH barely degrades (only true token holders respond).
 """
 
-import pytest
+from repro.bench import FULL_SCALE
 
-from repro.bench import render_fig9
-
-from _shared import ENC_CORE_COUNTS, encoding_results, report
+ENC_CORE_COUNTS = FULL_SCALE.enc_core_counts
 
 
-def test_fig9_inexact_runtime(benchmark, capsys):
-    def run_all():
-        return {(cores, bounded): encoding_results(cores, bounded)
-                for cores in ENC_CORE_COUNTS
-                for bounded in (False, True)}
-
-    data = benchmark.pedantic(run_all, rounds=1, iterations=1)
-    text, worst = render_fig9(data, ENC_CORE_COUNTS)
-    report("fig9_inexact_runtime", text, capsys)
+def test_fig9_inexact_runtime(tables):
+    worst = tables["fig9_inexact_runtime"][1]["worst"]
 
     largest = max(ENC_CORE_COUNTS)
     # Bounded bandwidth: Directory degrades with coarseness; PATCH stays

@@ -14,18 +14,15 @@ Beyond the paper's figures: the cross-scenario ablation grid of
   non-wrapping mesh is slower than it on every scenario.
 """
 
-from repro.bench import FULL_SCALE, render_scenarios
-
-from _shared import report, scenario_results
+from repro.bench import FULL_SCALE
 
 WORKLOADS = FULL_SCALE.scenario_workloads
 TOPOLOGIES = FULL_SCALE.scenario_topologies
 
 
-def test_scenario_matrix(benchmark, capsys):
-    results = benchmark.pedantic(scenario_results, rounds=1, iterations=1)
-    text, ratio, fabric = render_scenarios(results, WORKLOADS, TOPOLOGIES)
-    report("scenario_matrix", text, capsys)
+def test_scenario_matrix(tables):
+    _, metrics = tables["scenario_matrix"]
+    ratio, fabric = metrics["ratio"], metrics["fabric"]
 
     # Every grid cell ran on every fabric.
     assert set(ratio) == {(w, t) for w in WORKLOADS for t in TOPOLOGIES}

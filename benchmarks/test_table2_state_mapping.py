@@ -1,33 +1,9 @@
 """Table 2: the MOESI <-> token-count correspondence, regenerated from
 the implementation and checked cell by cell."""
 
-import pytest
-
+from repro.bench import TABLE2_TOKENS as T
 from repro.coherence.states import CacheState, state_from_tokens
-from repro.coherence.tokens import TokenCount, ZERO
-
-from _shared import format_table, report
-
-T = 64  # tokens per block for the table
-
-
-def row_for(tokens):
-    state = state_from_tokens(tokens, T, valid_data=True)
-    amount = ("All" if tokens.count == T
-              else "Some" if tokens.count else "None")
-    owner = ("Dirty" if tokens.owner and tokens.dirty
-             else "Clean" if tokens.owner else "No")
-    return [state.value, amount, owner]
-
-
-CASES = [
-    TokenCount(T, owner=True, dirty=True),    # M
-    TokenCount(3, owner=True, dirty=True),    # O
-    TokenCount(T, owner=True, dirty=False),   # E
-    TokenCount(3, owner=True, dirty=False),   # F
-    TokenCount(3),                            # S
-    ZERO,                                     # I
-]
+from repro.coherence.tokens import TokenCount
 
 EXPECTED = [
     ["M", "All", "Dirty"],
@@ -39,41 +15,29 @@ EXPECTED = [
 ]
 
 
-def test_table2_state_mapping(benchmark, capsys):
-    rows = benchmark.pedantic(lambda: [row_for(c) for c in CASES],
-                              rounds=1, iterations=1)
-    text = format_table(
-        "Table 2: mapping of MOESI states to token counts "
-        f"(regenerated, T={T})",
-        ["State", "Tokens", "Owner?"], rows)
-    report("table2_state_mapping", text, capsys)
-    assert rows == EXPECTED
+def test_table2_state_mapping(tables):
+    assert tables["table2_state_mapping"][1]["rows"] == EXPECTED
 
 
-def test_table2_exhaustive_consistency(benchmark):
+def test_table2_exhaustive_consistency():
     """Every legal holding maps to exactly the Table-2 row it belongs to."""
-
-    def sweep():
-        checked = 0
-        for count in range(T + 1):
-            for owner in (False, True):
-                if owner and count == 0:
-                    continue
-                for dirty in ((False, True) if owner else (False,)):
-                    tokens = TokenCount(count, owner, dirty)
-                    state = state_from_tokens(tokens, T, True)
-                    if count == 0:
-                        assert state is CacheState.I
-                    elif owner and count == T:
-                        assert state is (CacheState.M if dirty
-                                         else CacheState.E)
-                    elif owner:
-                        assert state is (CacheState.O if dirty
-                                         else CacheState.F)
-                    else:
-                        assert state is CacheState.S
-                    checked += 1
-        return checked
-
-    checked = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    checked = 0
+    for count in range(T + 1):
+        for owner in (False, True):
+            if owner and count == 0:
+                continue
+            for dirty in ((False, True) if owner else (False,)):
+                tokens = TokenCount(count, owner, dirty)
+                state = state_from_tokens(tokens, T, True)
+                if count == 0:
+                    assert state is CacheState.I
+                elif owner and count == T:
+                    assert state is (CacheState.M if dirty
+                                     else CacheState.E)
+                elif owner:
+                    assert state is (CacheState.O if dirty
+                                     else CacheState.F)
+                else:
+                    assert state is CacheState.S
+                checked += 1
     assert checked == 3 * T + 1

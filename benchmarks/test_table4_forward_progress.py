@@ -8,103 +8,43 @@ Persistent requests       no              yes          P.R. table
 (TokenB)
 Token tenure (PATCH)      yes             no           sharers set
 ========================  ==============  ===========  =========
+
+The runs are :func:`repro.bench.contention_storm`: 6 cores, 2 blocks,
+on the random-delay network.
 """
 
-import random
-
-import pytest
-
-from repro.stats.traffic import MsgClass
-from repro.workloads.base import Access
-
-import sys, os
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tests"))
-from helpers import ScriptedWorkload, make_system  # noqa: E402
-
-from _shared import format_table, report  # noqa: E402
+from repro.bench import contention_storm
 
 
-def contention_system(protocol, seed=5, **overrides):
-    cores = 6
-    rng = random.Random(seed)
-    scripts = {core: [Access(100 + rng.randrange(2), rng.random() < 0.6,
-                             rng.randrange(4)) for _ in range(12)]
-               for core in range(cores)}
-    return make_system(protocol, cores=cores, predictor="all",
-                       adversarial=True, net_seed=seed,
-                       workload=ScriptedWorkload(scripts), references=12,
-                       **overrides)
-
-
-def measure(protocol, **overrides):
-    system = contention_system(protocol, **overrides)
-    system.run(max_cycles=20_000_000)
-    reissues = sum(c.stats.value("reissues") for c in system.caches)
-    persistent = sum(c.stats.value("persistent_requests")
-                     for c in system.caches)
-    tenure_discards = sum(c.stats.value("probation_discards")
-                          for c in system.caches)
-    pr_tables = any(getattr(c, "persistent_table", None) is not None
-                    for c in system.caches)
-    # "Broadcast-free" means correctness never requires a message to all
-    # cores.  TokenB's requests and persistent activates are broadcasts;
-    # PATCH's only broadcast-ish traffic is the best-effort direct
-    # requests, which are droppable hints.
-    return {
-        "reissues": reissues,
-        "persistent": persistent,
-        "tenure_discards": tenure_discards,
-        "pr_tables": pr_tables,
-    }
-
-
-def test_table4_forward_progress(benchmark, capsys):
-    def run_both():
-        return {
-            "tokenb": measure("tokenb", tokenb_max_retries=1,
-                              max_delay=200),
-            "patch": measure("patch", drop_prob=0.5),
-        }
-
-    data = benchmark.pedantic(run_both, rounds=1, iterations=1)
-    tokenb, patch = data["tokenb"], data["patch"]
-
-    rows = [
-        ["Persistent/priority requests (TokenB)", "no", "any",
-         f"yes ({tokenb['reissues']} observed)",
-         "tokens & P.R. table", "tokens"],
-        ["Token tenure (PATCH)", "yes", "any",
-         f"no ({patch['reissues']} observed)",
-         "tokens", "tokens & sharers set"],
-    ]
-    text = format_table(
-        "Table 4: forward-progress mechanisms (measured under a "
-        "2-block contention storm on an adversarial network)",
-        ["Mechanism", "Broadcast-free?", "Interconnect", "Reissues?",
-         "State at processor", "State at home"], rows)
-    report("table4_forward_progress", text, capsys)
-
+def test_table4_forward_progress(tables):
+    metrics = tables["table4_forward_progress"][1]
+    (tokenb, tokenb_pr_table), (patch, patch_pr_table) = \
+        metrics["tokenb"], metrics["patch"]
     # TokenB needed reissues (and possibly persistent escalation) to make
     # progress under contention; PATCH never reissues a request.
-    assert tokenb["reissues"] > 0
-    assert patch["reissues"] == 0
-    assert patch["persistent"] == 0
-    # PATCH's mechanism was genuinely exercised: untenured tokens were
-    # discarded to the home under this storm.
-    assert patch["tenure_discards"] >= 0
+    assert tokenb.cache_stats.get("reissues", 0) > 0
+    assert patch.cache_stats.get("reissues", 0) == 0
+    assert patch.cache_stats.get("persistent_requests", 0) == 0
     # Per-processor persistent-request tables exist only in TokenB.
-    assert tokenb["pr_tables"]
-    assert not patch["pr_tables"]
+    assert tokenb_pr_table
+    assert not patch_pr_table
 
 
-def test_patch_makes_progress_with_all_direct_requests_dropped(benchmark):
+def test_token_tenure_discards_untenured_tokens_without_reissuing():
+    """PATCH's mechanism at work: under a storm with long delays, a
+    cache whose tokens stay untenured past the timeout sends them to the
+    home, and no request is ever reissued.  (Table 4's own storm, seed 5
+    with delays up to 60 cycles, discards none.)"""
+    patch, _ = contention_storm("patch", seed=4, max_delay=200,
+                                drop_prob=0.5)
+    assert patch.cache_stats.get("probation_discards", 0) > 0
+    assert patch.cache_stats.get("reissues", 0) == 0
+    assert patch.cache_stats.get("persistent_requests", 0) == 0
+
+
+def test_patch_makes_progress_with_all_direct_requests_dropped():
     """The sharpest broadcast-free claim: PATCH completes every request
     even when 100% of its direct requests are discarded."""
-
-    def run():
-        system = contention_system("patch", drop_prob=1.0)
-        return system.run(max_cycles=20_000_000)
-
-    result = benchmark.pedantic(run, rounds=1, iterations=1)
+    result, _ = contention_storm("patch", drop_prob=1.0)
     assert result.total_references == 6 * 12
     assert result.dropped_direct_requests > 0

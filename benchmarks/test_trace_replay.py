@@ -14,19 +14,15 @@ regenerated at full bench scale.  Claims checked:
 import os
 import tempfile
 
-from repro.bench import FULL_SCALE, render_trace_replay, trace_replay_results
+from repro.bench import FULL_SCALE
 from repro.config import SystemConfig
 from repro.core.runner import run_one
 from repro.traces import fold_cores, load_trace, save_trace
 
-from _shared import report
 
-
-def test_trace_replay(benchmark, capsys):
-    results = benchmark.pedantic(trace_replay_results, rounds=1,
-                                 iterations=1)
-    text, identical = render_trace_replay(results)
-    report("trace_replay", text, capsys)
+def test_trace_replay(tables):
+    _, metrics = tables["trace_replay"]
+    results, identical = metrics["pairs"], metrics["identical"]
 
     assert set(results) == set(FULL_SCALE.trace_workloads)
     assert identical, "a replayed trace diverged from its live run"

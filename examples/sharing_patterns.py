@@ -47,9 +47,10 @@ def main() -> None:
         scenario_refs=REFERENCES, scenario_seeds=(1,)))
     with Session() as session:
         results = session.run(spec).nested()
-    text, ratio, fabric = render_scenarios(results, WORKLOADS, TOPOLOGIES)
+    text, metrics = render_scenarios(results, WORKLOADS, TOPOLOGIES)
     print(text)
 
+    ratio = metrics["ratio"]
     best = min(ratio, key=ratio.get)
     worst = max(ratio, key=ratio.get)
     print(f"\nPATCH helps most on {best[0]} @ {best[1]} "

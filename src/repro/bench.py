@@ -1,26 +1,29 @@
-"""The figure suite as a library: bundles, renderers, and ``repro bench``.
+"""The figure suite as a library: grids, renderers, and ``repro bench``.
 
-One module owns the scaled-down experiment grids behind every figure of
-the paper's evaluation (Section 8) — plus the cross-scenario ablation
-matrix (sharing pattern x interconnect topology) that goes beyond the
-paper — so that the pytest benchmark suite (``benchmarks/``) and the
-``repro bench`` CLI subcommand produce byte-identical tables from the
-same code:
+One module computes and renders every table committed under
+``benchmarks/results/``: the figures of the paper's evaluation
+(Section 8), its Tables 2 and 4, the ablations of its Section 5.2
+design choices, and two studies beyond the paper (sharing pattern x
+interconnect topology, and trace replay):
 
-* :class:`BenchScale` pins the grid sizes; :data:`FULL_SCALE` matches
-  the benchmark suite, :data:`QUICK_SCALE` is the CI smoke-test size.
-* ``*_spec`` functions are the one definition of each figure's grid,
-  a declarative :class:`~repro.api.spec.StudySpec` (committed under
+* :class:`BenchScale` pins the grid sizes; :data:`FULL_SCALE` renders
+  the committed tables, :data:`QUICK_SCALE` is the CI smoke-test size.
+* ``*_spec`` functions and :func:`ablation_specs` are the one
+  definition of each grid, a declarative
+  :class:`~repro.api.spec.StudySpec` (the figures' are committed under
   ``examples/specs/`` and replayable via ``repro study run``).
 * ``*_results`` functions run those specs through the parallel runner
   (and therefore the shared on-disk result cache) and reshape each
   study into the nested dict its renderer reads.
 * ``render_*`` functions turn bundles into the published text tables
   plus the derived metrics the benchmark assertions check.
-* :func:`run_bench` drives the whole suite, writing each table to
+* :func:`suite` yields every table with its metrics, on one runner.
+  ``benchmarks/`` checks the tables against the committed files and
+  the metrics against the paper's claims.
+* :func:`run_bench` writes the suite's tables to
   ``benchmarks/results/`` and a machine-readable ``bench_results.json``
-  with per-figure wall-clock timings, exec-cache hit/miss counts (total
-  and per figure), the paper's headline comparison (PATCH-All vs.
+  with per-table wall-clock timings, exec-cache hit/miss counts (total
+  and per table), the paper's headline comparison (PATCH-All vs.
   Directory and Token Coherence), and the trace-replay identity verdict
   (recorded traces must replay bit-identically to their live runs).
 
@@ -30,9 +33,9 @@ Simulation throughput is measured by the repository benchmark,
 
 from __future__ import annotations
 
-import contextlib
 import json
 import os
+import random
 import sys
 import tempfile
 import time
@@ -42,13 +45,19 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.analysis import format_table
 from repro.api import AxisSpec, PointSpec, Session, StudySpec, \
     config_overrides
+from repro.coherence.states import state_from_tokens
+from repro.coherence.tokens import ZERO, TokenCount
 from repro.config import SystemConfig
+from repro.core.results import RunResult
 from repro.core.runner import (ADAPTIVITY_CONFIGS, PAPER_CONFIGS,
                                normalized_runtimes, normalized_traffic)
+from repro.core.system import build_random_delay_system
 from repro.exec import ParallelRunner
 from repro.exec.serialization import comparable_result_dict
 from repro.stats.counters import geometric_mean
 from repro.stats.traffic import FIGURE5_ORDER
+from repro.verify.explorer import RaceScenario, ScriptWorkload
+from repro.workloads.base import Access
 from repro.workloads.patterns import PATTERN_NAMES
 
 #: Figure-10 message groups, in the paper's plotting order.
@@ -69,8 +78,9 @@ class BenchScale:
 
     The paper simulates 64-core full-system workloads for days; these
     scales re-run the same protocol configurations at reduced core and
-    reference counts (comparisons are within-run and normalized, so the
-    *shape* of each figure is preserved — see benchmarks/_shared.py).
+    reference counts, so the whole suite renders in minutes.  The
+    comparisons are within-run and normalized, so the *shape* of each
+    figure is preserved.
     """
 
     name: str
@@ -79,7 +89,8 @@ class BenchScale:
     fig4_cores: int
     fig4_refs: int
     fig4_seeds: Tuple[int, ...]
-    # Figures 6/7: bandwidth adaptivity.
+    # Figures 6/7: bandwidth adaptivity.  The Section 5.2 ablations
+    # run at bw_cores x bw_refs too.
     bw_cores: int
     bw_refs: int
     bw_seeds: Tuple[int, ...]
@@ -108,7 +119,8 @@ class BenchScale:
     def with_seed(self, seed: int) -> "BenchScale":
         """This scale with the seed-parameterized grids (figures 4-7,
         the scenario matrix, and the trace row) pinned to one seed.
-        Figures 8-10 run single fixed-seed sweeps and are unaffected."""
+        Figures 8-10, the ablations and Tables 2 and 4 run fixed seeds
+        and are unaffected."""
         return replace(self, fig4_seeds=(seed,), bw_seeds=(seed,),
                        scenario_seeds=(seed,), trace_seed=seed)
 
@@ -306,6 +318,42 @@ def trace_replay_spec(scale: BenchScale,
                      axes=(AxisSpec("run", tuple(points)),))
 
 
+def ablation_specs(scale: BenchScale = FULL_SCALE) -> Dict[str, StudySpec]:
+    """The ablation grids, by table name: PATCH's Section 5.2 design
+    choices, Directory's migratory optimization, and BASH's issue-time
+    throttling.  Each runs ``oltp`` at ``bw_cores`` x ``bw_refs`` under
+    the fixed seed 1."""
+    patch_all = {"protocol": "patch", "predictor": "all"}
+    grids = {
+        "ablation_tenure_timeout": (patch_all, _config_axis("multiplier", {
+            f"x{multiplier}": {"tenure_timeout_multiplier": multiplier}
+            for multiplier in (0.5, 1.0, 2.0, 8.0)})),
+        "ablation_drop_age": (patch_all, _config_axis("drop age", {
+            f"{age}cy": {"direct_request_drop_age": age}
+            for age in (25, 100, 400)})),
+        "ablation_deactivation_window": (patch_all, _config_axis("variant", {
+            "window on": {"deactivation_ignore_window": True},
+            "window off": {"deactivation_ignore_window": False}})),
+        "ablation_migratory": ({"protocol": "directory"}, _config_axis(
+            "variant", {"migratory on": {"migratory_optimization": True},
+                        "migratory off": {"migratory_optimization": False}})),
+        "ablation_bash_vs_best_effort": ({}, _config_axis("bandwidth", {
+            f"{bandwidth:g}": {"link_bandwidth": bandwidth}
+            for bandwidth in (0.6, 16.0)}), _config_axis("variant", {
+                "Directory": {"protocol": "directory"},
+                "PATCH-All-BASH": {"protocol": "patch",
+                                   "predictor": "bash-all",
+                                   "best_effort_direct": False},
+                "PATCH-All": patch_all})),
+    }
+    return {table: StudySpec(
+        name=f"{table.replace('_', '-')}-{scale.name}",
+        base_config=config_overrides(SystemConfig(num_cores=scale.bw_cores,
+                                                  **base)),
+        workload="oltp", references_per_core=scale.bw_refs, seeds=(1,),
+        axes=axes) for table, (base, *axes) in grids.items()}
+
+
 # ---------------------------------------------------------------------------
 # Experiment bundles (each one parallel batch through the runner/cache).
 # Each bundle runs its spec above and reshapes the StudyResult into the
@@ -350,26 +398,20 @@ def scenario_matrix_results(scale: BenchScale = FULL_SCALE,
 
 
 def trace_replay_results(scale: BenchScale = FULL_SCALE,
-                         runner: Optional[ParallelRunner] = None,
-                         trace_dir: Optional[str] = None):
+                         runner: Optional[ParallelRunner] = None):
     """Record each trace workload once, then run it live and replayed.
 
     Returns ``{workload: (live RunResult, replayed RunResult)}`` — the
     pair the trace-replay table diffs.  Replayed cells go through the
     runner like any other cell, so they exercise the digest-keyed
     result cache; recording itself costs generator time only (see
-    :func:`repro.traces.record_trace`).  Trace files land in
-    ``trace_dir`` (a temporary directory by default).
+    :func:`repro.traces.record_trace`).  Trace files land in a
+    temporary directory.
     """
     from repro.traces import record_trace, save_trace
 
-    with contextlib.ExitStack() as stack:
-        session = stack.enter_context(Session(runner=runner))
-        if trace_dir is None:
-            out_dir = stack.enter_context(tempfile.TemporaryDirectory())
-        else:
-            out_dir = trace_dir
-            os.makedirs(out_dir, exist_ok=True)
+    with Session(runner=runner) as session, \
+            tempfile.TemporaryDirectory() as out_dir:
         trace_paths = {}
         for workload in scale.trace_workloads:
             path = os.path.join(out_dir, f"{workload}.rpt")
@@ -384,8 +426,17 @@ def trace_replay_results(scale: BenchScale = FULL_SCALE,
             for workload in scale.trace_workloads}
 
 
+def _single_runs(spec: StudySpec, runner: Optional[ParallelRunner]
+                 ) -> Dict[object, RunResult]:
+    """The one run of each point of a single-seed grid, in grid order:
+    keyed by the point's label, or by its labels on a multi-axis grid."""
+    result = _run_spec(spec, runner)
+    return {key[0] if len(key) == 1 else key: runs[0]
+            for key, runs in result.runs_by_key.items()}
+
+
 def render_trace_replay(results):
-    """Trace-replay table + whether every replay matched its live run."""
+    """Trace-replay table; metrics ``identical`` (every pair) and ``pairs``."""
     rows = []
     all_identical = True
     for workload, (live, replayed) in results.items():
@@ -401,7 +452,7 @@ def render_trace_replay(results):
         "Trace replay [PATCH-All]: recorded traces vs live generators "
         "(replay must be bit-identical)",
         ["workload", "live cycles", "replay cycles", "identical"], rows)
-    return text, all_identical
+    return text, {"identical": all_identical, "pairs": results}
 
 
 def encoding_results(num_cores: int, bounded: bool,
@@ -421,7 +472,7 @@ def encoding_results(num_cores: int, bounded: bool,
 # ---------------------------------------------------------------------------
 
 def render_fig4(results, workloads: Sequence[str]):
-    """Figure 4 table + geomean and per-workload normalized runtimes."""
+    """Figure 4 table; metrics ``geo`` and per-workload ``normalized``."""
     labels = list(next(iter(results.values())).keys())
     rows = []
     normalized_by_workload = {}
@@ -437,11 +488,11 @@ def render_fig4(results, workloads: Sequence[str]):
     text = format_table(
         "Figure 4: runtime normalized to Directory (lower is better)",
         ["workload"] + labels, rows)
-    return text, geo, normalized_by_workload
+    return text, {"geo": geo, "normalized": normalized_by_workload}
 
 
 def render_fig5(results, workloads: Sequence[str]):
-    """Figure 5 tables + average normalized traffic totals per config."""
+    """Figure 5 tables; metrics ``avg`` total and per-workload ``traffic``."""
     labels = list(next(iter(results.values())).keys())
     sections = []
     totals: Dict[str, List[float]] = {label: [] for label in labels}
@@ -463,12 +514,12 @@ def render_fig5(results, workloads: Sequence[str]):
     text = "\n\n".join(sections)
     avg = {label: sum(values) / len(values)
            for label, values in totals.items()}
-    return text, avg, traffic_by_workload
+    return text, {"avg": avg, "traffic": traffic_by_workload}
 
 
 def render_bandwidth(sweep, workload: str, figure_number: int,
                      points: Sequence[float]):
-    """Figure 6/7 table + normalized-runtime series per PATCH variant."""
+    """Figure 6/7 table; metrics: each PATCH variant's ``series``."""
     rows = []
     series = {"PATCH-All-NA": {}, "PATCH-All": {}}
     for bandwidth in points:
@@ -484,11 +535,11 @@ def render_bandwidth(sweep, workload: str, figure_number: int,
         f"Figure {figure_number} [{workload}]: runtime normalized to "
         "Directory vs link bandwidth",
         ["bytes/1000cy", "Directory", "PATCH-All-NA", "PATCH-All"], rows)
-    return text, series
+    return text, {"series": series}
 
 
 def render_fig8(sweep, core_counts: Sequence[int]):
-    """Figure 8 table + normalized runtimes of both PATCH variants."""
+    """Figure 8 table; metrics ``na`` and ``be``: PATCH-All-NA, -All."""
     rows = []
     na = {}
     be = {}
@@ -502,11 +553,11 @@ def render_fig8(sweep, core_counts: Sequence[int]):
         "Figure 8 [microbenchmark, 2B/cycle links]: runtime normalized "
         "to Directory vs cores",
         ["cores", "Directory", "PATCH-All-NA", "PATCH-All"], rows)
-    return text, na, be
+    return text, {"na": na, "be": be}
 
 
 def render_fig9(data, core_counts: Sequence[int]):
-    """Figure 9 tables + worst normalized runtime per (cores, label, bw).
+    """Figure 9 tables; metrics: ``worst`` per (cores, label, bounded).
 
     ``data`` maps ``(cores, bounded)`` to an encoding sweep.
     """
@@ -530,11 +581,11 @@ def render_fig9(data, core_counts: Sequence[int]):
             "(coarseness = cores per sharer bit)",
             ["config", "bandwidth"] + [f"1:{k}" for k in points], rows))
     text = "\n\n".join(sections)
-    return text, worst
+    return text, {"worst": worst}
 
 
 def render_fig10(data, core_counts: Sequence[int]):
-    """Figure 10 tables + traffic growth and ack share per config.
+    """Figure 10 tables; metrics ``growth`` and ``ack_share`` per config.
 
     ``data`` maps ``cores`` to a bounded-bandwidth encoding sweep.
     """
@@ -563,12 +614,12 @@ def render_fig10(data, core_counts: Sequence[int]):
             "to the protocol's full-map total",
             ["config", "enc", "total"] + list(FIG10_GROUPS), rows))
     text = "\n\n".join(sections)
-    return text, growth, ack_share
+    return text, {"growth": growth, "ack_share": ack_share}
 
 
 def render_scenarios(results, workloads: Sequence[str],
                      topologies: Sequence[str]):
-    """Scenario-matrix tables + the PATCH/Directory ratio per cell.
+    """Scenario-matrix tables; metrics ``ratio`` and ``fabric`` per cell.
 
     ``results`` is :func:`scenario_matrix_results` output.
     Section one: PATCH-All runtime normalized to Directory on the same
@@ -608,7 +659,149 @@ def render_scenarios(results, workloads: Sequence[str],
         f"Scenario matrix: Directory runtime normalized to "
         f"{baseline_topo} (fabric cost per scenario)",
         ["workload"] + list(topologies), rows)
-    return patch_table + "\n\n" + fabric_table, ratio, fabric
+    return patch_table + "\n\n" + fabric_table, {"ratio": ratio,
+                                                 "fabric": fabric}
+
+
+def _ablation_table(title: str, headers: Sequence[str], runs, row):
+    """An ablation table, one row per run: its label, then ``row(run)``;
+    metrics: the ``runs``, by label."""
+    rows = [[label] + row(run) for label, run in runs.items()]
+    return format_table(title, headers, rows), {"runs": runs}
+
+
+def render_tenure_timeout(runs):
+    base = runs["x2.0"].runtime_cycles
+    return _ablation_table(
+        "Ablation: tenure timeout multiplier (PATCH-All, oltp)",
+        ["multiplier", "cycles", "vs 2.0x", "probation discards"], runs,
+        lambda run: [run.runtime_cycles, f"{run.runtime_cycles / base:.3f}",
+                     run.cache_stats.get("probation_discards", 0)])
+
+
+def render_drop_age(runs):
+    return _ablation_table(
+        "Ablation: best-effort drop age (PATCH-All, oltp, 16B/cy links)",
+        ["drop age", "cycles", "direct requests dropped"], runs,
+        lambda run: [run.runtime_cycles, run.dropped_direct_requests])
+
+
+def render_deactivation_window(runs):
+    return _ablation_table(
+        "Ablation: post-deactivation direct-request-ignore window",
+        ["variant", "cycles", "directs ignored", "probation discards"],
+        runs, lambda run: [run.runtime_cycles,
+                           run.cache_stats.get("direct_ignored_window", 0),
+                           run.cache_stats.get("probation_discards", 0)])
+
+
+def render_migratory(runs):
+    return _ablation_table(
+        "Ablation: migratory optimization (Directory, oltp)",
+        ["variant", "cycles", "misses"], runs,
+        lambda run: [run.runtime_cycles, run.misses])
+
+
+def render_bash_vs_best_effort(runs):
+    """BASH ablation table; metrics: each run's runtime ``normalized``
+    to Directory's at its bandwidth, by (bytes/cycle, variant)."""
+    normalized = {(float(bandwidth), variant): run.runtime_cycles
+                  / runs[(bandwidth, "Directory")].runtime_cycles
+                  for (bandwidth, variant), run in runs.items()}
+    text = format_table(
+        "Ablation: BASH issue-throttling vs best-effort delivery (oltp)",
+        ["B/cyc", "config", "runtime vs Directory"],
+        [[f"{bandwidth:g}", variant, f"{value:.3f}"]
+         for (bandwidth, variant), value in normalized.items()])
+    return text, {"normalized": normalized}
+
+
+#: Each ablation table's renderer; its grid is in :func:`ablation_specs`.
+ABLATION_RENDERERS = {
+    "ablation_tenure_timeout": render_tenure_timeout,
+    "ablation_drop_age": render_drop_age,
+    "ablation_deactivation_window": render_deactivation_window,
+    "ablation_migratory": render_migratory,
+    "ablation_bash_vs_best_effort": render_bash_vs_best_effort,
+}
+
+#: Tokens per block in the regenerated Table 2.
+TABLE2_TOKENS = 64
+
+
+def render_table2():
+    """Table 2, read off :func:`~repro.coherence.states.state_from_tokens`
+    for one holding per MOESI state; metrics: its ``rows``."""
+    tokens = TABLE2_TOKENS
+    holdings = (TokenCount(tokens, owner=True, dirty=True),   # M
+                TokenCount(3, owner=True, dirty=True),        # O
+                TokenCount(tokens, owner=True, dirty=False),  # E
+                TokenCount(3, owner=True, dirty=False),       # F
+                TokenCount(3),                                # S
+                ZERO)                                         # I
+    rows = [[state_from_tokens(holding, tokens, valid_data=True).value,
+             ("All" if holding.count == tokens
+              else "Some" if holding.count else "None"),
+             ("Dirty" if holding.owner and holding.dirty
+              else "Clean" if holding.owner else "No")]
+            for holding in holdings]
+    text = format_table(
+        "Table 2: mapping of MOESI states to token counts "
+        f"(regenerated, T={tokens})", ["State", "Tokens", "Owner?"], rows)
+    return text, {"rows": rows}
+
+
+def contention_storm(protocol: str, seed: int = 5, max_delay: int = 60,
+                     drop_prob: float = 0.0, **overrides):
+    """Table 4's storm: 6 cores make 12 scripted accesses each to 2
+    blocks on the random-delay network, ``predictor="all"``.  ``seed``
+    draws the scripts and the delays.  Returns the run and whether any
+    cache keeps a persistent-request table."""
+    rng = random.Random(seed)
+    scenario = RaceScenario("contention-storm", 6, {
+        core: [Access(100 + rng.randrange(2), rng.random() < 0.6,
+                      rng.randrange(4)) for _ in range(12)]
+        for core in range(6)})
+    config = SystemConfig(num_cores=scenario.cores, protocol=protocol,
+                          predictor="all", **overrides)
+    system = build_random_delay_system(
+        config, ScriptWorkload(scenario.padded_scripts()),
+        scenario.references_per_core, seed=seed, max_delay=max_delay,
+        drop_prob=drop_prob)
+    try:
+        result = system.run(max_cycles=20_000_000)
+        keeps_table = any(getattr(cache, "persistent_table", None)
+                          is not None for cache in system.caches)
+    finally:
+        system.close()
+    return result, keeps_table
+
+
+def render_table4():
+    """Table 4 with its reissue column measured on the seed-5
+    :func:`contention_storm`: TokenB reissuing once before it goes
+    persistent, PATCH with half its direct requests dropped.  Metrics:
+    per protocol, the run and whether it keeps a P.R. table."""
+    tokenb = contention_storm("tokenb", max_delay=200, tokenb_max_retries=1)
+    patch = contention_storm("patch", drop_prob=0.5)
+    # "Broadcast-free" means correctness never requires a message to all
+    # cores.  TokenB's requests and persistent activates are broadcasts;
+    # PATCH's only broadcast-ish traffic is the best-effort direct
+    # requests, which are droppable hints.
+    rows = [
+        ["Persistent/priority requests (TokenB)", "no", "any",
+         f"yes ({tokenb[0].cache_stats.get('reissues', 0)} observed)",
+         "tokens & P.R. table", "tokens"],
+        ["Token tenure (PATCH)", "yes", "any",
+         f"no ({patch[0].cache_stats.get('reissues', 0)} observed)",
+         "tokens", "tokens & sharers set"],
+    ]
+    text = format_table(
+        "Table 4: forward-progress mechanisms (measured under a "
+        "2-block contention storm on an adversarial network)",
+        ["Mechanism", "Broadcast-free?", "Interconnect", "Reissues?",
+         "State at processor", "State at home"], rows)
+    return text, {"tokenb": tokenb, "patch": patch}
 
 
 # ---------------------------------------------------------------------------
@@ -642,6 +835,43 @@ def headline_check(geo: Mapping[str, float],
     }
 
 
+def suite(scale: BenchScale, runner: ParallelRunner):
+    """Compute and render every committed table on one runner.
+
+    Yields ``(name, text, metrics)`` per table, in a fixed order:
+    ``name`` is the table's file under ``benchmarks/results/`` without
+    ``.txt``, and ``text`` and ``metrics`` are its renderer's.  Figs.
+    4/5 and 9/10 share grids, each run before the first of its pair.
+    """
+    results45 = fig45_results(scale, runner)
+    yield "fig4_runtime", *render_fig4(results45, scale.fig4_workloads)
+    yield "fig5_traffic", *render_fig5(results45, scale.fig4_workloads)
+    for number, workload in ((6, "ocean"), (7, "jbb")):
+        yield f"fig{number}_bandwidth_{workload}", *render_bandwidth(
+            bandwidth_results(workload, scale, runner), workload, number,
+            scale.bw_points)
+    yield "fig8_scalability", *render_fig8(
+        scalability_results(scale, runner), scale.scale_cores)
+    encodings = {(cores, bounded): encoding_results(cores, bounded, scale,
+                                                    runner)
+                 for cores in scale.enc_core_counts
+                 for bounded in (False, True)}
+    yield "fig9_inexact_runtime", *render_fig9(encodings,
+                                               scale.enc_core_counts)
+    yield "fig10_inexact_traffic", *render_fig10(
+        {cores: encodings[(cores, True)] for cores in scale.enc_core_counts},
+        scale.enc_core_counts)
+    yield "scenario_matrix", *render_scenarios(
+        scenario_matrix_results(scale, runner), scale.scenario_workloads,
+        scale.scenario_topologies)
+    yield "trace_replay", *render_trace_replay(
+        trace_replay_results(scale, runner))
+    for name, spec in ablation_specs(scale).items():
+        yield name, *ABLATION_RENDERERS[name](_single_runs(spec, runner))
+    yield "table2_state_mapping", *render_table2()
+    yield "table4_forward_progress", *render_table4()
+
+
 def run_bench(quick: bool = False,
               runner: Optional[ParallelRunner] = None,
               results_dir: str = os.path.join("benchmarks", "results"),
@@ -650,7 +880,7 @@ def run_bench(quick: bool = False,
               scale: Optional[BenchScale] = None,
               seed: Optional[int] = None,
               echo=_echo) -> int:
-    """Regenerate every figure table; write tables + bench_results.json.
+    """Write every table of :func:`suite` and ``bench_results.json``.
 
     Returns a process exit code: non-zero only when ``check`` is set and
     the headline assertion (or the trace-replay identity) fails.
@@ -671,84 +901,38 @@ def run_bench(quick: bool = False,
     os.makedirs(results_dir, exist_ok=True)
     timings: Dict[str, float] = {}
     table_paths: List[str] = []
-    # Per-figure exec-cache hit/miss deltas (None when caching is off).
-    cache_by_figure: Dict[str, Dict[str, int]] = {}
+    metrics: Dict[str, Dict] = {}
+    # Per-table exec-cache hit/miss deltas (None when caching is off).
+    cache_by_table: Dict[str, Dict[str, int]] = {}
     cache_mark = dict(runner.cache.stats()) if runner.cache else None
-
-    def emit(name: str, text: str, elapsed: float) -> None:
-        nonlocal cache_mark
+    suite_start = start = time.perf_counter()
+    for name, text, table_metrics in suite(scale, runner):
+        elapsed = time.perf_counter() - start
+        metrics[name] = table_metrics
         path = os.path.join(results_dir, f"{name}.txt")
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
         table_paths.append(path)
-        figure = name.split("_")[0]
-        timings[figure] = round(elapsed, 6)
+        timings[name] = round(elapsed, 6)
         if cache_mark is not None:
             stats = runner.cache.stats()
-            cache_by_figure[figure] = {key: stats[key] - cache_mark[key]
-                                       for key in stats}
+            cache_by_table[name] = {key: stats[key] - cache_mark[key]
+                                    for key in stats}
             cache_mark = dict(stats)
-        echo(f"[{figure:>6}] {elapsed:8.2f}s  -> {path}")
-
-    suite_start = time.perf_counter()
-
-    # Figures 4/5 share one experiment grid; fig4 absorbs its cost.
-    start = time.perf_counter()
-    results45 = fig45_results(scale, runner)
-    text, geo, _ = render_fig4(results45, scale.fig4_workloads)
-    emit("fig4_runtime", text, time.perf_counter() - start)
-    start = time.perf_counter()
-    text, _, _ = render_fig5(results45, scale.fig4_workloads)
-    emit("fig5_traffic", text, time.perf_counter() - start)
-
-    for figure_number, workload, name in ((6, "ocean", "fig6_bandwidth_ocean"),
-                                          (7, "jbb", "fig7_bandwidth_jbb")):
+        echo(f"[ table] {elapsed:8.2f}s  -> {path}")
         start = time.perf_counter()
-        sweep = bandwidth_results(workload, scale, runner)
-        text, _ = render_bandwidth(sweep, workload, figure_number,
-                                   scale.bw_points)
-        emit(name, text, time.perf_counter() - start)
-
-    start = time.perf_counter()
-    sweep = scalability_results(scale, runner)
-    text, _, _ = render_fig8(sweep, scale.scale_cores)
-    emit("fig8_scalability", text, time.perf_counter() - start)
-
-    start = time.perf_counter()
-    enc_data = {(cores, bounded): encoding_results(cores, bounded, scale,
-                                                   runner)
-                for cores in scale.enc_core_counts
-                for bounded in (False, True)}
-    text, _ = render_fig9(enc_data, scale.enc_core_counts)
-    emit("fig9_inexact_runtime", text, time.perf_counter() - start)
-
-    start = time.perf_counter()
-    bounded_data = {cores: enc_data[(cores, True)]
-                    for cores in scale.enc_core_counts}
-    text, _, _ = render_fig10(bounded_data, scale.enc_core_counts)
-    emit("fig10_inexact_traffic", text, time.perf_counter() - start)
-
-    start = time.perf_counter()
-    scenarios = scenario_matrix_results(scale, runner)
-    text, _, _ = render_scenarios(scenarios, scale.scenario_workloads,
-                                  scale.scenario_topologies)
-    emit("scenario_matrix", text, time.perf_counter() - start)
-
-    start = time.perf_counter()
-    replay_pairs = trace_replay_results(scale, runner)
-    text, replay_identical = render_trace_replay(replay_pairs)
-    emit("trace_replay", text, time.perf_counter() - start)
 
     total = time.perf_counter() - suite_start
-    headline = headline_check(geo)
+    headline = headline_check(metrics["fig4_runtime"]["geo"])
+    replay_identical = metrics["trace_replay"]["identical"]
     cache_stats = runner.cache.stats() if runner.cache is not None else None
     report = {
-        "schema": 1,
+        "schema": 2,
         "scale": scale.name,
         "quick": quick,
         "jobs": runner.jobs,
         "cache": cache_stats,
-        "cache_per_figure": cache_by_figure if cache_stats is not None
+        "cache_per_figure": cache_by_table if cache_stats is not None
                             else None,
         "cache_dir": (str(runner.cache.root) if runner.cache is not None
                       else None),
@@ -787,4 +971,3 @@ def run_bench(quick: bool = False,
         if check:
             failed = True
     return 1 if failed else 0
-

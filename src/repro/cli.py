@@ -249,7 +249,9 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--seed", type=_seed_value, default=None,
                        help="override the seed-parameterized grids "
                             "(figures 4-7, the scenario matrix, and the "
-                            "trace-replay row) with this single seed")
+                            "trace-replay row) with this single seed; "
+                            "figures 8-10, the ablations and Tables 2 "
+                            "and 4 keep their fixed seeds")
 
     trace = sub.add_parser(
         "trace", help="record, inspect, transform, and replay access "

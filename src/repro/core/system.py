@@ -297,7 +297,9 @@ def build_random_delay_system(config: SystemConfig,
                               seed: int = 0, min_delay: int = 1,
                               max_delay: int = 80,
                               drop_prob: float = 0.0) -> System:
-    """A System on the adversarial random-delay network (for tests)."""
+    """A System on the adversarial random-delay network, as Table 4's
+    contention storm (:func:`repro.bench.contention_storm`) and the
+    protocol race tests build it."""
     network = RandomDelayNetwork(Simulator(), config.num_cores,
                                  random.Random(seed), min_delay, max_delay,
                                  best_effort_drop_prob=drop_prob)

@@ -14,9 +14,10 @@ When a fresh result reaches the cache depends on where it ran.  An
 in-process batch stores each cell as it finishes.  A pool batch
 stores its cells when the batch ends: all of them once the slowest
 is done, or, when a cell fails, a worker dies or the wait is
-interrupted (Ctrl-C), the cells finished by then.  A process killed
-outright loses the fresh cells of the pool batch it was running, and
-a resume runs them again.
+interrupted (Ctrl-C), the cells finished by then; the cells still
+running stop with their workers.  A process killed outright loses the
+fresh cells of the pool batch it was running.  Either way a resume
+runs the lost cells again.
 
 The runner keeps one pool of ``jobs`` workers across batches, so a
 long-lived caller (the ``repro serve`` dispatcher, a figure suite)
@@ -37,8 +38,9 @@ JSON serialization the cache uses.
 A cell that raises — or a pool worker that dies outright — fails the
 whole batch promptly with a :class:`CellExecutionError` naming the
 offending cell; the cells finished by then are stored first, so a
-retry resumes where the batch died.  The failed batch's
-pool is shut down without waiting, and the next batch forks a new one.
+retry resumes where the batch died.  A failed or interrupted batch's
+workers are terminated at once, with the cells they were still
+running, and the next batch forks a new pool.
 """
 
 from __future__ import annotations
@@ -116,6 +118,19 @@ def _fork_state(workers: int) -> Tuple[Any, ...]:
     environment = {name: value for name, value in os.environ.items()
                    if name.startswith("REPRO_")}
     return workers, environment, registered_count(), len(TOPOLOGIES)
+
+
+def _stop(pool: ProcessPoolExecutor) -> None:
+    """Stop a failed batch's pool now, cells still running included.
+
+    ``shutdown(cancel_futures=True)`` cancels only queued cells: a
+    running one would go on computing a result nothing stores, and the
+    interpreter's exit would wait for it.  CPython has no public way to
+    terminate a pool's workers before 3.14, hence ``_processes``.
+    """
+    for worker in list(pool._processes.values()):
+        worker.terminate()
+    pool.shutdown(wait=False, cancel_futures=True)
 
 
 def _run_on_pool(pool: ProcessPoolExecutor,
@@ -296,9 +311,9 @@ class ParallelRunner:
             _run_on_pool(pool, [(index, cells[index]) for index in pending],
                          finish)
         except BaseException:
-            # Fail fast: drop queued work and don't wait for stragglers
-            # (or a dead worker); the next batch forks a new pool.
+            # Fail fast: drop queued work and stop the cells still
+            # running; the next batch forks a new pool.
             self._pool = None
-            pool.shutdown(wait=False, cancel_futures=True)
+            _stop(pool)
             raise
         return results

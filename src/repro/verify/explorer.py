@@ -20,21 +20,18 @@ Used by tests and available to library users hunting protocol races:
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.config import SystemConfig
-from repro.core.system import System
-from repro.interconnect.network import RandomDelayNetwork
-from repro.sim.kernel import Simulator
+from repro.core.system import System, build_random_delay_system
 from repro.verify.invariants import (audit_single_writer,
                                      audit_token_conservation)
 from repro.workloads.base import Access, WorkloadGenerator
 
 
-class _ScriptWorkload(WorkloadGenerator):
-    """Fixed per-core scripts (self-contained copy for library use)."""
+class ScriptWorkload(WorkloadGenerator):
+    """Fixed per-core scripts: core ``c`` issues ``scripts[c]`` in order."""
 
     def __init__(self, scripts: Dict[int, List[Access]]) -> None:
         self._scripts = scripts
@@ -151,13 +148,10 @@ class ScheduleExplorer:
                               protocol=self.protocol,
                               predictor=self.predictor,
                               **self.config_overrides)
-        network = RandomDelayNetwork(
-            Simulator(), self.scenario.cores, random.Random(seed),
-            min_delay=self.min_delay, max_delay=self.max_delay,
-            best_effort_drop_prob=self.drop_prob)
-        workload = _ScriptWorkload(self.scenario.padded_scripts())
-        return System(config, workload,
-                      self.scenario.references_per_core, network=network)
+        return build_random_delay_system(
+            config, ScriptWorkload(self.scenario.padded_scripts()),
+            self.scenario.references_per_core, seed, self.min_delay,
+            self.max_delay, self.drop_prob)
 
     def run_schedule(self, seed: int,
                      max_cycles: int = 10_000_000) -> Tuple[bool, str, int]:

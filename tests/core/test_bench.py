@@ -6,9 +6,9 @@ import os
 import pytest
 
 from repro.bench import (BenchScale, FULL_SCALE, QUICK_SCALE,
-                         bandwidth_spec, encoding_spec, fig4_spec,
-                         headline_check, run_bench, scalability_spec,
-                         scenario_spec)
+                         ablation_specs, bandwidth_spec, encoding_spec,
+                         fig4_spec, headline_check, run_bench,
+                         scalability_spec, scenario_spec)
 from repro.exec import ParallelRunner, ResultCache
 from repro.exec.manifest import spec_digest
 
@@ -34,6 +34,10 @@ EXPECTED_TABLES = (
     "fig4_runtime", "fig5_traffic", "fig6_bandwidth_ocean",
     "fig7_bandwidth_jbb", "fig8_scalability", "fig9_inexact_runtime",
     "fig10_inexact_traffic", "scenario_matrix", "trace_replay",
+    "ablation_tenure_timeout", "ablation_drop_age",
+    "ablation_deactivation_window", "ablation_migratory",
+    "ablation_bash_vs_best_effort", "table2_state_mapping",
+    "table4_forward_progress",
 )
 
 
@@ -45,17 +49,18 @@ def test_run_bench_writes_tables_and_report(tmp_path):
                      results_dir=str(results_dir), out_path=str(out),
                      scale=TINY_SCALE, echo=lambda *a, **k: None)
     assert code == 0
+    assert sorted(path.stem for path in results_dir.iterdir()) == \
+        sorted(EXPECTED_TABLES)
     for name in EXPECTED_TABLES:
-        table = results_dir / f"{name}.txt"
-        assert table.exists(), name
-        assert table.read_text().strip()
+        assert (results_dir / f"{name}.txt").read_text().strip(), name
 
     report = json.loads(out.read_text())
+    assert report["schema"] == 2
     assert report["scale"] == "tiny"
     assert report["jobs"] == 1
-    assert set(report["timings_seconds"]) == {
-        "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10",
-        "scenario", "trace"}
+    assert set(report["timings_seconds"]) == set(EXPECTED_TABLES)
+    assert [os.path.basename(path) for path in report["tables"]] == \
+        [f"{name}.txt" for name in EXPECTED_TABLES]
     assert report["total_seconds"] > 0
     assert report["cache"]["stores"] == report["cache"]["misses"] > 0
     assert report["headline"]["patch_all_geomean"] > 0
@@ -85,8 +90,13 @@ def test_run_bench_warm_cache_skips_simulation(tmp_path):
               out_path=str(tmp_path / "warm.json"), **kwargs)
     warm = json.loads((tmp_path / "warm.json").read_text())
 
+    # Grids share cells (the default PATCH-All cell is in several
+    # ablations), so a cold run already hits its own fresh results: a
+    # warm run hits every cell the cold one looked up.
     assert warm["cache"]["misses"] == 0
-    assert warm["cache"]["hits"] == cold["cache"]["misses"]
+    assert warm["cache"]["hits"] == (cold["cache"]["hits"]
+                                     + cold["cache"]["misses"])
+    assert cold["cache"]["hits"] > 0
     # Identical tables either way.
     for name in EXPECTED_TABLES:
         path = tmp_path / "results" / f"{name}.txt"
@@ -145,6 +155,11 @@ GRID_DIGESTS = {
     "coarseness-128p-bounded-full": "599a1f1cf07c3765",
     "coarseness-256p-unbounded-full": "efee61f5b52e1a72",
     "coarseness-256p-bounded-full": "5b03eaa22fecab32",
+    "ablation-tenure-timeout-full": "e1f6be5a25e46335",
+    "ablation-drop-age-full": "5c6df993c705e495",
+    "ablation-deactivation-window-full": "92ef54a2e498be0a",
+    "ablation-migratory-full": "65b3c1343b2740f9",
+    "ablation-bash-vs-best-effort-full": "52ac8d098704403c",
     "fig4-grid-quick": "a5bb55734e83b291",
     "bandwidth-ocean-quick": "5d39be6662200e33",
     "bandwidth-jbb-quick": "dfd9365ecaba67d3",
@@ -154,6 +169,11 @@ GRID_DIGESTS = {
     "coarseness-16p-bounded-quick": "500c83087cb41fb7",
     "coarseness-32p-unbounded-quick": "3c86f21b92b4a0cd",
     "coarseness-32p-bounded-quick": "f67ad38678af0932",
+    "ablation-tenure-timeout-quick": "22c2fa65e9f3c937",
+    "ablation-drop-age-quick": "b090f9bff8b911db",
+    "ablation-deactivation-window-quick": "ed94e718611787b4",
+    "ablation-migratory-quick": "5d7499780054d4c4",
+    "ablation-bash-vs-best-effort-quick": "1be2fe0ae3495afb",
 }
 
 
@@ -167,5 +187,6 @@ def test_figure_grid_digests_are_pinned():
         specs += [encoding_spec(cores, bounded, scale)
                   for cores in scale.enc_core_counts
                   for bounded in (False, True)]
+        specs += ablation_specs(scale).values()
         digests.update((spec.name, spec_digest(spec)) for spec in specs)
     assert digests == GRID_DIGESTS

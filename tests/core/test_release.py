@@ -16,7 +16,6 @@ from collections import Counter
 import pytest
 
 import repro.core.system as system_module
-import repro.verify.explorer as explorer_module
 from repro.config import PREDICTORS, SystemConfig
 from repro.core.system import System
 from repro.exec import execute_cell, make_cell
@@ -76,7 +75,7 @@ def test_execute_cell_leaves_no_cyclic_garbage(monkeypatch, protocol,
 
 @pytest.mark.parametrize("protocol", ("directory", "patch", "tokenb"))
 def test_explored_schedules_leave_no_cyclic_garbage(monkeypatch, protocol):
-    built = _track(monkeypatch, explorer_module)
+    built = _track(monkeypatch, system_module)
     explorer = ScheduleExplorer(RaceScenario.two_writers(),
                                 protocol=protocol)
 

@@ -43,6 +43,25 @@ needs_fork = pytest.mark.skipif(
            "from this process")
 
 
+def sleeping_microbench(monkeypatch, seconds):
+    """Register a workload that sleeps ``seconds`` before it builds the
+    microbenchmark, and return its name."""
+    from repro.workloads import registry
+
+    microbench = registry.get_spec("microbench")
+
+    def factory(num_cores, seed=1, **knobs):
+        time.sleep(seconds)
+        return microbench.factory(num_cores, seed=seed, **knobs)
+
+    registry.workload_names()  # populate before adding to the table
+    monkeypatch.setitem(registry._REGISTRY, "sleeping-microbench",
+                        registry.WorkloadSpec("sleeping-microbench", factory,
+                                              "sleeps, then microbench",
+                                              "micro"))
+    return "sleeping-microbench"
+
+
 def test_parallel_is_bit_identical_to_serial():
     cells = fig4_cells()
     serial = ParallelRunner(jobs=1).run_cells(cells)
@@ -328,20 +347,8 @@ def test_an_interrupted_pool_batch_keeps_the_cells_it_finished(
     """A Ctrl-C while the pool batch waits on a slow cell stores the
     cells already finished, so a resume finds them in the cache."""
     import repro.exec.parallel as parallel
-    from repro.workloads import registry
 
-    microbench = registry.get_spec("microbench")
-
-    def slow_microbench(num_cores, seed=1, **knobs):
-        time.sleep(2)
-        return microbench.factory(num_cores, seed=seed, **knobs)
-
-    registry.workload_names()  # populate before adding to the table
-    monkeypatch.setitem(registry._REGISTRY, "slow-microbench",
-                        registry.WorkloadSpec("slow-microbench",
-                                              slow_microbench,
-                                              "sleeps, then microbench",
-                                              "micro"))
+    slow_workload = sleeping_microbench(monkeypatch, 2)
     real_wait = parallel.wait
 
     def interrupted_wait(futures, return_when):
@@ -351,7 +358,7 @@ def test_an_interrupted_pool_batch_keeps_the_cells_it_finished(
     monkeypatch.setattr(parallel, "wait", interrupted_wait)
     two_cores = SystemConfig(num_cores=2)
     fast = make_cell(two_cores, "microbench", 5, seed=1)
-    slow = make_cell(two_cores, "slow-microbench", 5, seed=1)
+    slow = make_cell(two_cores, slow_workload, 5, seed=1)
     before = children()
     runner = ParallelRunner(jobs=2, cache=ResultCache(tmp_path))
     try:
@@ -367,3 +374,27 @@ def test_an_interrupted_pool_batch_keeps_the_cells_it_finished(
     fresh = ResultCache(tmp_path)
     assert fresh.load(fast) is not None
     assert fresh.load(slow) is None
+
+
+@needs_fork
+def test_a_failed_pool_batch_stops_the_cells_still_running(monkeypatch):
+    """A failed batch's running cells would compute results nothing
+    stores: their workers stop with the batch, not when the cells end."""
+    bound = 10.0
+    sleepy = make_cell(BASE, sleeping_microbench(monkeypatch, 6 * bound),
+                       15, seed=1)
+    bad = make_cell(BASE, "microbench", 15, seed=1,
+                    not_a_workload_kwarg=True)
+    before = children()
+    with ParallelRunner(jobs=2) as runner:
+        runner.run_cells(fig4_cells(seeds=(1,))[:2])  # fork the workers
+        workers = [child for child in multiprocessing.active_children()
+                   if child.pid not in before]
+        assert len(workers) == 2
+        start = time.monotonic()
+        with pytest.raises(CellExecutionError) as excinfo:
+            runner.run_cells([sleepy, bad])
+        assert excinfo.value.cell is bad
+        for worker in workers:
+            worker.join(timeout=max(0.0, start + bound - time.monotonic()))
+        assert not any(worker.is_alive() for worker in workers)

@@ -2,36 +2,24 @@
 
 from __future__ import annotations
 
-import random
 from typing import List, Optional
 
 from repro.config import SystemConfig
-from repro.core.system import System
-from repro.interconnect.network import RandomDelayNetwork, TorusNetwork
-from repro.interconnect.topology import Torus2D
-from repro.sim.kernel import Simulator
+from repro.core.system import System, build_random_delay_system
+from repro.verify.explorer import ScriptWorkload
 from repro.workloads.base import Access, WorkloadGenerator
 
 
-class ScriptedWorkload(WorkloadGenerator):
-    """Workload that returns a fixed per-core script of accesses."""
+class ScriptedWorkload(ScriptWorkload):
+    """A :class:`ScriptWorkload` whose scripts may also list
+    ``(block, is_write)`` pairs."""
 
     def __init__(self, scripts: dict) -> None:
-        # scripts: core_id -> list of (block, is_write) or Access
-        self._scripts = {
+        super().__init__({
             core: [a if isinstance(a, Access) else Access(a[0], a[1])
                    for a in accesses]
             for core, accesses in scripts.items()
-        }
-        self._positions = {core: 0 for core in scripts}
-
-    def quota(self, core_id: int) -> int:
-        return len(self._scripts.get(core_id, []))
-
-    def next_access(self, core_id: int) -> Access:
-        position = self._positions[core_id]
-        self._positions[core_id] += 1
-        return self._scripts[core_id][position]
+        })
 
 
 def make_config(protocol: str = "directory", cores: int = 4,
@@ -50,13 +38,11 @@ def make_system(protocol: str = "directory", cores: int = 4,
     config = make_config(protocol, cores, **overrides)
     if workload is None:
         workload = ScriptedWorkload({c: [] for c in range(cores)})
-    network = None
     if adversarial:
-        network = RandomDelayNetwork(Simulator(), cores,
-                                     random.Random(net_seed),
-                                     min_delay=1, max_delay=max_delay,
-                                     best_effort_drop_prob=drop_prob)
-    return System(config, workload, references, network=network)
+        return build_random_delay_system(config, workload, references,
+                                         net_seed, max_delay=max_delay,
+                                         drop_prob=drop_prob)
+    return System(config, workload, references)
 
 
 class AccessDriver:
@@ -94,26 +80,3 @@ class AccessDriver:
     def drain(self, cycles: int = 200_000) -> None:
         self.system.sim.run(until=self.system.sim.now + cycles)
 
-
-def run_scripted(protocol: str, scripts: dict, cores: int = 4,
-                 adversarial: bool = False, net_seed: int = 0,
-                 **overrides) -> System:
-    """Run a per-core scripted workload to completion via the Core model."""
-    workload = ScriptedWorkload(scripts)
-    config = make_config(protocol, cores, **overrides)
-    network = None
-    if adversarial:
-        network = RandomDelayNetwork(Simulator(), cores,
-                                     random.Random(net_seed),
-                                     min_delay=1, max_delay=60)
-    quotas = {core: workload.quota(core) for core in range(cores)}
-    max_quota = max(quotas.values()) if quotas else 0
-    # System uses a single references_per_core; pad scripts to equal length
-    # by repeating a private block access.
-    for core in range(cores):
-        script = workload._scripts.setdefault(core, [])
-        while len(script) < max_quota:
-            script.append(Access(10_000 + core, False))
-    system = System(config, workload, max_quota, network=network)
-    result = system.run(max_cycles=5_000_000)
-    return system
